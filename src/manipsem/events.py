@@ -234,14 +234,41 @@ def dumps_trace(trace: SceneTrace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Geometry per frame, with rigid-translation hull reuse
+# Geometry per frame: hull reuse across rigid translation, pair contact reuse
+# across rigid co-motion
 # ---------------------------------------------------------------------------
 
+_RIGID_TOL = 1e-12
+
+
+def _rigid(delta: np.ndarray) -> bool:
+    """True when every row of ``delta`` is the same shift (to _RIGID_TOL)."""
+    return np.ptp(delta, axis=0).max() <= _RIGID_TOL
+
+
+def _co_moved(prev_a, prev_b, pts_a, pts_b) -> bool:
+    """True when both clouds moved from their previous points by one common
+    shift, which leaves the pair's relative pose unchanged."""
+    return (prev_a.shape == pts_a.shape and prev_b.shape == pts_b.shape
+            and _rigid(np.concatenate((pts_a - prev_a, pts_b - prev_b))))
+
+
 class _GeometryCache:
+    """Per-trace geometry memo; it lives for one extraction or touch-graph
+    walk, so nothing carries over between traces.
+
+    An object's hull is re-used, translated, while its cloud only moves
+    rigidly.  A pair's narrow-phase contact result is re-used while both
+    clouds are unchanged, or shifted by one common translation, since the
+    pair's last :func:`touch` test: the pair's relative pose, and with it
+    the answer, is then the same.
+    """
+
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self._cloud: dict[str, np.ndarray] = {}
         self._state: dict[str, ObjectState] = {}
+        self._pair: dict[tuple[str, str], tuple[np.ndarray, np.ndarray, bool]] = {}
 
     def state(self, obj: ObjectInstance) -> ObjectState:
         if obj.points is None:
@@ -252,9 +279,9 @@ class _GeometryCache:
         prev = self._cloud.get(obj.id)
         if prev is not None and prev.shape == pts.shape:
             delta = pts - prev
-            if np.ptp(delta, axis=0).max() <= 1e-12:
+            if _rigid(delta):
                 shift = delta[0]
-                if abs(shift).max() <= 1e-12:
+                if abs(shift).max() <= _RIGID_TOL:
                     return self._state[obj.id]
                 old = self._state[obj.id]
                 moved = ObjectState(pts, old.hull.translated(shift),
@@ -267,24 +294,36 @@ class _GeometryCache:
         self._state[obj.id] = state
         return state
 
+    def contacts(self, states: dict[str, ObjectState]) -> set[frozenset]:
+        """Unordered id pairs of ``states`` whose hulls are in contact."""
+        ids = sorted(states)
+        eps = self.cfg.geometry.eps_touch
+        out: set[frozenset] = set()
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                sa, sb = states[a], states[b]
+                if aabb_gap(sa.aabb, sb.aabb) > eps:
+                    continue
+                last = self._pair.get((a, b))
+                if last is not None and _co_moved(last[0], last[1], sa.cloud, sb.cloud):
+                    hit = last[2]
+                else:
+                    hit = touch(sa.cloud, sa.hull, sb.cloud, sb.hull, eps, self.cfg.geometry)
+                    self._pair[(a, b)] = (sa.cloud, sb.cloud, hit)
+                if hit:
+                    out.add(frozenset((a, b)))
+        return out
+
 
 def touch_graph(frame: Frame, cfg: RunConfig | None = None,
                 cache: _GeometryCache | None = None) -> set[frozenset]:
-    """Unordered id pairs whose hulls are in contact in this frame."""
-    cfg = cfg or RunConfig()
-    cache = cache or _GeometryCache(cfg)
-    states = {o.id: cache.state(o) for o in frame.objects}
-    ids = sorted(states)
-    out: set[frozenset] = set()
-    eps = cfg.geometry.eps_touch
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            sa, sb = states[a], states[b]
-            if aabb_gap(sa.aabb, sb.aabb) > eps:
-                continue
-            if touch(sa.cloud, sa.hull, sb.cloud, sb.hull, eps, cfg.geometry):
-                out.add(frozenset((a, b)))
-    return out
+    """Unordered id pairs whose hulls are in contact in this frame.
+
+    Pass one ``cache`` across the frames of a trace to re-use hulls and
+    contact results; its config then takes the place of ``cfg``.
+    """
+    cache = cache or _GeometryCache(cfg or RunConfig())
+    return cache.contacts({o.id: cache.state(o) for o in frame.objects})
 
 
 class _Debouncer:
@@ -375,7 +414,7 @@ class Extractor:
                         actions[side] = []
                         busy[side] = [False] * f_idx
 
-            raw = self._raw_contacts(states, cfg)
+            raw = cache.contacts(states)
             added, removed = deb.update(raw)
             confirmed = set(deb.confirmed)
             contact_hist.append(confirmed)
@@ -403,7 +442,7 @@ class Extractor:
                 self._update_grasp(hs, hid, confirmed, contact_age,
                                    centroids, states, roles, f_idx)
 
-                ctx = self._salient_context(hs, hid, states, roles, ground_id, confirmed)
+                ctx = self._salient_context(hs, hid, states, roles, ground_id, confirmed, raw)
                 if ctx != hs.context:
                     hs.context = ctx
                     hs.quiet_frames = 0
@@ -427,19 +466,6 @@ class Extractor:
         )
 
     # -- helpers ------------------------------------------------------------
-
-    def _raw_contacts(self, states, cfg) -> set[frozenset]:
-        ids = sorted(states)
-        eps = cfg.geometry.eps_touch
-        out = set()
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                sa, sb = states[a], states[b]
-                if aabb_gap(sa.aabb, sb.aabb) > eps:
-                    continue
-                if touch(sa.cloud, sa.hull, sb.cloud, sb.hull, eps, cfg.geometry):
-                    out.add(frozenset((a, b)))
-        return out
 
     def _edge_events(self, hs: _HandState, hid: str, added, removed):
         """(kind, other_id, via) events on the hand chain, ordered by id.
@@ -511,8 +537,13 @@ class Extractor:
                 hs.grasped = other
                 return
 
-    def _salient_context(self, hs, hid, states, roles, ground_id, confirmed):
-        """(object_id | None, relation) most relevant to the moving entity."""
+    def _salient_context(self, hs, hid, states, roles, ground_id, confirmed, raw):
+        """(object_id | None, relation) most relevant to the moving entity.
+
+        ``raw`` is this frame's undebounced contact graph; it stands in for
+        the contact test inside ``classify_ssr``, whose containment labels,
+        the only ones read here, do not depend on it.
+        """
         rep = hs.grasped if hs.grasped in states else hid
         partners = frozenset(
             (set(p) - {rep}).pop() for p in confirmed if rep in p
@@ -527,7 +558,8 @@ class Extractor:
                 continue
             other = states[oid]
             if aabb_gap(rep_state.aabb, other.aabb) <= self.cfg.geometry.eps_touch:
-                rel = classify_ssr(rep_state, other, self.cfg.relation, self.cfg.geometry)
+                rel = classify_ssr(rep_state, other, self.cfg.relation, self.cfg.geometry,
+                                   touching=frozenset((rep, oid)) in raw)
                 if rel in (SsrLabel.In, SsrLabel.Wi, SsrLabel.Pwi, SsrLabel.Cr):
                     containment = (oid, rel)
                     break

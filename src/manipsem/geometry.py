@@ -18,6 +18,7 @@ closed, consistently oriented triangle surface.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -538,57 +539,58 @@ def relation_matrix(cloud_a, hull_a: ConvexHull, cloud_b, hull_b: ConvexHull,
     return RelMatrix(r1[0], r1[1], r1[2], r2[0], r2[1], r2[2])
 
 
-def min_point_distance(cloud_a, cloud_b) -> float:
-    ca, cb = as_cloud(cloud_a), as_cloud(cloud_b)
-    diff = ca[:, None, :] - cb[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).min()))
-
-
 # ---------------------------------------------------------------------------
 # GJK distance between two convex vertex sets
 # ---------------------------------------------------------------------------
+# Simplex points are (x, y, z) float tuples: the simplex holds at most four
+# 3-vectors, where numpy's per-call overhead dominates the arithmetic.
+
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _along(a, t, d):
+    """a + t * d."""
+    return (a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2])
+
 
 def _closest_on_segment(a, b):
-    ab = b - a
-    denom = ab @ ab
-    t = 0.0 if denom <= 0 else float(np.clip(-(a @ ab) / denom, 0.0, 1.0))
-    p = a + t * ab
+    ab = _sub(b, a)
+    denom = _dot(ab, ab)
+    t = 0.0 if denom <= 0 else min(max(-_dot(a, ab) / denom, 0.0), 1.0)
     if t <= 0.0:
         return a, [0]
     if t >= 1.0:
         return b, [1]
-    return p, [0, 1]
+    return _along(a, t, ab), [0, 1]
 
 
 def _closest_on_triangle(a, b, c):
-    ab, ac = b - a, c - a
-    ap = -a
-    d1, d2 = ab @ ap, ac @ ap
+    ab, ac = _sub(b, a), _sub(c, a)
+    d1, d2 = -_dot(ab, a), -_dot(ac, a)
     if d1 <= 0 and d2 <= 0:
         return a, [0]
-    bp = -b
-    d3, d4 = ab @ bp, ac @ bp
+    d3, d4 = -_dot(ab, b), -_dot(ac, b)
     if d3 >= 0 and d4 <= d3:
         return b, [1]
     vc = d1 * d4 - d3 * d2
     if vc <= 0 <= d1 and d3 <= 0:
-        t = d1 / (d1 - d3)
-        return a + t * ab, [0, 1]
-    cp = -c
-    d5, d6 = ab @ cp, ac @ cp
+        return _along(a, d1 / (d1 - d3), ab), [0, 1]
+    d5, d6 = -_dot(ab, c), -_dot(ac, c)
     if d6 >= 0 and d5 <= d6:
         return c, [2]
     vb = d5 * d2 - d1 * d6
     if vb <= 0 <= d2 and d6 <= 0:
-        t = d2 / (d2 - d6)
-        return a + t * ac, [0, 2]
+        return _along(a, d2 / (d2 - d6), ac), [0, 2]
     va = d3 * d6 - d5 * d4
     if va <= 0 and d4 >= d3 and d5 >= d6:
-        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return b + t * (c - b), [1, 2]
+        return _along(b, (d4 - d3) / ((d4 - d3) + (d5 - d6)), _sub(c, b)), [1, 2]
     denom = va + vb + vc
-    v, w = vb / denom, vc / denom
-    return a + v * ab + w * ac, [0, 1, 2]
+    return _along(_along(a, vb / denom, ab), vc / denom, ac), [0, 1, 2]
 
 
 def _closest_on_simplex(simplex):
@@ -598,25 +600,21 @@ def _closest_on_simplex(simplex):
         return _closest_on_segment(simplex[0], simplex[1])
     if len(simplex) == 3:
         return _closest_on_triangle(simplex[0], simplex[1], simplex[2])
-    a, b, c, d = simplex
     # origin inside the tetrahedron means the sets intersect
-    best, keep, best_d = None, None, np.inf
-    inside = True
-    for tri, ids in (((a, b, c), [0, 1, 2]), ((a, b, d), [0, 1, 3]),
-                     ((a, c, d), [0, 2, 3]), ((b, c, d), [1, 2, 3])):
-        p0, p1, p2 = tri
-        nrm = np.cross(p1 - p0, p2 - p0)
-        other = ({0, 1, 2, 3} - set(ids)).pop()
-        side_origin = nrm @ (-p0)
-        side_other = nrm @ (simplex[other] - p0)
-        if side_origin * side_other < 0:
-            inside = False
-            p, sub = _closest_on_triangle(*tri)
-            dist = p @ p
+    best, keep, best_d = None, None, math.inf
+    for ids, other in (((0, 1, 2), 3), ((0, 1, 3), 2), ((0, 2, 3), 1), ((1, 2, 3), 0)):
+        p0, p1, p2 = (simplex[k] for k in ids)
+        e1, e2 = _sub(p1, p0), _sub(p2, p0)
+        nrm = (e1[1] * e2[2] - e1[2] * e2[1],
+               e1[2] * e2[0] - e1[0] * e2[2],
+               e1[0] * e2[1] - e1[1] * e2[0])
+        if -_dot(nrm, p0) * _dot(nrm, _sub(simplex[other], p0)) < 0:
+            p, sub = _closest_on_triangle(p0, p1, p2)
+            dist = _dot(p, p)
             if dist < best_d:
                 best, keep, best_d = p, [ids[k] for k in sub], dist
-    if inside:
-        return np.zeros(3), [0, 1, 2, 3]
+    if best is None:
+        return (0.0, 0.0, 0.0), [0, 1, 2, 3]
     return best, keep
 
 
@@ -624,26 +622,29 @@ def gjk_distance(verts_a, verts_b, eps: float = 1e-12, max_iter: int = 128) -> f
     """Distance between the convex hulls of two vertex sets (0 if they meet)."""
     A = as_cloud(verts_a)
     B = as_cloud(verts_b)
-    v = A.mean(axis=0) - B.mean(axis=0)
-    if v @ v < eps:
+    rows_a, rows_b = A.tolist(), B.tolist()
+    v = tuple((A.mean(axis=0) - B.mean(axis=0)).tolist())
+    if _dot(v, v) < eps:
         return 0.0
-    simplex: list[np.ndarray] = []
-    witnesses: set[tuple[int, int]] = set()
+    simplex: list[tuple[float, float, float]] = []
+    witnesses: list[tuple[int, int]] = []    # vertex pair of each simplex point
     for _ in range(max_iter):
         ia = int(np.argmin(A @ v))
         ib = int(np.argmax(B @ v))
-        w = A[ia] - B[ib]
-        vv = v @ v
-        if vv - v @ w <= 1e-10 * max(vv, 1.0) or (ia, ib) in witnesses:
-            return float(np.sqrt(vv))
-        witnesses.add((ia, ib))
+        w = _sub(rows_a[ia], rows_b[ib])
+        vv = _dot(v, v)
+        # a support point already in the simplex cannot bring v closer; one
+        # dropped earlier may re-enter
+        if vv - _dot(v, w) <= 1e-10 * max(vv, 1.0) or (ia, ib) in witnesses:
+            return math.sqrt(vv)
+        witnesses.append((ia, ib))
         simplex.append(w)
-        p, keep = _closest_on_simplex(simplex)
+        v, keep = _closest_on_simplex(simplex)
         simplex = [simplex[k] for k in keep]
-        v = p
-        if v @ v <= eps:
+        witnesses = [witnesses[k] for k in keep]
+        if _dot(v, v) <= eps:
             return 0.0
-    return float(np.linalg.norm(v))
+    return math.sqrt(_dot(v, v))
 
 
 def hull_surface_distance(hull_a: ConvexHull, hull_b: ConvexHull) -> float:
@@ -654,7 +655,11 @@ def hull_surface_distance(hull_a: ConvexHull, hull_b: ConvexHull) -> float:
 def touch(cloud_a, hull_a: ConvexHull, cloud_b, hull_b: ConvexHull,
           tol: float | None = None, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> bool:
     """Contact test: interiors mutually free of the other's points (to depth
-    tol) and surfaces within tol of each other."""
+    tol) and surfaces within tol of each other.
+
+    Each hull contains its cloud, so the hull distance never exceeds the
+    closest point pair's distance and GJK alone decides the surface test.
+    """
     if tol is None:
         tol = cfg.eps_touch
     ca, cb = as_cloud(cloud_a), as_cloud(cloud_b)
@@ -664,8 +669,6 @@ def touch(cloud_a, hull_a: ConvexHull, cloud_b, hull_b: ConvexHull,
         return False
     if np.any(classify_points(hull_a, cb, tol) == RegionClass.INTERIOR):
         return False
-    if min_point_distance(ca, cb) <= tol:
-        return True
     return hull_surface_distance(hull_a, hull_b) <= tol
 
 

@@ -24,8 +24,9 @@ section markers; their sub-patterns share one binding namespace.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .actions import AIR, GROUND, NO_OBJECT, AtomicAction, Primitive, Subject, action_tokens
 from .grammar import NoParse, PRIMITIVE_TERMINALS, RESERVED, parse
@@ -81,7 +82,7 @@ class LibraryEntry:
     name: str
     hands: str                               # "one" | "both"
     steps: tuple[StepTemplate, ...]          # one-hand pattern
-    steps_by_hand: dict = field(default_factory=dict, hash=False, compare=False)
+    steps_by_hand: tuple[tuple[str, tuple[StepTemplate, ...]], ...] = ()  # (hand, steps)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -94,7 +95,7 @@ class LibraryEntry:
 
     def all_steps(self):
         if self.hands == "both":
-            for steps in self.steps_by_hand.values():
+            for _, steps in self.steps_by_hand:
                 yield from steps
         else:
             yield from self.steps
@@ -194,7 +195,7 @@ def parse_library_text(text: str, validate: bool = True) -> MappingLibrary:
             raise DuplicateName(name)
         if hands == "both":
             entry = LibraryEntry(name, hands, tuple(by_hand.get("left", ())),
-                                 {h: tuple(s) for h, s in by_hand.items()})
+                                 tuple((h, tuple(s)) for h, s in by_hand.items()))
         else:
             entry = LibraryEntry(name, hands, tuple(steps))
         entries.append(entry)
@@ -256,7 +257,7 @@ def _validate_entry(entry: LibraryEntry):
     try:
         if entry.hands == "both":
             binds = _placeholder_bindings(entry)
-            for hand, steps in entry.steps_by_hand.items():
+            for hand, steps in entry.steps_by_hand:
                 actions = _instantiate(entry.name, steps, binds, hand, repeats=1)
                 parse(action_tokens(actions))
         else:
@@ -279,7 +280,10 @@ def load_mapping_library(source, validate: bool = True) -> MappingLibrary:
     return parse_library_text(text, validate=validate)
 
 
+@functools.cache
 def default_library() -> MappingLibrary:
+    """The packaged library, parsed and validated once per process; shared
+    safely because entries are frozen and hold only tuples."""
     text = importlib.resources.files("manipsem").joinpath("data/action_library.txt").read_text("utf-8")
     return parse_library_text(text)
 
@@ -425,7 +429,7 @@ def recognize_bimanual(actions_by_hand: dict, lib: MappingLibrary) -> list[Recog
         if entry.hands != "both":
             continue
         hits = {}
-        for hand, steps in entry.steps_by_hand.items():
+        for hand, steps in entry.steps_by_hand:
             probe = LibraryEntry(entry.name, "one", tuple(steps))
             stream = list(actions_by_hand.get(hand, ()))
             for start in range(len(stream)):

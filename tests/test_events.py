@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from manipsem.actions import Primitive
 from manipsem.config import RunConfig
@@ -13,6 +14,7 @@ from manipsem.events import (
     ParseError,
     SceneTrace,
     SchemaError,
+    _GeometryCache,
     dump_trace,
     dumps_trace,
     extract_atomic_actions,
@@ -21,7 +23,7 @@ from manipsem.events import (
     segment_actions,
     touch_graph,
 )
-from manipsem.synth import ScenarioSpec, generate_synthetic_trace
+from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace
 from conftest import box_cloud
 
 
@@ -148,6 +150,56 @@ class TestTouchGraph:
         assert frozenset(("cup", "bowl")) in pairs
         assert frozenset(("bowl", "table")) in pairs
         assert frozenset(("cup", "table")) not in pairs
+
+
+def assert_reuse_matches_fresh(frames, cfg=None):
+    """Contact reuse through one cache across frames changes no touch graph."""
+    cfg = cfg or RunConfig()
+    cache = _GeometryCache(cfg)
+    for f_idx, fr in enumerate(frames):
+        assert touch_graph(fr, cfg, cache) == touch_graph(fr, cfg), f"frame {f_idx}"
+
+
+def random_box_frames(rng, n_frames=8):
+    """Boxes on a 1 cm grid moving by grid shifts, some groups sharing one
+    shift, plus a float shift common to the whole frame; one box's cloud
+    changes its point count halfway.  Sizes are multiples of 4 cm, so every
+    lattice point (halves, quarters) stays on the grid and every
+    point-to-face distance is a multiple of 1 cm: none sits at the touch
+    tolerance, where rounding alone decides contact."""
+    ground = ObjectInstance("table", "table", "ground", None, ((-1, -0.1, -1), (1, 0.0, 1)))
+    n_boxes = int(rng.integers(2, 5))
+    los = rng.integers(0, 25, (n_boxes, 3)) * 0.01
+    los[:, 1] = rng.integers(0, 3, n_boxes) * 0.05
+    sizes = rng.integers(1, 6, (n_boxes, 3)) * 0.04
+    per_edge = [3] * n_boxes
+    frames = []
+    for f_idx in range(n_frames):
+        if f_idx == n_frames // 2:
+            per_edge[0] = 5
+        group = rng.integers(0, 3, n_boxes)             # boxes in one group share a shift
+        shifts = rng.integers(-2, 3, (3, 3)) * 0.01
+        shifts[rng.random(3) < 0.4] = 0.0
+        los = los + shifts[group]
+        common = rng.uniform(-0.05, 0.05, 3)
+        objs = [ground] + [
+            ObjectInstance(f"b{k}", "box", "object",
+                           box_cloud(los[k], los[k] + sizes[k], per_edge=per_edge[k]) + common, None)
+            for k in range(n_boxes)]
+        frames.append(Frame(f_idx / 30.0, tuple(objs)))
+    return frames
+
+
+class TestContactReuse:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_box_traces(self, seed):
+        assert_reuse_matches_fresh(random_box_frames(np.random.default_rng(seed)))
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from(SCENARIOS), st.integers(min_value=0, max_value=99))
+    def test_scenarios(self, name, seed):
+        assert_reuse_matches_fresh(generate_synthetic_trace(ScenarioSpec(name, seed=seed)).trace.frames)
 
 
 def static_trace(n=30):

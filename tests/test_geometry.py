@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,28 @@ class TestTouch:
             b, hb = self.make((off, 0, 0), (off + 1, 1, 1))
             assert touch(a, ha, b, hb, 5e-3) == touch(b, hb, a, ha, 5e-3)
 
+    def test_dense_clouds_allocate_no_pair_matrix(self):
+        # 4000 points a side: a point-pair distance matrix alone would be
+        # 4000 x 4000 x 3 doubles, 384 MB
+        rng = np.random.default_rng(5)
+
+        def dense(lo, hi):
+            corners = [[x, y, z] for x in (lo[0], hi[0])
+                       for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
+            pts = np.vstack([corners, rng.uniform(lo, hi, (3992, 3))])
+            return pts, compute_convex_hull(pts)
+
+        a, ha = dense((0, 0, 0), (1, 1, 1))
+        b, hb = dense((1.001, 0, 0), (2, 1, 1))
+        tracemalloc.start()
+        try:
+            hit = touch(a, ha, b, hb, 5e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hit
+        assert peak < 64 * 2 ** 20
+
 
 class TestGjk:
     def test_unit_gap(self):
@@ -287,6 +310,81 @@ class TestGjk:
         a = box_hull((0, 0, 0), (1, 1, 1))
         p = np.array([[2.0, 0.5, 0.5]])
         assert gjk_distance(a.vertices, p) == pytest.approx(1.0, abs=1e-9)
+
+
+def _point_segment(p, a, b):
+    ab = b - a
+    t = np.clip((p - a) @ ab / (ab @ ab), 0.0, 1.0)
+    return float(np.linalg.norm(p - (a + t * ab)))
+
+
+def _point_triangle(p, a, b, c):
+    """Minimum over the triangle: the plane projection when it falls
+    inside, else the nearest of the three edges."""
+    n = np.cross(b - a, c - a)
+    n = n / np.linalg.norm(n)
+    q = p - ((p - a) @ n) * n
+    signs = [np.cross(v1 - v0, q - v0) @ n for v0, v1 in ((a, b), (b, c), (c, a))]
+    edges = min(_point_segment(p, a, b), _point_segment(p, b, c), _point_segment(p, c, a))
+    if all(s >= 0 for s in signs):
+        return min(edges, abs(float((p - a) @ n)))
+    return edges
+
+
+def _segment_segment(p0, p1, q0, q1):
+    """Minimum over the parameter square: its stationary point when inside,
+    else an endpoint against the other segment."""
+    best = min(_point_segment(p0, q0, q1), _point_segment(p1, q0, q1),
+               _point_segment(q0, p0, p1), _point_segment(q1, p0, p1))
+    d1, d2, r = p1 - p0, q1 - q0, p0 - q0
+    m = np.array([[d1 @ d1, -(d1 @ d2)], [-(d1 @ d2), d2 @ d2]])
+    if abs(np.linalg.det(m)) > 1e-12:
+        s, t = np.linalg.solve(m, [-(d1 @ r), d2 @ r])
+        if 0 < s < 1 and 0 < t < 1:
+            best = min(best, float(np.linalg.norm(p0 + s * d1 - q0 - t * d2)))
+    return best
+
+
+def brute_force_hull_distance(ha, hb):
+    """Surface-to-surface distance of two disjoint hulls: vertex-triangle
+    both ways and edge-edge, over the triangulated surfaces."""
+    def edges(h):
+        return {tuple(sorted((int(i), int(j)))) for tri in h.faces
+                for i, j in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))}
+
+    best = math.inf
+    for hp, ht in ((ha, hb), (hb, ha)):
+        for p in hp.vertices:
+            for tri in ht.faces:
+                best = min(best, _point_triangle(p, *ht.vertices[tri]))
+    for i, j in edges(ha):
+        for k, m in edges(hb):
+            best = min(best, _segment_segment(ha.vertices[i], ha.vertices[j],
+                                              hb.vertices[k], hb.vertices[m]))
+    return best
+
+
+class TestGjkOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
+    def test_against_brute_force(self, seed, overlap):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1, 1, (rng.integers(4, 9), 3))
+        b = rng.uniform(-1, 1, (rng.integers(4, 9), 3))
+        if overlap:
+            b = np.vstack([b, a.mean(axis=0)])   # a point inside a's hull
+        else:
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            b += ((a @ n).max() - (b @ n).min() + rng.uniform(0.05, 1.0)) * n
+        got = gjk_distance(a, b)
+        diff = a[:, None, :] - b[None, :, :]
+        assert got <= float(np.sqrt((diff ** 2).sum(axis=2)).min()) + 1e-9
+        if overlap:
+            assert got == pytest.approx(0.0, abs=1e-9)
+        else:
+            oracle = brute_force_hull_distance(compute_convex_hull(a), compute_convex_hull(b))
+            assert got == pytest.approx(oracle, abs=1e-9)
 
 
 class TestDegenerateFallback:
