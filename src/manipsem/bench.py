@@ -2,9 +2,12 @@
 
 Relations are evaluated every ten frames per ordered pair, once with the
 full hull classifier and once in the legacy box mode, against constructed
-ground truth.  The report carries per-model accuracy, confusion counts,
-and flags saying which containment-style labels each model managed to
-produce at all: the box model cannot express them.
+ground truth.  Object states come from one per-trace
+:class:`~manipsem.events.GeometryCache`, the same geometry path extraction
+uses, so a static object's hull is built once per trace.  The report
+carries per-model accuracy, confusion counts, and flags saying which
+containment-style labels each model managed to produce at all: the box
+model cannot express them.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import RunConfig
-from .events import SceneTrace, load_trace
-from .relations import ObjectState, PATTERN_LABELS, SsrLabel, classify_ssr
+from .events import GeometryCache, SceneTrace, dump_trace, load_trace
+from .relations import PATTERN_LABELS, SsrLabel, classify_ssr
 from .synth import GroundTruthRelation
 
 MODES = ("hull", "aabb")
@@ -74,6 +76,7 @@ class AccuracyReport:
 def evaluate_trace(trace: SceneTrace, relations, cfg: RunConfig | None = None) -> AccuracyReport:
     """Score both models on one trace against its relation ground truth."""
     cfg = cfg or RunConfig()
+    cache = GeometryCache(cfg)
     rep = AccuracyReport()
     by_frame: dict[int, list[GroundTruthRelation]] = {}
     for gt in relations:
@@ -81,15 +84,7 @@ def evaluate_trace(trace: SceneTrace, relations, cfg: RunConfig | None = None) -
     for f_idx, rows in sorted(by_frame.items()):
         if f_idx >= len(trace.frames):
             continue
-        frame = trace.frames[f_idx]
-        states = {}
-        for obj in frame.objects:
-            from .geometry import box_hull
-            if obj.points is None:
-                hull = box_hull(*obj.box)
-                states[obj.id] = ObjectState.from_hull(hull)
-            else:
-                states[obj.id] = ObjectState.from_cloud(obj.points, cfg.geometry)
+        states = {o.id: cache.state(o) for o in trace.frames[f_idx].objects}
         for gt in rows:
             if gt.a not in states or gt.b not in states:
                 continue
@@ -121,6 +116,7 @@ def compare_models(items, cfg: RunConfig | None = None, jobs: int = 1) -> Accura
         raise ValueError("empty corpus")
     report = AccuracyReport()
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_eval_star, [(t, r, cfg) for t, r in pairs],
                                  chunksize=max(1, len(pairs) // (4 * jobs))):
@@ -156,7 +152,6 @@ def load_corpus_dir(path: str):
 
 def write_corpus_entry(dirpath: str, stem: str, trace: SceneTrace, relations,
                        name: str | None = None) -> None:
-    from .events import dump_trace
     os.makedirs(dirpath, exist_ok=True)
     dump_trace(trace, os.path.join(dirpath, stem + ".jsonl"))
     doc = {"relations": [{"frame": g.frame, "a": g.a, "b": g.b, "label": g.label.value}

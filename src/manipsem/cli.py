@@ -21,9 +21,9 @@ from . import events, grammar, synth
 from .config import RunConfig, load_run_config
 from .geometry import aabb_gap
 from .library import default_library, load_mapping_library
-from .pipeline import TIER_HEADINGS, analyze_trace, describe_document, describe_hand
+from .pipeline import analyze_trace, describe_document, describe_hand
 from .realizer import LevelUnavailable, default_templates, load_template_set
-from .relations import ObjectState, classify_dsr, classify_ssr
+from .relations import classify_dsr, classify_ssr
 
 EXIT_PARSE = 2
 EXIT_SCHEMA = 3
@@ -54,25 +54,29 @@ def _resources(cfg: RunConfig):
 def cmd_relations(args) -> int:
     cfg = _build_config(args)
     trace = events.load_trace(args.trace)
-    cache = events._GeometryCache(cfg)
+    cache = events.GeometryCache(cfg)
     window = cfg.relation.window
     states_hist = []
     rows = []
     for f_idx, frame in enumerate(trace.frames):
         states = {o.id: cache.state(o) for o in frame.objects}
         states_hist.append({k: v.centroid() for k, v in states.items()})
+        contacts = cache.contacts(states)
         ids = sorted(states)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                ssr_ab = classify_ssr(states[a], states[b], cfg.relation, cfg.geometry)
-                ssr_ba = classify_ssr(states[b], states[a], cfg.relation, cfg.geometry)
+                touching = frozenset((a, b)) in contacts
+                ssr_ab = classify_ssr(states[a], states[b], cfg.relation, cfg.geometry,
+                                      touching=touching)
+                ssr_ba = classify_ssr(states[b], states[a], cfg.relation, cfg.geometry,
+                                      touching=touching)
                 dsr = ""
                 if f_idx + 1 > window:
                     ta = np.array([h[a] for h in states_hist[-(window + 1):] if a in h])
                     tb = np.array([h[b] for h in states_hist[-(window + 1):] if b in h])
                     if len(ta) == len(tb) and len(ta) >= 2:
-                        touching = aabb_gap(states[a].aabb, states[b].aabb) <= cfg.geometry.eps_touch
-                        dsr = classify_dsr(ta, tb, touching, cfg.relation).value
+                        near = aabb_gap(states[a].aabb, states[b].aabb) <= cfg.geometry.eps_touch
+                        dsr = classify_dsr(ta, tb, near, cfg.relation).value
                 rows.append((f_idx, a, b, ssr_ab.value, ssr_ba.value, dsr))
     if args.format == "records":
         for f, a, b, ab, ba, dsr in rows:
@@ -226,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="hull-vs-box accuracy on a labeled corpus", parents=[common])
     sp.add_argument("corpus")
-    sp.add_argument("--compare", action="store_true",
-                    help="compare both object models (always on)")
     sp.add_argument("--jobs", type=int, default=0, help="parallel workers")
     sp.add_argument("--out-dir")
     sp.set_defaults(func=cmd_bench)

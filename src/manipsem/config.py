@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields, replace
 class GeometryConfig:
     """Tolerances for hull construction, point classification, and touch."""
 
-    eps_geom: float = 1e-9    # plane-side slack for hull invariants
     eps_bnd: float = 1e-7     # boundary band for point classification
     eps_touch: float = 5e-3   # surface proximity / allowed shallow overlap for touch
 

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import io
 import json
-import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .actions import AIR, GROUND, AtomicAction, Primitive, Snippet, Subject
 from .config import RunConfig
-from .geometry import aabb_gap, as_cloud, box_hull, compute_aabb, hull_with_fallback, touch
+from .geometry import aabb_gap, as_cloud, box_hull, compute_aabb, touch
 from .relations import (FOOTPRINT_MARGIN, DsrLabel, ObjectState, SsrLabel, classify_dsr,
                         classify_ssr, footprint_overlap)
 
@@ -114,6 +114,18 @@ class SceneTrace:
         return None
 
 
+def _coords(value, what, lineno) -> np.ndarray:
+    """``value`` as an (N, 3) array of finite floats; strings, nulls,
+    mappings and ragged lists are refused."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError("expected a list of [x, y, z] numbers")
+        return as_cloud(arr)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what}: {exc}", lineno) from exc
+
+
 def _object_from_record(rec, lineno):
     if not isinstance(rec, dict):
         raise SchemaError("object record must be a mapping", lineno)
@@ -124,6 +136,9 @@ def _object_from_record(rec, lineno):
     for key in ("id", "label", "role"):
         if key not in rec:
             raise SchemaError(f"object missing field {key!r}", lineno)
+    for key in ("id", "label"):
+        if not isinstance(rec[key], str):
+            raise SchemaError(f"object {key} must be a string", lineno)
     role = rec["role"]
     if role not in ROLES:
         raise SchemaError(f"unknown role {role!r}", lineno)
@@ -136,17 +151,18 @@ def _object_from_record(rec, lineno):
         raise SchemaError(f"object {rec['id']!r} missing points", lineno)
     pts = None
     if points is not None:
-        try:
-            pts = as_cloud(points)
-        except ValueError as exc:
-            raise SchemaError(f"object {rec['id']!r}: {exc}", lineno) from exc
-        if role != "ground" and pts.shape[0] < 4:
-            raise SchemaError(f"object {rec['id']!r} has < 4 points", lineno)
+        pts = _coords(points, f"object {rec['id']!r} points", lineno)
+        need = 1 if role == "ground" else 4
+        if pts.shape[0] < need:
+            raise SchemaError(f"object {rec['id']!r} has < {need} points", lineno)
     if box is not None:
-        box = (tuple(float(v) for v in box[0]), tuple(float(v) for v in box[1]))
-        if any(b < a for a, b in zip(box[0], box[1])):
-            raise SchemaError("ground box min exceeds max", lineno)
-    return ObjectInstance(str(rec["id"]), str(rec["label"]), role, pts, box)
+        corners = _coords(box, "ground box", lineno)
+        if corners.shape[0] != 2:
+            raise SchemaError("ground box must be [[min x, y, z], [max x, y, z]]", lineno)
+        if np.any(corners[1] <= corners[0]):
+            raise SchemaError("ground box needs max > min on every axis", lineno)
+        box = (tuple(corners[0].tolist()), tuple(corners[1].tolist()))
+    return ObjectInstance(rec["id"], rec["label"], role, pts, box)
 
 
 def load_trace(source, trace_id: str | None = None) -> SceneTrace:
@@ -178,8 +194,10 @@ def load_trace(source, trace_id: str | None = None) -> SceneTrace:
         if "t" not in rec or "objects" not in rec:
             raise SchemaError("frame needs fields t and objects", lineno)
         t = rec["t"]
-        if not isinstance(t, (int, float)) or not math.isfinite(t):
+        if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
             raise SchemaError("t must be a finite number", lineno)
+        if not isinstance(rec["objects"], list):
+            raise SchemaError("objects must be a list", lineno)
         objects = [_object_from_record(o, lineno) for o in rec["objects"]]
         roles = [o.role for o in objects]
         for unique_role in ("hand_left", "hand_right", "ground"):
@@ -253,15 +271,17 @@ def _co_moved(prev_a, prev_b, pts_a, pts_b) -> bool:
             and _rigid(np.concatenate((pts_a - prev_a, pts_b - prev_b))))
 
 
-class _GeometryCache:
-    """Per-trace geometry memo; it lives for one extraction or touch-graph
-    walk, so nothing carries over between traces.
+class GeometryCache:
+    """Per-trace geometry memo, the one source of object states and contact
+    sets; it lives for one walk over a trace, so nothing carries over
+    between traces.
 
-    An object's hull is re-used, translated, while its cloud only moves
-    rigidly.  A pair's narrow-phase contact result is re-used while both
-    clouds are unchanged, or shifted by one common translation, since the
-    pair's last :func:`touch` test: the pair's relative pose, and with it
-    the answer, is then the same.
+    An object's state is built once, from its ``box`` or its cloud, and
+    re-used, translated, while its cloud only moves rigidly; a static ground
+    box is thus built once per trace.  A pair's narrow-phase contact result
+    is re-used while both clouds are unchanged, or shifted by one common
+    translation, since the pair's last :func:`touch` test: the pair's
+    relative pose, and with it the answer, is then the same.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -271,11 +291,7 @@ class _GeometryCache:
         self._pair: dict[tuple[str, str], tuple[np.ndarray, np.ndarray, bool]] = {}
 
     def state(self, obj: ObjectInstance) -> ObjectState:
-        if obj.points is None:
-            lo, hi = obj.box
-            hull = box_hull(lo, hi)
-            return ObjectState(obj.cloud(), hull, hull.aabb())
-        pts = obj.points
+        pts = obj.cloud()
         prev = self._cloud.get(obj.id)
         if prev is not None and prev.shape == pts.shape:
             delta = pts - prev
@@ -289,7 +305,11 @@ class _GeometryCache:
                 self._cloud[obj.id] = pts
                 self._state[obj.id] = moved
                 return moved
-        state = ObjectState.from_cloud(pts, self.cfg.geometry)
+        if obj.points is None:
+            hull = box_hull(*obj.box)
+            state = ObjectState(pts, hull, hull.aabb())
+        else:
+            state = ObjectState.from_cloud(pts, self.cfg.geometry)
         self._cloud[obj.id] = pts
         self._state[obj.id] = state
         return state
@@ -316,13 +336,13 @@ class _GeometryCache:
 
 
 def touch_graph(frame: Frame, cfg: RunConfig | None = None,
-                cache: _GeometryCache | None = None) -> set[frozenset]:
+                cache: GeometryCache | None = None) -> set[frozenset]:
     """Unordered id pairs whose hulls are in contact in this frame.
 
     Pass one ``cache`` across the frames of a trace to re-use hulls and
     contact results; its config then takes the place of ``cfg``.
     """
-    cache = cache or _GeometryCache(cfg or RunConfig())
+    cache = cache or GeometryCache(cfg or RunConfig())
     return cache.contacts({o.id: cache.state(o) for o in frame.objects})
 
 
@@ -385,7 +405,7 @@ class Extractor:
     def run(self, trace: SceneTrace) -> ExtractionResult:
         cfg = self.cfg
         window = cfg.relation.window
-        cache = _GeometryCache(cfg)
+        cache = GeometryCache(cfg)
         deb = _Debouncer(cfg.event.debounce)
         ground = trace.ground()
         ground_id = ground.id if ground else None

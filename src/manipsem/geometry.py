@@ -58,18 +58,6 @@ class RegionClass(IntEnum):
 
 
 @dataclass(frozen=True)
-class Plane:
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def signed_distance(self, p) -> float:
-        x, y, z = p
-        return self.a * x + self.b * y + self.c * z + self.d
-
-
-@dataclass(frozen=True)
 class Aabb:
     min_corner: np.ndarray
     max_corner: np.ndarray
@@ -101,10 +89,6 @@ class ConvexHull:
     faces: np.ndarray
     face_planes: np.ndarray
     degenerate: bool = False
-
-    @property
-    def planes(self) -> list[Plane]:
-        return [Plane(*row) for row in self.face_planes]
 
     def aabb(self) -> Aabb:
         return Aabb(self.vertices.min(axis=0), self.vertices.max(axis=0))
@@ -297,7 +281,7 @@ def _triangulate_convex_loop(loop, flat):
     return [tuple(t) for t in tris]
 
 
-def compute_convex_hull(points, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> ConvexHull:
+def compute_convex_hull(points) -> ConvexHull:
     """Wrap the convex hull of a 3D cloud.
 
     Raises DegenerateCloud for fewer than four distinct points or a
@@ -454,7 +438,7 @@ def hull_with_fallback(points, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> Convex
     still participate in touch and relation tests; the result is flagged.
     """
     try:
-        return compute_convex_hull(points, cfg)
+        return compute_convex_hull(points)
     except DegenerateCloud:
         pts = as_cloud(points)
         if pts.shape[0] == 0:
@@ -504,10 +488,6 @@ class RelMatrix:
     def rows(self):
         return ((self.a_in_b0, self.a_on_db, self.a_in_bminus),
                 (self.a0_has_b, self.da_has_b, self.aminus_has_b))
-
-    def transposed(self) -> "RelMatrix":
-        return RelMatrix(self.a0_has_b, self.da_has_b, self.aminus_has_b,
-                         self.a_in_b0, self.a_on_db, self.a_in_bminus)
 
 
 def _region_flags(cloud, hull, tol):

@@ -106,11 +106,6 @@ class ObjectState:
         pts = as_cloud(points)
         return cls(pts, hull_with_fallback(pts, cfg), compute_aabb(pts))
 
-    @classmethod
-    def from_hull(cls, hull: ConvexHull, cloud=None) -> "ObjectState":
-        pts = hull.vertices if cloud is None else as_cloud(cloud)
-        return cls(pts, hull, compute_aabb(pts))
-
     def centroid(self) -> np.ndarray:
         return self.cloud.mean(axis=0)
 
@@ -143,20 +138,20 @@ def wall_contact_distance(inner_cloud, outer_hull: ConvexHull) -> float:
     return float(d.min())
 
 
-def _pattern_label(a: ObjectState, b: ObjectState, geo: GeometryConfig,
-                   distinguish_in_su: bool) -> SsrLabel | None:
+def _pattern_label(a: ObjectState, b: ObjectState, cfg: RelationConfig,
+                   geo: GeometryConfig) -> SsrLabel | None:
     m = relation_matrix(a.cloud, a.hull, b.cloud, b.hull, geo, tol=geo.eps_touch)
     if m.a_in_b0 and m.a0_has_b:
         return SsrLabel.Cr
     if m.a_in_b0 and not m.a0_has_b:
         if not m.a_in_bminus:
-            if distinguish_in_su and wall_contact_distance(a.cloud, b.hull) <= geo.eps_touch:
+            if cfg.distinguish_in_su and wall_contact_distance(a.cloud, b.hull) <= geo.eps_touch:
                 return SsrLabel.In
             return SsrLabel.Wi
         return SsrLabel.Pwi
     if m.a0_has_b and not m.a_in_b0:
         if not m.aminus_has_b:
-            if distinguish_in_su and wall_contact_distance(b.cloud, a.hull) <= geo.eps_touch:
+            if cfg.distinguish_in_su and wall_contact_distance(b.cloud, a.hull) <= geo.eps_touch:
                 return SsrLabel.Su
             return SsrLabel.Co
         return SsrLabel.Pco
@@ -167,7 +162,6 @@ def classify_ssr(a: ObjectState, b: ObjectState,
                  cfg: RelationConfig = DEFAULT_RELATION,
                  geo: GeometryConfig = DEFAULT_GEOMETRY,
                  mode: str = "hull",
-                 distinguish_in_su: bool | None = None,
                  touching: bool | None = None) -> SsrLabel:
     """Static relation of a with respect to b for one frame.
 
@@ -177,8 +171,6 @@ def classify_ssr(a: ObjectState, b: ObjectState,
     """
     if mode not in ("hull", "aabb"):
         raise ValueError(f"unknown mode {mode!r}")
-    if distinguish_in_su is None:
-        distinguish_in_su = cfg.distinguish_in_su
 
     if mode == "aabb":
         # legacy box model: no interior/boundary structure to compare
@@ -186,7 +178,7 @@ def classify_ssr(a: ObjectState, b: ObjectState,
             touching = aabb_gap(a.aabb, b.aabb) <= geo.eps_touch
     else:
         if aabb_gap(a.aabb, b.aabb) <= geo.eps_touch:
-            label = _pattern_label(a, b, geo, distinguish_in_su)
+            label = _pattern_label(a, b, cfg, geo)
             if label is not None:
                 return label
         if touching is None:

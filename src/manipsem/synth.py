@@ -15,7 +15,7 @@ a fixed number of co-motion actions under the default thresholds (window
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -116,7 +116,7 @@ class TestBenchCommand:
                          "--count", "18", "--seed", "3"]) == 0
         capsys.readouterr()
         out_dir = str(tmp_path / "reports")
-        assert cli.main(["bench", str(tmp_path), "--compare", "--jobs", "2",
+        assert cli.main(["bench", str(tmp_path), "--jobs", "2",
                          "--out-dir", out_dir]) == 0
         out = capsys.readouterr().out
         assert out.startswith("metric\thull\taabb")

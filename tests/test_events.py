@@ -14,7 +14,7 @@ from manipsem.events import (
     ParseError,
     SceneTrace,
     SchemaError,
-    _GeometryCache,
+    GeometryCache,
     dump_trace,
     dumps_trace,
     extract_atomic_actions,
@@ -155,7 +155,7 @@ class TestTouchGraph:
 def assert_reuse_matches_fresh(frames, cfg=None):
     """Contact reuse through one cache across frames changes no touch graph."""
     cfg = cfg or RunConfig()
-    cache = _GeometryCache(cfg)
+    cache = GeometryCache(cfg)
     for f_idx, fr in enumerate(frames):
         assert touch_graph(fr, cfg, cache) == touch_graph(fr, cfg), f"frame {f_idx}"
 

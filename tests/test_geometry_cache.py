@@ -1,0 +1,119 @@
+"""The single geometry path: every object state and contact set comes from
+one per-trace ``GeometryCache``, and every config knob is read somewhere."""
+
+import dataclasses
+import pathlib
+import re
+
+import pytest
+
+from manipsem import relations
+from manipsem.bench import MODES, AccuracyReport, evaluate_trace
+from manipsem.config import EventConfig, GeometryConfig, RelationConfig, RunConfig
+from manipsem.events import GeometryCache, ObjectInstance
+from manipsem.geometry import aabb_gap, box_hull, touch
+from manipsem.relations import PATTERN_LABELS, ObjectState, classify_ssr
+from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace
+from conftest import box_cloud
+
+SRC = pathlib.Path(relations.__file__).parent
+
+
+def test_static_box_ground_built_once():
+    cache = GeometryCache(RunConfig())
+    ground = ObjectInstance("table", "table", "ground", None, ((-1, -0.1, -1), (1, 0.0, 1)))
+    first = cache.state(ground)
+    for k in range(1, 5):
+        cup = ObjectInstance("cup", "cup", "object",
+                             box_cloud((0, 0, 0), (0.1, 0.1, 0.1)) + [0.01 * k, 0, 0], None)
+        cache.state(cup)
+        assert cache.state(ground) is first
+    assert first.hull.faces.shape == box_hull((-1, -0.1, -1), (1, 0.0, 1)).faces.shape
+
+
+def fresh_state(obj, cfg):
+    if obj.points is None:
+        hull = box_hull(*obj.box)
+        return ObjectState(obj.cloud(), hull, hull.aabb())
+    return ObjectState.from_cloud(obj.points, cfg.geometry)
+
+
+def oracle_report(trace, rows, cfg):
+    """``evaluate_trace`` with states built from scratch on every frame."""
+    rep = AccuracyReport()
+    for gt in rows:
+        if gt.frame >= len(trace.frames):
+            continue
+        states = {o.id: fresh_state(o, cfg) for o in trace.frames[gt.frame].objects}
+        if gt.a not in states or gt.b not in states:
+            continue
+        rep.total += 1
+        for mode in MODES:
+            pred = classify_ssr(states[gt.a], states[gt.b], cfg.relation, cfg.geometry,
+                                mode=mode)
+            rep.confusion[mode][(gt.label.value, pred.value)] += 1
+            if pred in PATTERN_LABELS:
+                rep.emitted[mode][pred.value] += 1
+            if pred is gt.label:
+                rep.correct[mode] += 1
+    return rep
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_evaluate_trace_matches_fresh_states(name, monkeypatch):
+    cfg = RunConfig()
+    gen = generate_synthetic_trace(ScenarioSpec(name, seed=1))
+    expected = oracle_report(gen.trace, gen.relations, cfg)
+    assert expected.total > 0
+
+    builds = []
+    from_cloud = ObjectState.from_cloud.__func__
+
+    def counted(cls, points, geo=relations.DEFAULT_GEOMETRY):
+        builds.append(len(points))
+        return from_cloud(cls, points, geo)
+
+    monkeypatch.setattr(ObjectState, "from_cloud", classmethod(counted))
+    got = evaluate_trace(gen.trace, gen.relations, cfg)
+    assert (got.total, got.correct, got.confusion, got.emitted) == \
+        (expected.total, expected.correct, expected.confusion, expected.emitted)
+    evaluated = {g.frame for g in gen.relations if g.frame < len(gen.trace.frames)}
+    clouds = sum(o.points is not None for f in evaluated for o in gen.trace.frames[f].objects)
+    assert len(builds) < clouds        # states were re-used, not rebuilt per frame
+
+
+@pytest.mark.parametrize("name,noise", [("Screw", 0.0), ("Pour", 0.0), ("Cut", 0.0),
+                                        ("Wipe", 0.0), ("Stir", 0.01)])
+def test_contact_flag_matches_internal_touch(name, noise):
+    cfg = RunConfig()
+    geo = cfg.geometry
+    gen = generate_synthetic_trace(ScenarioSpec(name, seed=1, noise=noise))
+    cache = GeometryCache(cfg)
+    compared = 0
+    for frame in gen.trace.frames:
+        states = {o.id: cache.state(o) for o in frame.objects}
+        contacts = cache.contacts(states)
+        ids = sorted(states)
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                sa, sb = states[a], states[b]
+                if aabb_gap(sa.aabb, sb.aabb) > geo.eps_touch:
+                    assert frozenset((a, b)) not in contacts
+                    continue
+                flag = frozenset((a, b)) in contacts
+                assert touch(sa.cloud, sa.hull, sb.cloud, sb.hull, geo.eps_touch, geo) == flag
+                assert touch(sb.cloud, sb.hull, sa.cloud, sa.hull, geo.eps_touch, geo) == flag
+                for x, y in ((sa, sb), (sb, sa)):
+                    assert classify_ssr(x, y, cfg.relation, geo, touching=flag) == \
+                        classify_ssr(x, y, cfg.relation, geo)
+                compared += 1
+    assert compared > 0
+
+
+@pytest.mark.parametrize("record", [GeometryConfig, RelationConfig, EventConfig, RunConfig])
+def test_every_config_field_is_read(record):
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))
+               if p.name != "config.py"]
+    unread = [f.name for f in dataclasses.fields(record)
+              if not any(re.search(rf"\.{f.name}\b", text) for text in sources)]
+    assert unread == [], f"{record.__name__} fields no module reads: {unread}"
