@@ -4,7 +4,8 @@ Subcommands: relations, describe, bench, parse, generate.  Global flags
 --config/--seed/--format apply to all of them; MANIPSEM_CONFIG names a
 config file when --config is absent.  Data goes to stdout, diagnostics to
 stderr.  Exit codes: 2 trace parse error, 3 schema/monotonicity error,
-4 unavailable description level, 5 empty corpus, 6 token string rejected.
+4 unavailable description level, 5 empty corpus, 6 token string rejected,
+7 bad configuration (unknown key, bad value, unreadable or malformed file).
 """
 
 from __future__ import annotations
@@ -30,18 +31,28 @@ EXIT_SCHEMA = 3
 EXIT_LEVEL = 4
 EXIT_EMPTY_CORPUS = 5
 EXIT_NOPARSE = 6
+EXIT_CONFIG = 7
+
+
+class ConfigError(Exception):
+    pass
 
 
 def _build_config(args) -> RunConfig:
-    cfg = load_run_config(args.config)
-    overrides = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
+    try:
+        cfg = load_run_config(args.config)
+        overrides = {}
+        for item in args.set or []:
+            if "=" not in item:
+                raise ValueError(f"--set expects key=value, got {item!r}")
+            key, _, value = item.partition("=")
+            overrides[key.strip()] = value.strip()
+        if overrides:
+            cfg = cfg.with_overrides(**overrides)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from exc
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -264,6 +275,9 @@ def main(argv=None) -> int:
     except LevelUnavailable as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_LEVEL
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except synth.UnknownScenario as exc:
         print(f"unknown scenario: {exc}", file=sys.stderr)
         return 2

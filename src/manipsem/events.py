@@ -165,15 +165,23 @@ def _object_from_record(rec, lineno):
     return ObjectInstance(rec["id"], rec["label"], role, pts, box)
 
 
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1,
+                         f"not UTF-8: {exc.reason}") from exc
+
+
 def load_trace(source, trace_id: str | None = None) -> SceneTrace:
     """Parse a trace from a path, text, or byte stream."""
     if hasattr(source, "read"):
         data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        text = _decode(data) if isinstance(data, bytes) else data
         name = trace_id or "trace"
     else:
         with open(source, "rb") as fh:
-            text = fh.read().decode("utf-8")
+            text = _decode(fh.read())
         import os
         name = trace_id or os.path.splitext(os.path.basename(str(source)))[0]
 

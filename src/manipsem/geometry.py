@@ -11,9 +11,11 @@ Conventions used throughout:
 
 Hulls are built with a gift-wrapping sweep: faces are discovered one
 supporting plane at a time by rotating around exposed boundary edges.
-Coplanar point sets are gathered into a single polygon and fan-triangulated
-so that square faces (boxes are everywhere in this domain) come out as a
-closed, consistently oriented triangle surface.
+Coplanar point sets are gathered into a single polygon facet and
+fan-triangulated so that square faces (boxes are everywhere in this domain)
+come out as a closed, consistently oriented triangle surface.  Each facet
+contributes one plane row, shared by all of its triangles; the triangles
+are kept for volume, Euler and edge checks.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class ConvexHull:
     vertices        (V, 3) coordinates of hull vertices (a subset of the input cloud)
     vertex_indices  (V,) index of each vertex in the original input sequence
     faces           (F, 3) triangles as indices into ``vertices``, outward CCW
-    face_planes     (F, 4) rows (a, b, c, d), unit outward normals
+    face_planes     (P, 4) rows (a, b, c, d), unit outward normals, one row
+                    per polygon facet (a box has 6 rows and 12 triangles)
     degenerate      True when this hull is an inflated-box stand-in for a flat cloud
     """
 
@@ -189,22 +192,25 @@ def _chain_2d(coords):
 
     Strict corners come from a standard monotone chain; points lying on a
     boundary edge are then spliced into that edge ordered by edge parameter.
-    Interior points are dropped.
+    Interior points are dropped.  Facets hold a handful of points, so both
+    passes run on Python floats, where numpy's per-element overhead would
+    dominate the arithmetic.
     """
-    order = np.lexsort((coords[:, 1], coords[:, 0]))
+    xy = coords.tolist()
+    order = np.lexsort((coords[:, 1], coords[:, 0])).tolist()
 
     def build(idx_seq):
         out = []
         for idx in idx_seq:
+            bx, by = xy[idx]
             while len(out) >= 2:
-                o, a = coords[out[-2]], coords[out[-1]]
-                b = coords[idx]
-                cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-                if cross <= _EPS_LINE:
+                ox, oy = xy[out[-2]]
+                ax, ay = xy[out[-1]]
+                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) <= _EPS_LINE:
                     out.pop()
                 else:
                     break
-            out.append(int(idx))
+            out.append(idx)
         return out
 
     lower = build(order)
@@ -212,21 +218,21 @@ def _chain_2d(coords):
     corners = lower[:-1] + upper[:-1]
     if len(corners) < 3:
         return corners
+    edges = []
+    for k, c in enumerate(corners):
+        ax, ay = xy[c]
+        bx, by = xy[corners[(k + 1) % len(corners)]]
+        edges.append((ax, ay, bx - ax, by - ay))
     corner_set = set(corners)
     inserts: list[list[tuple[float, int]]] = [[] for _ in corners]
-    for idx in range(coords.shape[0]):
+    for idx, (px, py) in enumerate(xy):
         if idx in corner_set:
             continue
-        p = coords[idx]
-        for k in range(len(corners)):
-            a = coords[corners[k]]
-            b = coords[corners[(k + 1) % len(corners)]]
-            ab = b - a
-            cross = ab[0] * (p[1] - a[1]) - ab[1] * (p[0] - a[0])
-            if abs(cross) > _EPS_LINE:
+        for k, (ax, ay, abx, aby) in enumerate(edges):
+            if abs(abx * (py - ay) - aby * (px - ax)) > _EPS_LINE:
                 continue
-            denom = ab @ ab
-            t = float((p - a) @ ab / denom) if denom > 0 else -1.0
+            denom = abx * abx + aby * aby
+            t = ((px - ax) * abx + (py - ay) * aby) / denom if denom > 0 else -1.0
             if 0.0 < t < 1.0:
                 inserts[k].append((t, idx))
                 break
@@ -322,18 +328,19 @@ def compute_convex_hull(points) -> ConvexHull:
         t2 = _cross3(nrm, t1)
         rel = pts[members] - anchor
         coords = np.stack([rel @ t1, rel @ t2], axis=1)
-        loop = [int(members[k]) for k in _chain_2d(coords)]
+        ids = members.tolist()
+        loop = [ids[k] for k in _chain_2d(coords)]
         if len(loop) < 3:
             raise GeometryError("degenerate face polygon")
         # stable orientation-preserving triangulation; a plain fan would emit
-        # zero-area triangles when boundary runs contain collinear points
-        root_pos = min(range(len(loop)), key=lambda k: tuple(pts[loop[k]]))
+        # zero-area triangles when boundary runs contain collinear points.
+        # The loop is rooted at its lexicographically smallest point: pts
+        # rows are sorted that way, so that is the smallest index.
+        root_pos = loop.index(min(loop))
         loop = loop[root_pos:] + loop[:root_pos]
-        flat = {idx: coords[k] for k, idx in
-                ((int(k), int(members[k])) for k in range(len(members)))}
-        for tri in _triangulate_convex_loop(loop, flat):
-            faces.append(tri)
-            planes.append((nrm[0], nrm[1], nrm[2], d))
+        flat = dict(zip(ids, coords.tolist()))
+        faces.extend(_triangulate_convex_loop(loop, flat))
+        planes.append((*nrm.tolist(), d))
         for k in range(len(loop)):
             i, j = loop[k], loop[(k + 1) % len(loop)]
             used.add((i, j))
@@ -417,16 +424,14 @@ def box_hull(min_corner, max_corner, degenerate: bool = False) -> ConvexHull:
         ((0, 2, 6, 4), (0, 0, -1, lo[2])),
         ((1, 5, 7, 3), (0, 0, 1, -hi[2])),
     ]
-    faces, planes = [], []
-    for quad, plane in quads:
-        a, b, c, d = quad
+    faces = []
+    for (a, b, c, d), _ in quads:
         faces.extend([(a, b, c), (a, c, d)])
-        planes.extend([plane, plane])
     return ConvexHull(
         vertices=verts,
         vertex_indices=np.arange(8, dtype=np.intp),
         faces=np.array(faces, dtype=np.intp),
-        face_planes=np.array(planes, dtype=np.float64),
+        face_planes=np.array([plane for _, plane in quads], dtype=np.float64),
         degenerate=degenerate,
     )
 

@@ -172,6 +172,24 @@ class TestConfigPlumbing:
     def test_set_flag(self, nested_trace, capsys):
         assert cli.main(["relations", nested_trace, "--set", "theta_near=0.9"]) == 0
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--set", "eps_geom=1e-9"], "unknown config key: eps_geom"),
+        (["--set", "eps_touch=abc"], "could not convert"),
+        (["--set", "eps_touch=-1"], "eps_touch must be >= 0"),
+        (["--set", "eps_touch"], "--set expects key=value"),
+        (["--config", "missing.cfg"], "No such file"),
+    ])
+    def test_bad_config_exits_7(self, nested_trace, flags, message, capsys):
+        assert cli.main(["relations", nested_trace, *flags]) == cli.EXIT_CONFIG == 7
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
+    def test_config_line_without_equals_exits_7(self, nested_trace, tmp_path, capsys):
+        cfg_file = tmp_path / "ms.cfg"
+        cfg_file.write_text("theta_near = 0.5\neps_touch 0.002\n")
+        assert cli.main(["describe", nested_trace, "--config", str(cfg_file)]) == 7
+        assert "config error: config line 2" in capsys.readouterr().err
+
 
 class TestPipelineDocument:
     def test_document_structure(self, screw_trace):

@@ -1,0 +1,187 @@
+"""Polygon facets of the hull wrap: the 2-D boundary loop of one facet
+against the numpy-scalar monotone chain it replaced, and the one plane row
+per facet against a hull whose planes are expanded to one row per
+triangle."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from manipsem.geometry import (
+    ConvexHull,
+    _EPS_LINE,
+    _chain_2d,
+    box_hull,
+    classify_points,
+    compute_convex_hull,
+)
+from manipsem.relations import wall_contact_distance
+from conftest import box_cloud
+
+
+def oracle_chain_2d(coords):
+    """The wrap's facet loop as it was before it moved to Python floats:
+    numpy scalar arithmetic, one point at a time."""
+    order = np.lexsort((coords[:, 1], coords[:, 0]))
+
+    def build(idx_seq):
+        out = []
+        for idx in idx_seq:
+            while len(out) >= 2:
+                o, a = coords[out[-2]], coords[out[-1]]
+                b = coords[idx]
+                cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+                if cross <= _EPS_LINE:
+                    out.pop()
+                else:
+                    break
+            out.append(int(idx))
+        return out
+
+    lower = build(order)
+    upper = build(order[::-1])
+    corners = lower[:-1] + upper[:-1]
+    if len(corners) < 3:
+        return corners
+    corner_set = set(corners)
+    inserts = [[] for _ in corners]
+    for idx in range(coords.shape[0]):
+        if idx in corner_set:
+            continue
+        p = coords[idx]
+        for k in range(len(corners)):
+            a = coords[corners[k]]
+            b = coords[corners[(k + 1) % len(corners)]]
+            ab = b - a
+            cross = ab[0] * (p[1] - a[1]) - ab[1] * (p[0] - a[0])
+            if abs(cross) > _EPS_LINE:
+                continue
+            denom = ab @ ab
+            t = float((p - a) @ ab / denom) if denom > 0 else -1.0
+            if 0.0 < t < 1.0:
+                inserts[k].append((t, idx))
+                break
+    loop = []
+    for k, corner in enumerate(corners):
+        loop.append(corner)
+        loop.extend(idx for _, idx in sorted(inserts[k]))
+    return loop
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def brute_force_boundary(xy):
+    """Indices of the points on the boundary of the convex polygon: a point
+    is there when it lies on a line through two points that has no point
+    strictly on its right."""
+    on = set()
+    for i, a in enumerate(xy):
+        for j, b in enumerate(xy):
+            if i == j:
+                continue
+            side = [_cross(a, b, p) for p in xy]
+            if min(side) >= -_EPS_LINE:
+                on.update(k for k, s in enumerate(side) if abs(s) <= _EPS_LINE)
+    return on
+
+
+@st.composite
+def lattice_points(draw):
+    """A subset of an integer lattice, scaled and shifted: rows of equal x,
+    long collinear runs on edges, interior points."""
+    cells = draw(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                         min_size=3, max_size=40))
+    scale = draw(st.floats(0.01, 10.0))
+    shift = draw(st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
+    cells = draw(st.permutations(sorted(cells)))
+    return [(shift[0] + i * scale, shift[1] + j * scale) for i, j in cells]
+
+
+@st.composite
+def triangle_points(draw):
+    """A triangle with points spliced onto its edges and inside it."""
+    unit = st.floats(-1.0, 1.0)
+    corners = [np.array([draw(unit), draw(unit)]) for _ in range(3)]
+    a, b, c = corners
+    assume(abs(_cross(a, b, c)) > 1e-3)
+    pts = [tuple(p) for p in corners]
+    fractions = st.sampled_from([0.125, 0.25, 0.375, 0.5, 0.625, 0.75])
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.integers(0, 2))
+        t = draw(fractions)
+        p, q = corners[k], corners[(k + 1) % 3]
+        pts.append(tuple(p + t * (q - p)))
+    for _ in range(draw(st.integers(0, 5))):
+        w = np.array([draw(st.floats(0.1, 1.0)) for _ in range(3)])
+        w /= w.sum()
+        pts.append(tuple(w[0] * a + w[1] * b + w[2] * c))
+    return list(dict.fromkeys(pts))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(lattice_points(), triangle_points()))
+def test_chain_2d_equals_oracle_and_walks_the_boundary(xy):
+    coords = np.array(xy, dtype=np.float64)
+    loop = _chain_2d(coords)
+    assert loop == oracle_chain_2d(coords)
+    if len(loop) < 3:
+        return
+    assert len(set(loop)) == len(loop)
+    assert set(loop) == brute_force_boundary(xy)
+    # CCW without backtracking: no point lies right of a loop edge
+    for k, i in enumerate(loop):
+        j = loop[(k + 1) % len(loop)]
+        assert min(_cross(xy[i], xy[j], p) for p in xy) >= -_EPS_LINE
+
+
+def expanded(hull):
+    """The same hull with one plane row per triangle: the row whose plane
+    holds the triangle's three vertices."""
+    rows = [row_of_triangle(hull, tri) for tri in hull.faces]
+    return ConvexHull(hull.vertices, hull.vertex_indices, hull.faces,
+                      hull.face_planes[rows], hull.degenerate)
+
+
+def row_of_triangle(hull, tri):
+    dist = hull.vertices[tri] @ hull.face_planes[:, :3].T + hull.face_planes[:, 3]
+    rows = np.flatnonzero(np.all(np.abs(dist) <= 1e-12, axis=0))
+    assert len(rows) == 1
+    return int(rows[0])
+
+
+def assert_facet_planes(hull, cloud, rng):
+    planes = hull.face_planes
+    assert len({tuple(r) for r in planes.tolist()}) == len(planes)
+    full = expanded(hull)
+    lo, hi = cloud.min(axis=0), cloud.max(axis=0)
+    probes = np.vstack([cloud, rng.uniform(lo - 0.2, hi + 0.2, size=(200, 3))])
+    for tol in (1e-7, 5e-3):
+        assert np.array_equal(classify_points(hull, probes, tol),
+                              classify_points(full, probes, tol))
+    inner = (cloud - cloud.mean(axis=0)) * 0.5 + cloud.mean(axis=0)
+    for pts in (cloud, inner, probes):
+        assert wall_contact_distance(pts, hull) == wall_contact_distance(pts, full)
+
+
+@pytest.mark.parametrize("per_edge", [2, 3, 4, 5, 6])
+def test_box_lattice_has_one_plane_per_side(per_edge):
+    cloud = box_cloud((0.1, 0.0, -0.2), (0.5, 0.3, 0.1), per_edge=per_edge)
+    hull = compute_convex_hull(cloud)
+    assert hull.face_planes.shape == (6, 4)
+    assert_facet_planes(hull, cloud, np.random.default_rng(per_edge))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=4, max_value=50))
+def test_random_cloud_facet_planes_match_triangle_planes(seed, n):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, size=(n, 3))
+    assert_facet_planes(compute_convex_hull(pts), pts, rng)
+
+
+def test_box_hull_has_one_plane_per_side():
+    hull = box_hull((0.1, 0.0, -0.2), (0.5, 0.3, 0.1))
+    assert hull.face_planes.shape == (6, 4)
+    assert_facet_planes(hull, hull.vertices, np.random.default_rng(0))

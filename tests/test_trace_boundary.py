@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from manipsem import cli
-from manipsem.events import TraceError, load_trace
+from manipsem.events import ParseError, TraceError, load_trace
 from conftest import box_cloud
 
 NAN, INF = float("nan"), float("inf")
@@ -69,6 +69,19 @@ def test_malformed_trace_exits_3(case, tmp_path, capsys):
     path.write_text(text_of(MALFORMED[case]), encoding="utf-8")
     assert cli.main(["relations", str(path)]) == 3
     assert "trace schema error" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.jsonl"
+    path.write_bytes(b"\xff\xfe" + text_of(valid_frames()).encode("utf-16-le"))
+    assert cli.main(["relations", str(path)]) == 2
+    assert "line 1: not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_byte_stream_is_parse_error():
+    data = text_of(valid_frames()).encode("utf-8") + b"\xff\xfe\n"
+    with pytest.raises(ParseError, match="line 3: not UTF-8"):
+        load_trace(io.BytesIO(data))
 
 
 json_values = st.recursive(
