@@ -20,10 +20,17 @@ from dataclasses import dataclass, field
 from .config import RunConfig
 from .events import GeometryCache, SceneTrace, dump_trace, load_trace
 from .relations import PATTERN_LABELS, SsrLabel, classify_ssr
-from .synth import GroundTruthRelation
 
 MODES = ("hull", "aabb")
 SPECIAL_LABELS = (SsrLabel.Cr, SsrLabel.Wi, SsrLabel.Pwi, SsrLabel.Co, SsrLabel.Pco)
+
+
+@dataclass(frozen=True)
+class GroundTruthRelation:
+    frame: int
+    a: str
+    b: str
+    label: SsrLabel
 
 
 @dataclass

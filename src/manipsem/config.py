@@ -71,7 +71,7 @@ class RunConfig:
             if value is None:
                 continue
             if key in _GEO_KEYS:
-                geo = replace(geo, **{key: float(value)})
+                geo = replace(geo, **{key: _cast(key, float, value)})
             elif key in _REL_KEYS:
                 if key == "window":
                     cast = int
@@ -80,14 +80,22 @@ class RunConfig:
                         return str(v).strip().lower() in ("1", "true", "yes", "on")
                 else:
                     cast = float
-                rel = replace(rel, **{key: cast(value)})
+                rel = replace(rel, **{key: _cast(key, cast, value)})
             elif key in _EVT_KEYS:
-                ev = replace(ev, **{key: int(value)})
+                ev = replace(ev, **{key: _cast(key, int, value)})
             elif key in ("library_path", "template_path"):
                 top[key] = str(value)
             else:
                 raise KeyError(f"unknown config key: {key}")
         return replace(self, geometry=geo, relation=rel, event=ev, **top)
+
+
+def _cast(key: str, cast, value):
+    """``cast(value)``, with a failure naming the key it was meant for."""
+    try:
+        return cast(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 _GEO_KEYS = {f.name for f in fields(GeometryConfig)}

@@ -9,9 +9,10 @@ fidelity but never preferred during tree extraction (taken literally it
 is circular with Me -> Hand.O).
 
 Parsing uses an Earley chart (the grammar is ambiguous and left-recursive)
-with deterministic extraction: derivations with fewer interior nodes win,
-ties break by rule order, and longer left constituents are preferred,
-which realizes the leftmost-longest sentence-phrase grouping.
+with deterministic extraction over the chart's constituents only:
+derivations with fewer interior nodes win, ties break by rule order, and
+longer left constituents are preferred, which realizes the leftmost-longest
+sentence-phrase grouping.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ PRODUCTIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 START = "S"
 NONTERMINALS = frozenset(lhs for lhs, _ in PRODUCTIONS)
+_BY_LHS = {lhs: tuple((idx, rhs) for idx, (head, rhs) in enumerate(PRODUCTIONS) if head == lhs)
+           for lhs in NONTERMINALS}
 
 
 def terminal_matches(cls: str, token: str) -> bool:
@@ -123,10 +126,6 @@ class ParseTree:
 def _earley(tokens):
     """Chart of completed constituents plus the furthest scan position."""
     n = len(tokens)
-    by_lhs: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
-    for idx, (lhs, rhs) in enumerate(PRODUCTIONS):
-        by_lhs.setdefault(lhs, []).append((idx, rhs))
-
     # item: (rule_idx, dot, origin)
     chart: list[set] = [set() for _ in range(n + 1)]
     order: list[list] = [[] for _ in range(n + 1)]
@@ -136,7 +135,7 @@ def _earley(tokens):
             chart[pos].add(item)
             order[pos].append(item)
 
-    for idx, rhs in by_lhs[START]:
+    for idx, _ in _BY_LHS[START]:
         add(0, (idx, 0, 0))
     completed: set[tuple[str, int, int]] = set()
     furthest = 0
@@ -158,7 +157,7 @@ def _earley(tokens):
                 continue
             nxt = rhs[dot]
             if nxt in NONTERMINALS:
-                for idx2, _ in by_lhs[nxt]:
+                for idx2, _ in _BY_LHS[nxt]:
                     add(pos, (idx2, 0, pos))
                 # handle nullable completion (none in this grammar) omitted
                 if (nxt, pos, pos) in completed:
@@ -180,10 +179,6 @@ def parse(tokens) -> ParseTree:
     if (START, 0, n) not in completed:
         raise NoParse(furthest)
 
-    by_lhs: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
-    for idx, (lhs, rhs) in enumerate(PRODUCTIONS):
-        by_lhs.setdefault(lhs, []).append((idx, rhs))
-
     @lru_cache(maxsize=None)
     def best(symbol: str, i: int, j: int):
         """(cost, rule_order, tree) for the cheapest derivation, or None."""
@@ -191,11 +186,10 @@ def parse(tokens) -> ParseTree:
             if j == i + 1 and terminal_matches(symbol, tokens[i]):
                 return (0, 0, ParseTree(symbol, token=tokens[i]))
             return None
-        if (symbol, i, j) not in completed and symbol in NONTERMINALS:
-            # terminal-class symbols handled above; nonterminals need the chart
-            pass
+        if (symbol, i, j) not in completed:
+            return None  # every node of a chart derivation is in the chart
         best_entry = None
-        for rank, (idx, rhs) in enumerate(by_lhs[symbol]):
+        for rank, (_, rhs) in enumerate(_BY_LHS[symbol]):
             seq = _best_sequence(rhs, i, j, best)
             if seq is None:
                 continue

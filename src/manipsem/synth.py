@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import GROUND, AtomicAction
+from .bench import GroundTruthRelation
 from .config import RelationConfig, RunConfig
 from .events import Frame, ObjectInstance, SceneTrace
 from .library import MappingLibrary, decompose, default_library
@@ -48,14 +49,6 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.name not in SCENARIOS:
             raise UnknownScenario(self.name)
-
-
-@dataclass(frozen=True)
-class GroundTruthRelation:
-    frame: int
-    a: str
-    b: str
-    label: SsrLabel
 
 
 @dataclass

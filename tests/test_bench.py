@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -83,3 +87,19 @@ class TestCorpusIo:
         rep_disk = compare_models(loaded)
         rep_mem = compare_models(small_corpus[:6])
         assert rep_disk.correct == rep_mem.correct
+
+
+def test_setup_modules_leave_generator_unimported():
+    """The set-up probe's request-path modules must not pull in the scene
+    generator: ``bench`` owns ``GroundTruthRelation`` and ``synth`` imports it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import importlib, sys\n"
+            "from setup_probe import MODULES\n"
+            "for m in MODULES:\n"
+            "    importlib.import_module('manipsem.' + m)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('manipsem.')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert "'manipsem.bench'" in out and "'manipsem.synth'" not in out

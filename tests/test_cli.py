@@ -184,6 +184,15 @@ class TestConfigPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
 
+    @pytest.mark.parametrize("flag, message", [
+        ("eps_touch=abc", "eps_touch: could not convert string to float: 'abc'"),
+        ("window=1.5", "window: invalid literal for int()"),
+        ("debounce=two", "debounce: invalid literal for int()"),
+    ])
+    def test_bad_value_names_its_key(self, nested_trace, flag, message, capsys):
+        assert cli.main(["relations", nested_trace, "--set", flag]) == 7
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
     def test_config_line_without_equals_exits_7(self, nested_trace, tmp_path, capsys):
         cfg_file = tmp_path / "ms.cfg"
         cfg_file.write_text("theta_near = 0.5\neps_touch 0.002\n")
