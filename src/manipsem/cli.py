@@ -5,7 +5,8 @@ Subcommands: relations, describe, bench, parse, generate.  Global flags
 config file when --config is absent.  Data goes to stdout, diagnostics to
 stderr.  Exit codes: 2 trace parse error, 3 schema/monotonicity error,
 4 unavailable description level, 5 empty corpus, 6 token string rejected,
-7 bad configuration (unknown key, bad value, unreadable or malformed file).
+7 bad configuration (unknown key, bad value, unreadable or malformed file,
+including the library and template files and a template they lack).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from . import bench as bench_mod
 from . import events, grammar, synth
 from .config import RunConfig, load_run_config
 from .geometry import aabb_gap
-from .library import default_library, load_mapping_library
+from .library import LibraryError, default_library, load_mapping_library
 from .pipeline import analyze_trace, describe_document, describe_hand
-from .realizer import LevelUnavailable, default_templates, load_template_set
+from .realizer import LevelUnavailable, MissingTemplate, default_templates, load_template_set
 from .relations import classify_dsr, classify_ssr
 
 EXIT_PARSE = 2
@@ -57,8 +58,14 @@ def _build_config(args) -> RunConfig:
 
 
 def _resources(cfg: RunConfig):
-    lib = load_mapping_library(cfg.library_path) if cfg.library_path else default_library()
-    ts = load_template_set(cfg.template_path) if cfg.template_path else default_templates()
+    try:
+        lib = load_mapping_library(cfg.library_path) if cfg.library_path else default_library()
+    except (LibraryError, ValueError, OSError) as exc:
+        raise ConfigError(f"library_path: {exc}") from exc
+    try:
+        ts = load_template_set(cfg.template_path) if cfg.template_path else default_templates()
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"template_path: {exc}") from exc
     return lib, ts
 
 
@@ -202,8 +209,6 @@ def cmd_generate(args) -> int:
 
 
 def _global_flags(parser, suppress: bool):
-    d = argparse.SUPPRESS if suppress else None
-
     def dflt(v):
         return argparse.SUPPRESS if suppress else v
 
@@ -277,6 +282,9 @@ def main(argv=None) -> int:
         return EXIT_LEVEL
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MissingTemplate as exc:
+        print(f"config error: missing template {exc.args[0]}", file=sys.stderr)
         return EXIT_CONFIG
     except synth.UnknownScenario as exc:
         print(f"unknown scenario: {exc}", file=sys.stderr)

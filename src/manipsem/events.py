@@ -79,9 +79,6 @@ class Frame:
     t: float
     objects: tuple[ObjectInstance, ...]
 
-    def by_id(self) -> dict[str, ObjectInstance]:
-        return {o.id: o for o in self.objects}
-
 
 @dataclass(frozen=True)
 class SceneTrace:
@@ -461,14 +458,14 @@ class Extractor:
                 if events:
                     for kind, other, via in events:
                         aa = self._emit_contact(kind, other, via, hs, hid, states, roles,
-                                                ground_id, labels, confirmed, f_idx)
+                                                labels, confirmed, f_idx)
                         if aa is not None:
                             actions[side].append(aa)
                     hs.quiet_frames = 0
                     hs.context = None
 
                 self._update_grasp(hs, hid, confirmed, contact_age,
-                                   centroids, states, roles, f_idx)
+                                   centroids, roles, f_idx)
 
                 ctx = self._salient_context(hs, hid, states, roles, ground_id, confirmed, raw)
                 if ctx != hs.context:
@@ -519,7 +516,7 @@ class Extractor:
                 chosen[key] = (kind, other, via)
         return sorted(chosen.values(), key=lambda e: (e[1], e[0]))
 
-    def _emit_contact(self, kind, other, via, hs, hid, states, roles, ground_id,
+    def _emit_contact(self, kind, other, via, hs, hid, states, roles,
                       labels, confirmed, f_idx):
         if other not in states:
             return None
@@ -534,14 +531,14 @@ class Extractor:
         rel = classify_ssr(states[actor_id], states[other], self.cfg.relation,
                            self.cfg.geometry, touching=(kind == "T"))
         obj_id = GROUND if roles.get(other) == "ground" else other
-        place = self._place_of(other, states, roles, ground_id, confirmed)
+        place = self._place_of(other, states, roles, confirmed)
         prim = Primitive.T if kind == "T" else Primitive.U
         return AtomicAction(subject, prim, obj_id, rel, place, (f_idx, f_idx),
                             object_label=labels.get(other, other),
                             carried_label=labels.get(subject.carried) if subject.carried else None)
 
     def _update_grasp(self, hs, hid, confirmed, contact_age,
-                      centroids, states, roles, f_idx):
+                      centroids, roles, f_idx):
         if hs.grasped is not None:
             if frozenset((hid, hs.grasped)) not in confirmed:
                 hs.grasped = None
@@ -633,7 +630,7 @@ class Extractor:
                 rel = classify_ssr(states[rep], states[other], self.cfg.relation,
                                    self.cfg.geometry, touching=True)
                 obj_id = GROUND if roles.get(other) == "ground" else other
-                place = self._place_of(other, states, roles, ground_id, confirmed)
+                place = self._place_of(other, states, roles, confirmed)
                 return AtomicAction(subject, prim, obj_id, rel, place, span,
                                     object_label=labels.get(other, other),
                                     carried_label=labels.get(grasped) if grasped else None)
@@ -646,7 +643,7 @@ class Extractor:
                 _, ctx = hs.context if hs.context else (None, (None, SsrLabel.Ab))
                 ctx_obj, ctx_rel = ctx
                 if ctx_obj is not None:
-                    place = self._place_of(ctx_obj, states, roles, ground_id, confirmed)
+                    place = self._place_of(ctx_obj, states, roles, confirmed)
                     return AtomicAction(subject, Primitive.Mt, ctx_obj, ctx_rel, place, span,
                                         object_label=labels.get(ctx_obj, ctx_obj),
                                         carried_label=labels.get(grasped))
@@ -655,7 +652,7 @@ class Extractor:
                                     carried_label=labels.get(grasped))
         return None
 
-    def _place_of(self, oid, states, roles, ground_id, confirmed, _depth=0, _seen=None):
+    def _place_of(self, oid, states, roles, confirmed, _depth=0, _seen=None):
         if roles.get(oid) == "ground":
             return GROUND
         seen = _seen or {oid}
@@ -677,7 +674,7 @@ class Extractor:
             return GROUND
         if _depth < 3:
             for p in partners:
-                got = self._place_of(p, states, roles, ground_id, confirmed,
+                got = self._place_of(p, states, roles, confirmed,
                                      _depth + 1, seen | {p})
                 if got != AIR:
                     return got

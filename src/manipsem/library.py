@@ -18,8 +18,8 @@ File format (UTF-8, ``#`` comments)::
     ...
     end
 
-Two-handed entries carry ``hands both`` with ``left:`` / ``right:``
-section markers; their sub-patterns share one binding namespace.
+Entries are one-handed: each pattern matches one hand's action string,
+and ``hands one`` is the only accepted ``hands`` line (it may be left out).
 """
 
 from __future__ import annotations
@@ -73,39 +73,20 @@ class StepTemplate:
     place_slot: str           # variable, Ground, Air, or literal id
     phase: str = "step"
 
-    def fields(self):
-        return (self.object_slot, self.place_slot)
-
 
 @dataclass(frozen=True)
 class LibraryEntry:
     name: str
-    hands: str                               # "one" | "both"
-    steps: tuple[StepTemplate, ...]          # one-hand pattern
-    steps_by_hand: tuple[tuple[str, tuple[StepTemplate, ...]], ...] = ()  # (hand, steps)
+    steps: tuple[StepTemplate, ...]
 
     @property
     def variables(self) -> tuple[str, ...]:
         seen: list[str] = []
-        for step in self.all_steps():
+        for step in self.steps:
             for v in (step.carried, step.object_slot, step.place_slot):
                 if v and v.startswith("?") and v not in seen:
                     seen.append(v)
         return tuple(seen)
-
-    def all_steps(self):
-        if self.hands == "both":
-            for _, steps in self.steps_by_hand:
-                yield from steps
-        else:
-            yield from self.steps
-
-    def phases(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for step in self.steps:
-            if not out or out[-1] != step.phase:
-                out.append(step.phase)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -178,29 +159,11 @@ def _parse_step(lineno: int, text: str) -> StepTemplate:
                         _RELATION_TOKENS[rel], place, phase)
 
 
-def parse_library_text(text: str, validate: bool = True) -> MappingLibrary:
+def parse_library_text(text: str) -> MappingLibrary:
     entries: list[LibraryEntry] = []
     name = None
-    hands = "one"
     steps: list[StepTemplate] = []
-    by_hand: dict[str, list[StepTemplate]] = {}
-    current_hand = None
     start_line = 0
-
-    def flush(lineno):
-        nonlocal name, hands, steps, by_hand, current_hand
-        if name is None:
-            return
-        if any(e.name == name for e in entries):
-            raise DuplicateName(name)
-        if hands == "both":
-            entry = LibraryEntry(name, hands, tuple(by_hand.get("left", ())),
-                                 tuple((h, tuple(s)) for h, s in by_hand.items()))
-        else:
-            entry = LibraryEntry(name, hands, tuple(steps))
-        entries.append(entry)
-        name, hands, steps, by_hand, current_hand = None, "one", [], {}, None
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -216,60 +179,37 @@ def parse_library_text(text: str, validate: bool = True) -> MappingLibrary:
         if name is None:
             raise PatternParseError(lineno, "step outside an action block")
         if line == "end":
-            flush(lineno)
+            if any(e.name == name for e in entries):
+                raise DuplicateName(name)
+            entries.append(LibraryEntry(name, tuple(steps)))
+            name, steps = None, []
             continue
         if line.startswith("hands "):
-            hands = line[len("hands "):].strip()
-            if hands not in ("one", "both"):
-                raise PatternParseError(lineno, f"hands must be one|both, got {hands!r}")
+            if line[len("hands "):].strip() != "one":
+                raise PatternParseError(
+                    lineno, f"only one-handed entries are supported: {line!r}")
             continue
-        if line in ("left:", "right:"):
-            current_hand = line[:-1]
-            by_hand.setdefault(current_hand, [])
-            continue
-        step = _parse_step(lineno, line)
-        if hands == "both":
-            if current_hand is None:
-                raise PatternParseError(lineno, "two-handed entry needs left:/right: sections")
-            by_hand[current_hand].append(step)
-        else:
-            steps.append(step)
+        steps.append(_parse_step(lineno, line))
     if name is not None:
         raise PatternParseError(start_line, f"entry {name!r} missing 'end'")
 
-    lib = MappingLibrary(tuple(entries))
-    if validate:
-        for entry in lib.entries:
-            _validate_entry(entry)
-    return lib
-
-
-def _placeholder_bindings(entry: LibraryEntry) -> dict:
-    binds = {}
-    for k, var in enumerate(entry.variables):
-        binds[var] = GROUND if var == "?place" else f"obj{k + 1}"
-    return binds
+    for entry in entries:
+        _validate_entry(entry)
+    return MappingLibrary(tuple(entries))
 
 
 def _validate_entry(entry: LibraryEntry):
-    if not tuple(entry.all_steps()):
+    if not entry.steps:
         return  # an empty pattern denotes inactivity; nothing to derive
+    binds = {var: GROUND if var == "?place" else f"obj{k + 1}"
+             for k, var in enumerate(entry.variables)}
     try:
-        if entry.hands == "both":
-            binds = _placeholder_bindings(entry)
-            for hand, steps in entry.steps_by_hand:
-                actions = _instantiate(entry.name, steps, binds, hand, repeats=1)
-                parse(action_tokens(actions))
-        else:
-            actions = decompose_entry(entry, _placeholder_bindings(entry), repeats=1)
-            parse(action_tokens(actions))
-    except NoParse as exc:
-        raise NonCfgPattern(f"{entry.name}: {exc}") from exc
-    except (UnboundVariable, ValueError) as exc:
+        parse(action_tokens(_instantiate(entry.name, entry.steps, binds, "left", repeats=1)))
+    except (NoParse, UnboundVariable, ValueError) as exc:
         raise NonCfgPattern(f"{entry.name}: {exc}") from exc
 
 
-def load_mapping_library(source, validate: bool = True) -> MappingLibrary:
+def load_mapping_library(source) -> MappingLibrary:
     """Load a library from a path, text, or binary stream."""
     if hasattr(source, "read"):
         data = source.read()
@@ -277,7 +217,7 @@ def load_mapping_library(source, validate: bool = True) -> MappingLibrary:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return parse_library_text(text, validate=validate)
+    return parse_library_text(text)
 
 
 @functools.cache
@@ -317,18 +257,10 @@ def _instantiate(name, steps, bindings, hand, repeats) -> list[AtomicAction]:
     return out
 
 
-def decompose_entry(entry: LibraryEntry, bindings: dict, hand: str = "left",
-                    repeats=1) -> list[AtomicAction]:
-    if entry.hands == "both":
-        raise LibraryError(f"{entry.name}: two-handed entries decompose per hand")
-    return _instantiate(entry.name, entry.steps, bindings, hand, repeats)
-
-
 def decompose(name: str, bindings: dict, lib: MappingLibrary, hand: str = "left",
               repeats=1) -> list[AtomicAction]:
     """Expand a named action into its atomic-action string."""
-    entry = lib[name]
-    return decompose_entry(entry, bindings, hand, repeats)
+    return _instantiate(name, lib[name].steps, bindings, hand, repeats)
 
 
 def _unify_slot(slot: str, value: str, bindings: dict) -> bool:
@@ -356,7 +288,7 @@ def _match_step(step: StepTemplate, aa: AtomicAction, bindings: dict) -> bool:
 
 
 def _match_entry(entry: LibraryEntry, actions, start: int):
-    """Try to match entry's one-hand pattern at ``start``.
+    """Try to match entry's pattern at ``start``.
 
     Returns (end, bindings, step_spans) on success, None otherwise; a
     repeat step absorbs its maximal run of unifiable actions.
@@ -386,9 +318,8 @@ def recognize(actions, lib: MappingLibrary, hand: str | None = None) -> list[Rec
     actions = list(actions)
     if hand is None:
         hand = actions[0].subject.side if actions else "left"
-    single = [e for e in lib.entries if e.hands == "one"]
     if not actions:
-        for e in single:
+        for e in lib.entries:
             if not e.steps:
                 return [RecognizedAction(e.name, {}, (0, -1), hand)]
         return []
@@ -398,7 +329,7 @@ def recognize(actions, lib: MappingLibrary, hand: str | None = None) -> list[Rec
     unknown_start = None
     while pos < len(actions):
         best = None
-        for entry in single:
+        for entry in lib.entries:
             if not entry.steps:
                 continue
             got = _match_entry(entry, actions, pos)
@@ -418,37 +349,6 @@ def recognize(actions, lib: MappingLibrary, hand: str | None = None) -> list[Rec
         pos = end
     if unknown_start is not None:
         out.append(RecognizedAction("Unknown", {}, (unknown_start, len(actions) - 1), hand))
-    return out
-
-
-def recognize_bimanual(actions_by_hand: dict, lib: MappingLibrary) -> list[RecognizedAction]:
-    """Match two-handed entries: both sub-patterns must fire with unifiable
-    bindings and overlapping spans; returns one joined recognition per hit."""
-    out = []
-    for entry in lib.entries:
-        if entry.hands != "both":
-            continue
-        hits = {}
-        for hand, steps in entry.steps_by_hand:
-            probe = LibraryEntry(entry.name, "one", tuple(steps))
-            stream = list(actions_by_hand.get(hand, ()))
-            for start in range(len(stream)):
-                got = _match_entry(probe, stream, start)
-                if got is not None:
-                    hits[hand] = (start, got[0] - 1, got[1])
-                    break
-        if len(hits) == len(entry.steps_by_hand):
-            merged: dict = {}
-            ok = True
-            for _, (_, _, binds) in hits.items():
-                for k, v in binds.items():
-                    if merged.setdefault(k, v) != v:
-                        ok = False
-            spans = [(s, e) for s, e, _ in hits.values()]
-            if ok:
-                lo = min(s for s, _ in spans)
-                hi = max(e for _, e in spans)
-                out.append(RecognizedAction(entry.name, merged, (lo, hi), "both"))
     return out
 
 

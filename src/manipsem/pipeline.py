@@ -33,14 +33,6 @@ class HandAnalysis:
     episodes: list[EpisodeAnalysis]
     idle: list[tuple[int, int]]
 
-    def recognized_names(self, include_idle: bool = False) -> list[str]:
-        names = []
-        for ep in self.episodes:
-            names.extend(r.name for r in ep.recognized)
-        if include_idle and not self.episodes:
-            names.append("Idle")
-        return names
-
 
 @dataclass
 class TraceAnalysis:

@@ -503,7 +503,7 @@ def _scn_wipe(spec, rng):
     return sc, {"?tool": "tool1", "?place": GROUND}, {1: 2}, "left"
 
 
-def _make_block_target(label, size, x=0.19, y_half=True):
+def _make_block_target(label, size, x=0.19):
     def add(sc, rng):
         x_pos = x + _jitter(rng)
         sc.add("target1", label, "object", size,

@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 import os
 
@@ -198,6 +199,41 @@ class TestConfigPlumbing:
         cfg_file.write_text("theta_near = 0.5\neps_touch 0.002\n")
         assert cli.main(["describe", nested_trace, "--config", str(cfg_file)]) == 7
         assert "config error: config line 2" in capsys.readouterr().err
+
+
+class TestResourceErrors:
+    """Bad library or template files are configuration errors (exit 7)."""
+
+    HOLD = "action Hold\nhands one\nH T ?object To ?place\nend\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("action Bad\nhands one\nH Q ?object To ?place\nend\n",
+         "library_path: line 7: unknown primitive token 'Q'"),
+        ("action SteadyWipe\nhands both\nleft:\nH T ?support To ?place\nend\n",
+         "library_path: line 6: only one-handed entries are supported: 'hands both'"),
+    ], ids=["unknown-primitive", "two-handed"])
+    def test_bad_library_exits_7(self, screw_trace, tmp_path, text, message, capsys):
+        lib_file = tmp_path / "lib.txt"
+        lib_file.write_text(self.HOLD + text)
+        assert cli.main(["describe", screw_trace, "--set", f"library_path={lib_file}"]) == 7
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["library_path", "template_path"])
+    def test_missing_resource_file_exits_7(self, screw_trace, tmp_path, key, capsys):
+        missing = tmp_path / "missing.txt"
+        assert cli.main(["describe", screw_trace, "--set", f"{key}={missing}"]) == 7
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ") and "No such file" in err
+
+    def test_template_file_lacking_a_verb_exits_7(self, screw_trace, tmp_path, capsys):
+        text = importlib.resources.files("manipsem").joinpath(
+            "data/templates.txt").read_text("utf-8")
+        kept = [line for line in text.splitlines() if not line.startswith("verb.T.sg ")]
+        ts_file = tmp_path / "templates.txt"
+        ts_file.write_text("\n".join(kept) + "\n")
+        assert cli.main(["describe", screw_trace, "--level", "1",
+                         "--set", f"template_path={ts_file}"]) == 7
+        assert capsys.readouterr().err == "config error: missing template verb.T.sg\n"
 
 
 class TestPipelineDocument:

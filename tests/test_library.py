@@ -15,7 +15,6 @@ from manipsem.library import (
     decompose,
     parse_library_text,
     recognize,
-    recognize_bimanual,
 )
 
 POOLS = {
@@ -171,35 +170,15 @@ class TestRecognize:
         assert len(rec.step_phases) == len(rec.step_spans)
 
 
-class TestBimanual:
-    TEXT = """
-action SteadyWipe
-hands both
-left:
-H T ?support To ?place
-right:
-H T ?tool To ?place
-Me(?tool) Fmt+ ?place To ?place
-H U ?tool Ab ?place
-end
-"""
-
-    def test_joined_recognition(self, lib):
-        bilib = parse_library_text(self.TEXT)
-        left = decompose("Hold", {"?object": "jar", "?place": GROUND}, lib, hand="left")
-        right = decompose("Wipe", {"?tool": "rag", "?place": GROUND}, lib, hand="right")
-        hits = recognize_bimanual({"left": left, "right": right}, bilib)
-        assert [h.name for h in hits] == ["SteadyWipe"]
-        assert hits[0].bindings["?support"] == "jar"
-        assert hits[0].bindings["?tool"] == "rag"
-
-    def test_binding_conflict_blocks_join(self):
-        bilib = parse_library_text(self.TEXT.replace("?support", "?tool"))
-        from manipsem.library import default_library
-        lib = default_library()
-        left = decompose("Hold", {"?object": "jar", "?place": GROUND}, lib, hand="left")
-        right = decompose("Wipe", {"?tool": "rag", "?place": GROUND}, lib, hand="right")
-        assert recognize_bimanual({"left": left, "right": right}, bilib) == []
+class TestOneHanded:
+    def test_two_handed_entry_rejected_at_its_line(self):
+        text = ("action Hold\nhands one\nH T ?object To ?place\nend\n"
+                "action SteadyWipe\nhands both\nleft:\nH T ?support To ?place\nend\n")
+        with pytest.raises(PatternParseError) as info:
+            parse_library_text(text)
+        assert info.value.lineno == 6
+        assert str(info.value) == ("line 6: only one-handed entries are supported: "
+                                   "'hands both'")
 
 
 def test_atomic_action_space_reported():
