@@ -2,9 +2,10 @@
 
 Relations are evaluated every ten frames per ordered pair, once with the
 full hull classifier and once in the legacy box mode, against constructed
-ground truth.  Object states come from one per-trace
-:class:`~manipsem.events.GeometryCache`, the same geometry path extraction
-uses, so a static object's hull is built once per trace.  The report
+ground truth.  Object states come from one
+:class:`~manipsem.events.GeometryCache` over a trace's evaluated frames,
+the same geometry path extraction uses, so a static object's hull is
+built once per trace.  The report
 carries per-model accuracy, confusion counts, and flags saying which
 containment-style labels each model managed to produce at all: the box
 model cannot express them.
@@ -83,21 +84,21 @@ class AccuracyReport:
 def evaluate_trace(trace: SceneTrace, relations, cfg: RunConfig | None = None) -> AccuracyReport:
     """Score both models on one trace against its relation ground truth."""
     cfg = cfg or RunConfig()
-    cache = GeometryCache(cfg)
     rep = AccuracyReport()
     by_frame: dict[int, list[GroundTruthRelation]] = {}
     for gt in relations:
-        by_frame.setdefault(gt.frame, []).append(gt)
-    for f_idx, rows in sorted(by_frame.items()):
-        if f_idx >= len(trace.frames):
-            continue
-        states = {o.id: cache.state(o) for o in trace.frames[f_idx].objects}
-        for gt in rows:
-            if gt.a not in states or gt.b not in states:
+        if gt.frame < len(trace.frames):
+            by_frame.setdefault(gt.frame, []).append(gt)
+    evaluated = sorted(by_frame)
+    cache = GeometryCache([trace.frames[f] for f in evaluated], cfg)
+    for k, f_idx in enumerate(evaluated):
+        present = cache.ids[k]
+        for gt in by_frame[f_idx]:
+            if gt.a not in present or gt.b not in present:
                 continue
             rep.total += 1
             for mode in MODES:
-                pred = classify_ssr(states[gt.a], states[gt.b], cfg.relation,
+                pred = classify_ssr(cache.state(gt.a, k), cache.state(gt.b, k), cfg.relation,
                                     cfg.geometry, mode=mode)
                 rep.confusion[mode][(gt.label.value, pred.value)] += 1
                 if pred in PATTERN_LABELS:

@@ -3,7 +3,8 @@
 Subcommands: relations, describe, bench, parse, generate.  Global flags
 --config/--seed/--format apply to all of them; MANIPSEM_CONFIG names a
 config file when --config is absent.  Data goes to stdout, diagnostics to
-stderr.  Exit codes: 2 trace parse error, 3 schema/monotonicity error,
+stderr.  Exit codes: 2 trace parse error or an unreadable or undecodable
+input file (trace or token file), 3 schema/monotonicity error,
 4 unavailable description level, 5 empty corpus, 6 token string rejected,
 7 bad configuration (unknown key, bad value, unreadable or malformed file,
 including the library and template files and a template they lack).
@@ -16,12 +17,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import bench as bench_mod
 from . import events, grammar, synth
 from .config import RunConfig, load_run_config
-from .geometry import aabb_gap
 from .library import LibraryError, default_library, load_mapping_library
 from .pipeline import analyze_trace, describe_document, describe_hand
 from .realizer import LevelUnavailable, MissingTemplate, default_templates, load_template_set
@@ -72,28 +70,25 @@ def _resources(cfg: RunConfig):
 def cmd_relations(args) -> int:
     cfg = _build_config(args)
     trace = events.load_trace(args.trace)
-    cache = events.GeometryCache(cfg)
+    cache = events.GeometryCache(trace.frames, cfg)
     window = cfg.relation.window
-    states_hist = []
     rows = []
-    for f_idx, frame in enumerate(trace.frames):
-        states = {o.id: cache.state(o) for o in frame.objects}
-        states_hist.append({k: v.centroid() for k, v in states.items()})
-        contacts = cache.contacts(states)
-        ids = sorted(states)
+    for f_idx in range(len(trace.frames)):
+        contacts = cache.contacts(f_idx)
+        ids = cache.ids[f_idx]
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 touching = frozenset((a, b)) in contacts
-                ssr_ab = classify_ssr(states[a], states[b], cfg.relation, cfg.geometry,
-                                      touching=touching)
-                ssr_ba = classify_ssr(states[b], states[a], cfg.relation, cfg.geometry,
-                                      touching=touching)
+                sa, sb = cache.state(a, f_idx), cache.state(b, f_idx)
+                ssr_ab = classify_ssr(sa, sb, cfg.relation, cfg.geometry, touching=touching)
+                ssr_ba = classify_ssr(sb, sa, cfg.relation, cfg.geometry, touching=touching)
                 dsr = ""
                 if f_idx + 1 > window:
-                    ta = np.array([h[a] for h in states_hist[-(window + 1):] if a in h])
-                    tb = np.array([h[b] for h in states_hist[-(window + 1):] if b in h])
+                    # centroids of the frames f_idx - window .. f_idx each appears in
+                    ta, tb = (cache.track(o, f_idx, cache.seen(o, f_idx)
+                                          - cache.seen(o, f_idx - window - 1)) for o in (a, b))
                     if len(ta) == len(tb) and len(ta) >= 2:
-                        near = aabb_gap(states[a].aabb, states[b].aabb) <= cfg.geometry.eps_touch
+                        near = cache.gap(a, b, f_idx) <= cfg.geometry.eps_touch
                         dsr = classify_dsr(ta, tb, near, cfg.relation).value
                 rows.append((f_idx, a, b, ssr_ab.value, ssr_ba.value, dsr))
     if args.format == "records":
@@ -161,8 +156,16 @@ def cmd_bench(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    with open(args.tokens, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+    try:
+        with open(args.tokens, "r", encoding="utf-8") as fh:
+            tokens = fh.read().split()
+    except OSError as exc:
+        print(f"token file error: cannot read {args.tokens}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print(f"token file error: {args.tokens}: not UTF-8: {exc.reason}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         tree = grammar.parse(tokens)
     except grammar.NoParse as exc:

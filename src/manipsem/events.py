@@ -21,16 +21,19 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .actions import AIR, GROUND, AtomicAction, Primitive, Snippet, Subject
 from .config import RunConfig
-from .geometry import aabb_gap, as_cloud, box_hull, compute_aabb, touch
-from .relations import (FOOTPRINT_MARGIN, DsrLabel, ObjectState, SsrLabel, classify_dsr,
-                        classify_ssr, footprint_overlap)
+from .geometry import Aabb, as_cloud, box_hull, touch
+from .relations import (FOOTPRINT_MARGIN, DsrLabel, ObjectState, SsrLabel, _pattern_label,
+                        classify_dsr, classify_ssr, footprint_overlap)
 
 ROLES = ("hand_left", "hand_right", "object", "ground")
 HAND_ROLES = {"hand_left": "left", "hand_right": "right"}
@@ -41,9 +44,10 @@ class TraceError(Exception):
 
 
 class ParseError(TraceError):
-    def __init__(self, lineno: int, message: str):
+    def __init__(self, lineno: int | None, message: str):
         self.lineno = lineno
-        super().__init__(f"line {lineno}: {message}")
+        where = f"line {lineno}: " if lineno is not None else ""
+        super().__init__(where + message)
 
 
 class SchemaError(TraceError):
@@ -68,10 +72,7 @@ class ObjectInstance:
     def cloud(self) -> np.ndarray:
         if self.points is not None:
             return self.points
-        lo, hi = self.box
-        corners = [[x, y, z] for x in (lo[0], hi[0])
-                   for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
-        return np.array(corners, dtype=np.float64)
+        return np.array(self.box, dtype=np.float64)[_CORNER_SIDE, [0, 1, 2]]
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,107 @@ def _coords(value, what, lineno) -> np.ndarray:
         raise SchemaError(f"{what}: {exc}", lineno) from exc
 
 
-def _object_from_record(rec, lineno):
+def _points(value, oid, need, lineno) -> np.ndarray:
+    pts = _coords(value, f"object {oid!r} points", lineno)
+    if pts.shape[0] < need:
+        raise SchemaError(f"object {oid!r} has < {need} points", lineno)
+    return pts
+
+
+# Points of one object held as Python floats before they are stacked: bounds
+# the parser's memory on dense clouds, where a float costs 4x its array slot.
+_STACK_POINTS = 1 << 15
+
+
+class _Stacker:
+    """Turns each object's point lists into row views of ``(rows, N, 3)``
+    float arrays, one per run of equal point count (split every
+    ``_STACK_POINTS`` points).  Each line's ``[x, y, z]`` triples are
+    flattened into the run's list of numbers as they come, so the parsed
+    lists are freed line by line; numpy then converts and checks the run
+    once.  When that check fails, the pending lines are checked one by
+    one, in file order, so the error is the one the first bad line gives.
+    Ground boxes are checked as they come, once per distinct box.
+    """
+
+    def __init__(self):
+        # id -> (points per row, flat numbers, [(seq, lineno, need, slot)])
+        self.runs: dict[str, tuple[int, list, list]] = {}
+        self.seq = 0
+        self.last_box: tuple[list, tuple] | None = None
+
+    def add(self, oid: str, raw: list, need: int, lineno: int) -> list:
+        """A one-element list that will hold the points' array."""
+        if set(map(type, raw)) != {list} or set(map(len, raw)) != {3}:
+            # not a list of triples; valid only as one [x, y, z] for a ground
+            return [_points(raw, oid, need, lineno)]
+        run = self.runs.get(oid)
+        if run and run[0] != len(raw):
+            self._stack(oid)
+            run = None
+        if run is None:
+            run = self.runs[oid] = (len(raw), [], [])
+        run[1].extend(chain.from_iterable(raw))
+        slot = [None]
+        run[2].append((self.seq, lineno, need, slot))
+        self.seq += 1
+        if len(run[1]) >= 3 * _STACK_POINTS:
+            self._stack(oid)
+        return slot
+
+    def _stack(self, oid: str) -> None:
+        n, flat, rows = self.runs[oid]
+        try:
+            arr = np.array(flat)
+            ok = arr.dtype.kind in "iuf" and arr.ndim == 1 and bool(np.isfinite(arr).all())
+        except ValueError:
+            ok = False
+        if not ok:
+            self.raise_first_error()
+            # every line passed alone, yet their numbers do not mix
+            raise SchemaError(f"object {oid!r} points: expected [x, y, z] numbers", rows[0][1])
+        del self.runs[oid]
+        arr = arr.astype(np.float64, copy=False).reshape(len(rows), n, 3)
+        for (_, _, _, slot), row in zip(rows, arr):
+            slot[0] = row
+
+    def raise_first_error(self) -> None:
+        pending = []
+        for oid, (n, flat, rows) in self.runs.items():
+            for k, (seq, lineno, need, _) in enumerate(rows):
+                pending.append((seq, lineno, need, oid, flat[3 * n * k:3 * n * (k + 1)]))
+        for _, lineno, need, oid, numbers in sorted(pending, key=lambda e: e[0]):
+            # the triples as they were on the line
+            _points([numbers[i:i + 3] for i in range(0, len(numbers), 3)], oid, need, lineno)
+
+    def box(self, raw, lineno: int, eager: bool) -> tuple:
+        """A ground box as ((min), (max)); a list equal to the previous
+        box's is not checked again."""
+        if not eager and self.last_box is not None and raw == self.last_box[0]:
+            return self.last_box[1]
+        corners = _coords(raw, "ground box", lineno)
+        if corners.shape[0] != 2:
+            raise SchemaError("ground box must be [[min x, y, z], [max x, y, z]]", lineno)
+        if np.any(corners[1] <= corners[0]):
+            raise SchemaError("ground box needs max > min on every axis", lineno)
+        box = (tuple(corners[0].tolist()), tuple(corners[1].tolist()))
+        self.last_box = (raw, box)
+        return box
+
+    def finish(self) -> None:
+        for oid in list(self.runs):
+            self._stack(oid)
+
+
+_OBJECT_FIELDS = frozenset({"id", "label", "role", "points", "box"})
+
+
+def _object_from_record(rec, lineno, stacker: _Stacker, eager: bool):
+    """(id, label, role, points slot, box) of one object record; ``eager``
+    checks points and box here rather than once per stacked run or box."""
     if not isinstance(rec, dict):
         raise SchemaError("object record must be a mapping", lineno)
-    allowed = {"id", "label", "role", "points", "box"}
-    unknown = set(rec) - allowed
+    unknown = rec.keys() - _OBJECT_FIELDS
     if unknown:
         raise SchemaError(f"unknown object field(s) {sorted(unknown)}", lineno)
     for key in ("id", "label", "role"):
@@ -146,20 +243,15 @@ def _object_from_record(rec, lineno):
             raise SchemaError("ground needs box or points", lineno)
     elif points is None:
         raise SchemaError(f"object {rec['id']!r} missing points", lineno)
-    pts = None
+    slot = None
     if points is not None:
-        pts = _coords(points, f"object {rec['id']!r} points", lineno)
         need = 1 if role == "ground" else 4
-        if pts.shape[0] < need:
-            raise SchemaError(f"object {rec['id']!r} has < {need} points", lineno)
+        if eager or type(points) is not list or len(points) < need:
+            _points(points, rec["id"], need, lineno)
+        slot = stacker.add(rec["id"], points, need, lineno)
     if box is not None:
-        corners = _coords(box, "ground box", lineno)
-        if corners.shape[0] != 2:
-            raise SchemaError("ground box must be [[min x, y, z], [max x, y, z]]", lineno)
-        if np.any(corners[1] <= corners[0]):
-            raise SchemaError("ground box needs max > min on every axis", lineno)
-        box = (tuple(corners[0].tolist()), tuple(corners[1].tolist()))
-    return ObjectInstance(rec["id"], rec["label"], role, pts, box)
+        box = stacker.box(box, lineno, eager)
+    return rec["id"], rec["label"], role, slot, box
 
 
 def _decode(data: bytes) -> str:
@@ -171,47 +263,67 @@ def _decode(data: bytes) -> str:
 
 
 def load_trace(source, trace_id: str | None = None) -> SceneTrace:
-    """Parse a trace from a path, text, or byte stream."""
+    """Parse a trace from a path, text, or byte stream.
+
+    Each object's points become row views of one array per run of frames
+    with its point count, checked once; an error still names its line.
+    """
     if hasattr(source, "read"):
         data = source.read()
         text = _decode(data) if isinstance(data, bytes) else data
         name = trace_id or "trace"
     else:
-        with open(source, "rb") as fh:
-            text = _decode(fh.read())
-        import os
+        try:
+            with open(source, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise ParseError(None, f"cannot read {source}: {exc.strerror or exc}") from exc
+        text = _decode(data)
         name = trace_id or os.path.splitext(os.path.basename(str(source)))[0]
 
-    frames: list[Frame] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"bad JSON: {exc.msg}") from exc
-        if not isinstance(rec, dict):
-            raise SchemaError("frame record must be a mapping", lineno)
-        unknown = set(rec) - {"t", "objects"}
-        if unknown:
-            raise SchemaError(f"unknown frame field(s) {sorted(unknown)}", lineno)
-        if "t" not in rec or "objects" not in rec:
-            raise SchemaError("frame needs fields t and objects", lineno)
-        t = rec["t"]
-        if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
-            raise SchemaError("t must be a finite number", lineno)
-        if not isinstance(rec["objects"], list):
-            raise SchemaError("objects must be a list", lineno)
-        objects = [_object_from_record(o, lineno) for o in rec["objects"]]
-        roles = [o.role for o in objects]
-        for unique_role in ("hand_left", "hand_right", "ground"):
-            if roles.count(unique_role) > 1:
-                raise SchemaError(f"duplicate {unique_role} in frame", lineno)
-        ids = [o.id for o in objects]
-        if len(set(ids)) != len(ids):
-            raise SchemaError("duplicate object id in frame", lineno)
-        frames.append(Frame(float(t), tuple(objects)))
+    stacker = _Stacker()
+    parsed: list[tuple[float, list]] = []
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(lineno, f"bad JSON: {exc.msg}") from exc
+            if not isinstance(rec, dict):
+                raise SchemaError("frame record must be a mapping", lineno)
+            unknown = set(rec) - {"t", "objects"}
+            if unknown:
+                raise SchemaError(f"unknown frame field(s) {sorted(unknown)}", lineno)
+            if "t" not in rec or "objects" not in rec:
+                raise SchemaError("frame needs fields t and objects", lineno)
+            t = rec["t"]
+            if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
+                raise SchemaError("t must be a finite number", lineno)
+            if not isinstance(rec["objects"], list):
+                raise SchemaError("objects must be a list", lineno)
+            # a stacked array would read a JSON boolean as 0 or 1, where an
+            # all-boolean point list alone is refused
+            eager = "true" in line or "false" in line
+            objects = [_object_from_record(o, lineno, stacker, eager) for o in rec["objects"]]
+            roles = [role for _, _, role, _, _ in objects]
+            for unique_role in ("hand_left", "hand_right", "ground"):
+                if roles.count(unique_role) > 1:
+                    raise SchemaError(f"duplicate {unique_role} in frame", lineno)
+            ids = [oid for oid, _, _, _, _ in objects]
+            if len(set(ids)) != len(ids):
+                raise SchemaError("duplicate object id in frame", lineno)
+            parsed.append((float(t), objects))
+        stacker.finish()
+    except TraceError:
+        # a bad point list on an earlier line is the error to report
+        stacker.raise_first_error()
+        raise
+    frames = [Frame(t, tuple(ObjectInstance(oid, label, role, slot and slot[0], box)
+                             for oid, label, role, slot, box in objects))
+              for t, objects in parsed]
 
     identity: dict[str, tuple[str, str]] = {}
     for fr in frames:
@@ -257,98 +369,229 @@ def dumps_trace(trace: SceneTrace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Geometry per frame: hull reuse across rigid translation, pair contact reuse
-# across rigid co-motion
+# Geometry of a frame sequence: whole object tracks, hull reuse across rigid
+# translation, pair results reused across rigid co-motion
 # ---------------------------------------------------------------------------
 
 _RIGID_TOL = 1e-12
 
+# Corner k of a box [[lo], [hi]] takes x from bit 2 of k, y from bit 1, z
+# from bit 0, the vertex order of box_hull.
+_CORNER_SIDE = np.array([[(k >> 2) & 1, (k >> 1) & 1, k & 1] for k in range(8)])
 
-def _rigid(delta: np.ndarray) -> bool:
-    """True when every row of ``delta`` is the same shift (to _RIGID_TOL)."""
-    return np.ptp(delta, axis=0).max() <= _RIGID_TOL
+
+class _Track:
+    """One object's clouds over the frames it appears in, as whole arrays.
+
+    Rows are the object's appearances, in frame order.  Each run of rows
+    with one point count (a box is its 8 corners) is stacked into one
+    ``(rows, N, 3)`` array, and a few vectorised passes over it give every
+    row its AABB and centroid and tell whether the step from the previous
+    row moved every point by the first point's shift (to ``_RIGID_TOL``).  Rows joined by
+    such rigid steps share a segment, whose state is built once, at its
+    first row; rows joined by steps that moved nothing also share a pose.
+    """
+
+    def __init__(self, appearances, n_frames: int):
+        self.n_frames = n_frames
+        self.frames = [f for f, _ in appearances]
+        self.objects = [o for _, o in appearances]
+        self.stacks, start = [], 0
+        for k in range(1, len(appearances) + 1):
+            if k == len(appearances) or _run_key(self.objects[k]) != _run_key(self.objects[k - 1]):
+                self.stacks.append(_stack_run(self.objects[start:k]))
+                start = k
+        self.clouds = [row for s in self.stacks for row in s]
+        rigid, moved = [], []
+        for s in self.stacks:
+            steps = s[1:] - s[:-1]
+            shift = steps[:, :1]
+            # reductions over one flat axis: a middle-axis reduction costs
+            # more than the arithmetic on clouds this small
+            spread = np.abs(steps - shift).reshape(len(steps), 3 * s.shape[1]).max(axis=1)
+            rigid += [False] + (spread <= _RIGID_TOL).tolist()
+            moved += [True] + (np.abs(shift[:, 0]).max(axis=1) > _RIGID_TOL).tolist()
+        self.segment = list(accumulate(not r for r in rigid))
+        self.pose = list(accumulate(not r or m for r, m in zip(rigid, moved)))
+        self.row_of = dict(zip(self.frames, range(len(self.frames))))
+        self.anchor: dict[int, tuple[int, ObjectState]] = {}
+        self.last: tuple[int, ObjectState] | None = None
+
+    # Per-row values below are computed on first use: a caller that only
+    # asks for states of static objects never needs them.
+
+    @cached_property
+    def lo(self) -> np.ndarray:
+        return np.concatenate([s.min(axis=1) for s in self.stacks])
+
+    @cached_property
+    def hi(self) -> np.ndarray:
+        return np.concatenate([s.max(axis=1) for s in self.stacks])
+
+    @cached_property
+    def first(self) -> list[list[float]]:
+        return [p for s in self.stacks for p in s[:, 0].tolist()]
+
+    @cached_property
+    def centroids(self) -> np.ndarray:
+        return np.concatenate([s.mean(axis=1) for s in self.stacks])
+
+    @cached_property
+    def seen(self) -> list[int]:
+        """Per frame, how many of frames 0..f the object appears in."""
+        present = [0] * self.n_frames
+        for f in self.frames:
+            present[f] = 1
+        return list(accumulate(present))
+
+    def per_frame(self, values: np.ndarray) -> np.ndarray:
+        """Row values scattered to frame positions, NaN where absent."""
+        out = np.full((self.n_frames,) + values.shape[1:], np.nan)
+        out[self.frames] = values
+        return out
 
 
-def _co_moved(prev_a, prev_b, pts_a, pts_b) -> bool:
-    """True when both clouds moved from their previous points by one common
-    shift, which leaves the pair's relative pose unchanged."""
-    return (prev_a.shape == pts_a.shape and prev_b.shape == pts_b.shape
-            and _rigid(np.concatenate((pts_a - prev_a, pts_b - prev_b))))
+def _run_key(obj: ObjectInstance):
+    return ("points", len(obj.points)) if obj.points is not None else ("box", 8)
+
+
+def _stack_run(objects) -> np.ndarray:
+    if objects[0].points is not None:
+        return np.array([o.points for o in objects])
+    boxes = np.array([o.box for o in objects], dtype=np.float64)
+    return boxes[:, _CORNER_SIDE, [0, 1, 2]]
 
 
 class GeometryCache:
-    """Per-trace geometry memo, the one source of object states and contact
-    sets; it lives for one walk over a trace, so nothing carries over
-    between traces.
+    """Geometry of one sequence of frames, the one source of object states,
+    bounding boxes, centroids and contact sets.  Frames are addressed by
+    their index in the sequence; nothing carries over between sequences.
 
-    An object's state is built once, from its ``box`` or its cloud, and
-    re-used, translated, while its cloud only moves rigidly; a static ground
-    box is thus built once per trace.  A pair's narrow-phase contact result
-    is re-used while both clouds are unchanged, or shifted by one common
-    translation, since the pair's last :func:`touch` test: the pair's
-    relative pose, and with it the answer, is then the same.
+    Each object's clouds are stacked and checked for rigid steps once, as a
+    :class:`_Track`.  A state is built once per rigid segment, from the
+    object's ``box`` or its cloud, and translated, on request, only where
+    the track moved; a static ground box is thus built once.  Per object
+    pair, the broad-phase gap of every frame is computed in one pass, and
+    the pair's narrow-phase contact and containment results are re-used
+    while both objects have only moved by one common shift since they
+    were computed: the pair's relative pose, and with it the answer, is
+    then the same.
     """
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, frames, cfg: RunConfig):
         self.cfg = cfg
-        self._cloud: dict[str, np.ndarray] = {}
-        self._state: dict[str, ObjectState] = {}
-        self._pair: dict[tuple[str, str], tuple[np.ndarray, np.ndarray, bool]] = {}
+        self.ids = [sorted(o.id for o in fr.objects) for fr in frames]
+        appearances: dict[str, list] = {}
+        for f_idx, fr in enumerate(frames):
+            for o in fr.objects:
+                appearances.setdefault(o.id, []).append((f_idx, o))
+        self._tracks = {oid: _Track(app, len(frames)) for oid, app in appearances.items()}
+        for tr in self._tracks.values():
+            for r, seg in enumerate(tr.segment):
+                if seg not in tr.anchor:
+                    tr.anchor[seg] = (r, self._build(tr.objects[r], tr.clouds[r]))
+        self._gaps: dict[tuple[str, str], list[float]] = {}
+        self._touch: dict[tuple[str, str], tuple[int, bool]] = {}
+        self._pattern: dict[tuple[str, str], tuple[int, SsrLabel | None]] = {}
 
-    def state(self, obj: ObjectInstance) -> ObjectState:
-        pts = obj.cloud()
-        prev = self._cloud.get(obj.id)
-        if prev is not None and prev.shape == pts.shape:
-            delta = pts - prev
-            if _rigid(delta):
-                shift = delta[0]
-                if abs(shift).max() <= _RIGID_TOL:
-                    return self._state[obj.id]
-                old = self._state[obj.id]
-                moved = ObjectState(pts, old.hull.translated(shift),
-                                    compute_aabb(pts))
-                self._cloud[obj.id] = pts
-                self._state[obj.id] = moved
-                return moved
+    def _build(self, obj: ObjectInstance, cloud: np.ndarray) -> ObjectState:
         if obj.points is None:
             hull = box_hull(*obj.box)
-            state = ObjectState(pts, hull, hull.aabb())
-        else:
-            state = ObjectState.from_cloud(pts, self.cfg.geometry)
-        self._cloud[obj.id] = pts
-        self._state[obj.id] = state
-        return state
+            return ObjectState(cloud, hull, hull.aabb())
+        return ObjectState.from_cloud(cloud, self.cfg.geometry)
 
-    def contacts(self, states: dict[str, ObjectState]) -> set[frozenset]:
-        """Unordered id pairs of ``states`` whose hulls are in contact."""
-        ids = sorted(states)
+    def state(self, oid: str, f_idx: int) -> ObjectState:
+        """The object's state in frame ``f_idx``, where it must appear."""
+        tr = self._tracks[oid]
+        r = tr.row_of[f_idx]
+        base_r, base = tr.last if tr.last else tr.anchor[tr.segment[r]]
+        if tr.segment[base_r] != tr.segment[r]:
+            base_r, base = tr.anchor[tr.segment[r]]
+        if tr.pose[base_r] != tr.pose[r]:
+            cloud = tr.clouds[r]
+            base = ObjectState(cloud, base.hull.translated(cloud[0] - tr.clouds[base_r][0]),
+                               Aabb(tr.lo[r], tr.hi[r]))
+            base_r = r
+        # a state keeps the row its cloud is from: a later shift is taken
+        # from there, as its hull sits there
+        tr.last = (base_r, base)
+        return base
+
+    def aabb(self, oid: str, f_idx: int) -> Aabb:
+        tr = self._tracks[oid]
+        r = tr.row_of[f_idx]
+        return Aabb(tr.lo[r], tr.hi[r])
+
+    def seen(self, oid: str, f_idx: int) -> int:
+        """How many of frames 0..f_idx the object appears in."""
+        return self._tracks[oid].seen[f_idx] if f_idx >= 0 else 0
+
+    def track(self, oid: str, f_idx: int, length: int) -> np.ndarray:
+        """Centroids of the object's last ``length`` appearances up to frame
+        ``f_idx``, oldest first."""
+        tr = self._tracks[oid]
+        end = tr.seen[f_idx]
+        return tr.centroids[max(0, end - length):end]
+
+    def gap(self, a: str, b: str, f_idx: int) -> float:
+        """Separation of the two objects' bounding boxes in frame ``f_idx``
+        (inf where either is absent), computed for all frames at once."""
+        key = (a, b) if a < b else (b, a)
+        gaps = self._gaps.get(key)
+        if gaps is None:
+            ta, tb = self._tracks[key[0]], self._tracks[key[1]]
+            lo_a, hi_a = ta.per_frame(ta.lo), ta.per_frame(ta.hi)
+            lo_b, hi_b = tb.per_frame(tb.lo), tb.per_frame(tb.hi)
+            sep = np.maximum(np.maximum(lo_a - hi_b, lo_b - hi_a), 0.0)
+            gap = np.sqrt(np.einsum("ij,ij->i", sep, sep))
+            gaps = self._gaps[key] = np.where(np.isnan(gap), np.inf, gap).tolist()
+        return gaps[f_idx]
+
+    def _pose_kept(self, a: str, b: str, then: int, now: int) -> bool:
+        """True when from frame ``then`` to frame ``now`` objects a and b
+        moved only rigidly, and by one common shift."""
+        ta, tb = self._tracks[a], self._tracks[b]
+        a0, a1, b0, b1 = ta.row_of[then], ta.row_of[now], tb.row_of[then], tb.row_of[now]
+        if ta.segment[a0] != ta.segment[a1] or tb.segment[b0] != tb.segment[b1]:
+            return False
+        return all(abs((xa1 - xa0) - (xb1 - xb0)) <= _RIGID_TOL for xa0, xa1, xb0, xb1
+                   in zip(ta.first[a0], ta.first[a1], tb.first[b0], tb.first[b1]))
+
+    def contacts(self, f_idx: int) -> set[frozenset]:
+        """Unordered id pairs of frame ``f_idx`` whose hulls are in contact."""
+        ids = self.ids[f_idx]
         eps = self.cfg.geometry.eps_touch
         out: set[frozenset] = set()
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                sa, sb = states[a], states[b]
-                if aabb_gap(sa.aabb, sb.aabb) > eps:
+                if self.gap(a, b, f_idx) > eps:
                     continue
-                last = self._pair.get((a, b))
-                if last is not None and _co_moved(last[0], last[1], sa.cloud, sb.cloud):
-                    hit = last[2]
+                last = self._touch.get((a, b))
+                if last is not None and self._pose_kept(a, b, last[0], f_idx):
+                    hit = last[1]
                 else:
+                    sa, sb = self.state(a, f_idx), self.state(b, f_idx)
                     hit = touch(sa.cloud, sa.hull, sb.cloud, sb.hull, eps, self.cfg.geometry)
-                    self._pair[(a, b)] = (sa.cloud, sb.cloud, hit)
+                    self._touch[(a, b)] = (f_idx, hit)
                 if hit:
                     out.add(frozenset((a, b)))
         return out
 
+    def pattern(self, a: str, b: str, f_idx: int) -> SsrLabel | None:
+        """The intersection-pattern label of ``a`` against ``b`` in frame
+        ``f_idx`` (see ``relations._pattern_label``)."""
+        last = self._pattern.get((a, b))
+        if last is not None and self._pose_kept(a, b, last[0], f_idx):
+            return last[1]
+        label = _pattern_label(self.state(a, f_idx), self.state(b, f_idx),
+                               self.cfg.relation, self.cfg.geometry)
+        self._pattern[(a, b)] = (f_idx, label)
+        return label
 
-def touch_graph(frame: Frame, cfg: RunConfig | None = None,
-                cache: GeometryCache | None = None) -> set[frozenset]:
-    """Unordered id pairs whose hulls are in contact in this frame.
 
-    Pass one ``cache`` across the frames of a trace to re-use hulls and
-    contact results; its config then takes the place of ``cfg``.
-    """
-    cache = cache or GeometryCache(cfg or RunConfig())
-    return cache.contacts({o.id: cache.state(o) for o in frame.objects})
+def touch_graph(frame: Frame, cfg: RunConfig | None = None) -> set[frozenset]:
+    """Unordered id pairs whose hulls are in contact in this frame."""
+    return GeometryCache((frame,), cfg or RunConfig()).contacts(0)
 
 
 class _Debouncer:
@@ -410,7 +653,7 @@ class Extractor:
     def run(self, trace: SceneTrace) -> ExtractionResult:
         cfg = self.cfg
         window = cfg.relation.window
-        cache = GeometryCache(cfg)
+        cache = GeometryCache(trace.frames, cfg)
         deb = _Debouncer(cfg.event.debounce)
         ground = trace.ground()
         ground_id = ground.id if ground else None
@@ -420,16 +663,12 @@ class Extractor:
         hand_ids: dict[str, str] = {}
         actions: dict[str, list[AtomicAction]] = {}
         busy: dict[str, list[bool]] = {}
-        centroids: dict[str, list[np.ndarray]] = {}
         contact_hist: list[set[frozenset]] = []
         contact_age: dict[frozenset, int] = {}
 
         n = len(trace.frames)
         for f_idx, frame in enumerate(trace.frames):
-            states = {o.id: cache.state(o) for o in frame.objects}
             roles = {o.id: o.role for o in frame.objects}
-            for oid, st in states.items():
-                centroids.setdefault(oid, []).append(st.centroid())
             for o in frame.objects:
                 if o.role in HAND_ROLES:
                     side = HAND_ROLES[o.role]
@@ -439,7 +678,7 @@ class Extractor:
                         actions[side] = []
                         busy[side] = [False] * f_idx
 
-            raw = cache.contacts(states)
+            raw = cache.contacts(f_idx)
             added, removed = deb.update(raw)
             confirmed = set(deb.confirmed)
             contact_hist.append(confirmed)
@@ -451,31 +690,29 @@ class Extractor:
 
             for side, hs in hands.items():
                 hid = hand_ids.get(side)
-                if hid is None or hid not in states:
+                if hid is None or hid not in roles:
                     busy[side].append(False)
                     continue
                 events = self._edge_events(hs, hid, added, removed)
                 if events:
                     for kind, other, via in events:
-                        aa = self._emit_contact(kind, other, via, hs, hid, states, roles,
+                        aa = self._emit_contact(kind, other, via, hs, hid, cache, roles,
                                                 labels, confirmed, f_idx)
                         if aa is not None:
                             actions[side].append(aa)
                     hs.quiet_frames = 0
                     hs.context = None
 
-                self._update_grasp(hs, hid, confirmed, contact_age,
-                                   centroids, roles, f_idx)
+                self._update_grasp(hs, hid, confirmed, contact_age, cache, roles, f_idx)
 
-                ctx = self._salient_context(hs, hid, states, roles, ground_id, confirmed, raw)
+                ctx = self._salient_context(hs, hid, cache, f_idx, roles, ground_id, confirmed)
                 if ctx != hs.context:
                     hs.context = ctx
                     hs.quiet_frames = 0
                 hs.quiet_frames += 1
                 if hs.quiet_frames >= window and f_idx >= window:
-                    aa = self._emit_motion(hs, hid, states, roles, ground_id, labels,
-                                           centroids, contact_hist, confirmed,
-                                           f_idx, window)
+                    aa = self._emit_motion(hs, hid, cache, roles, ground_id, labels,
+                                           contact_hist, confirmed, f_idx, window)
                     if aa is not None:
                         actions[side].append(aa)
                         hs.quiet_frames = 0
@@ -516,9 +753,9 @@ class Extractor:
                 chosen[key] = (kind, other, via)
         return sorted(chosen.values(), key=lambda e: (e[1], e[0]))
 
-    def _emit_contact(self, kind, other, via, hs, hid, states, roles,
+    def _emit_contact(self, kind, other, via, hs, hid, cache, roles,
                       labels, confirmed, f_idx):
-        if other not in states:
+        if other not in roles:
             return None
         grasped = hs.grasped
         if kind == "U" and via == "hand" and grasped == other:
@@ -527,18 +764,17 @@ class Extractor:
             actor_id = hid
         else:
             subject = Subject(hs.side, grasped) if grasped else Subject(hs.side, None)
-            actor_id = grasped if (via == "carried" and grasped in states) else hid
-        rel = classify_ssr(states[actor_id], states[other], self.cfg.relation,
-                           self.cfg.geometry, touching=(kind == "T"))
+            actor_id = grasped if (via == "carried" and grasped in roles) else hid
+        rel = classify_ssr(cache.state(actor_id, f_idx), cache.state(other, f_idx),
+                           self.cfg.relation, self.cfg.geometry, touching=(kind == "T"))
         obj_id = GROUND if roles.get(other) == "ground" else other
-        place = self._place_of(other, states, roles, confirmed)
+        place = self._place_of(other, cache, f_idx, roles, confirmed)
         prim = Primitive.T if kind == "T" else Primitive.U
         return AtomicAction(subject, prim, obj_id, rel, place, (f_idx, f_idx),
                             object_label=labels.get(other, other),
                             carried_label=labels.get(subject.carried) if subject.carried else None)
 
-    def _update_grasp(self, hs, hid, confirmed, contact_age,
-                      centroids, roles, f_idx):
+    def _update_grasp(self, hs, hid, confirmed, contact_age, cache, roles, f_idx):
         if hs.grasped is not None:
             if frozenset((hid, hs.grasped)) not in confirmed:
                 hs.grasped = None
@@ -554,42 +790,41 @@ class Extractor:
                 continue
             if contact_age.get(pair, 0) < self.cfg.event.grasp_min_frames:
                 continue
-            ta = np.array(centroids[hid][-(window + 1):])
-            tb = np.array(centroids[other][-(window + 1):])
+            ta = cache.track(hid, f_idx, window + 1)
+            tb = cache.track(other, f_idx, window + 1)
             if len(ta) != len(tb) or len(ta) < 2:
                 continue
             if classify_dsr(ta, tb, True, self.cfg.relation) is DsrLabel.Mt:
                 hs.grasped = other
                 return
 
-    def _salient_context(self, hs, hid, states, roles, ground_id, confirmed, raw):
+    def _salient_context(self, hs, hid, cache, f_idx, roles, ground_id, confirmed):
         """(object_id | None, relation) most relevant to the moving entity.
 
-        ``raw`` is this frame's undebounced contact graph; it stands in for
-        the contact test inside ``classify_ssr``, whose containment labels,
-        the only ones read here, do not depend on it.
+        Containment is read off the intersection pattern alone: within
+        contact range, ``classify_ssr`` returns it before any label that
+        depends on contact.
         """
-        rep = hs.grasped if hs.grasped in states else hid
+        rep = hs.grasped if hs.grasped in roles else hid
         partners = frozenset(
             (set(p) - {rep}).pop() for p in confirmed if rep in p
         )
-        rep_state = states[rep]
+        rep_box = cache.aabb(rep, f_idx)
         containment = None
         hover = None
-        for oid in sorted(states):
+        for oid in cache.ids[f_idx]:
             if oid in (rep, hid, hs.grasped) or roles.get(oid) in ("hand_left", "hand_right"):
                 continue
             if roles.get(oid) == "ground":
                 continue
-            other = states[oid]
-            if aabb_gap(rep_state.aabb, other.aabb) <= self.cfg.geometry.eps_touch:
-                rel = classify_ssr(rep_state, other, self.cfg.relation, self.cfg.geometry,
-                                   touching=frozenset((rep, oid)) in raw)
+            if cache.gap(rep, oid, f_idx) <= self.cfg.geometry.eps_touch:
+                rel = cache.pattern(rep, oid, f_idx)
                 if rel in (SsrLabel.In, SsrLabel.Wi, SsrLabel.Pwi, SsrLabel.Cr):
                     containment = (oid, rel)
                     break
-            if hover is None and rep_state.aabb.min_corner[1] > other.aabb.max_corner[1]:
-                if footprint_overlap(rep_state.aabb, other.aabb, FOOTPRINT_MARGIN):
+            other_box = cache.aabb(oid, f_idx)
+            if hover is None and rep_box.min_corner[1] > other_box.max_corner[1]:
+                if footprint_overlap(rep_box, other_box, FOOTPRINT_MARGIN):
                     hover = (oid, SsrLabel.Ab)
         if containment:
             ctx = containment
@@ -601,10 +836,10 @@ class Extractor:
             ctx = (None, SsrLabel.NoRelation)
         return (partners, ctx)
 
-    def _emit_motion(self, hs, hid, states, roles, ground_id, labels,
-                     centroids, contact_hist, confirmed, f_idx, window):
+    def _emit_motion(self, hs, hid, cache, roles, ground_id, labels,
+                     contact_hist, confirmed, f_idx, window):
         grasped = hs.grasped
-        rep = grasped if grasped in states else hid
+        rep = grasped if grasped in roles else hid
         span = (f_idx - window + 1, f_idx)
         partners = sorted(
             (set(p) - {rep}).pop() for p in confirmed
@@ -614,23 +849,23 @@ class Extractor:
         subject = Subject(hs.side, grasped) if grasped else Subject(hs.side, None)
 
         def track(oid):
-            return np.array(centroids[oid][-(window + 1):])
+            return cache.track(oid, f_idx, window + 1)
 
         def touching_flags(a, b):
             pair = frozenset((a, b))
             return [pair in hist for hist in contact_hist[-(window + 1):]]
 
         for other in partners:
-            if len(centroids.get(other, ())) < window + 1:
+            if cache.seen(other, f_idx) < window + 1:
                 continue
             dsr = classify_dsr(track(rep), track(other),
                                touching_flags(rep, other), self.cfg.relation)
             if dsr in (DsrLabel.Fmt, DsrLabel.Mt):
                 prim = Primitive.Fmt if dsr is DsrLabel.Fmt else Primitive.Mt
-                rel = classify_ssr(states[rep], states[other], self.cfg.relation,
-                                   self.cfg.geometry, touching=True)
+                rel = classify_ssr(cache.state(rep, f_idx), cache.state(other, f_idx),
+                                   self.cfg.relation, self.cfg.geometry, touching=True)
                 obj_id = GROUND if roles.get(other) == "ground" else other
-                place = self._place_of(other, states, roles, confirmed)
+                place = self._place_of(other, cache, f_idx, roles, confirmed)
                 return AtomicAction(subject, prim, obj_id, rel, place, span,
                                     object_label=labels.get(other, other),
                                     carried_label=labels.get(grasped) if grasped else None)
@@ -638,12 +873,12 @@ class Extractor:
             # while an external contact exists, motion reads off that contact;
             # falling back to carried-pair co-motion would misreport it
             return None
-        if grasped and grasped in states and len(centroids.get(grasped, ())) >= window + 1:
+        if grasped and grasped in roles and cache.seen(grasped, f_idx) >= window + 1:
             if classify_dsr(track(hid), track(grasped), True, self.cfg.relation) is DsrLabel.Mt:
                 _, ctx = hs.context if hs.context else (None, (None, SsrLabel.Ab))
                 ctx_obj, ctx_rel = ctx
                 if ctx_obj is not None:
-                    place = self._place_of(ctx_obj, states, roles, confirmed)
+                    place = self._place_of(ctx_obj, cache, f_idx, roles, confirmed)
                     return AtomicAction(subject, Primitive.Mt, ctx_obj, ctx_rel, place, span,
                                         object_label=labels.get(ctx_obj, ctx_obj),
                                         carried_label=labels.get(grasped))
@@ -652,7 +887,7 @@ class Extractor:
                                     carried_label=labels.get(grasped))
         return None
 
-    def _place_of(self, oid, states, roles, confirmed, _depth=0, _seen=None):
+    def _place_of(self, oid, cache, f_idx, roles, confirmed, _depth=0, _seen=None):
         if roles.get(oid) == "ground":
             return GROUND
         seen = _seen or {oid}
@@ -661,11 +896,11 @@ class Extractor:
                     if roles.get(p) not in ("hand_left", "hand_right") and p not in seen]
         supporters = []
         for p in partners:
-            if p not in states or oid not in states:
+            if p not in roles or oid not in roles:
                 continue
-            sa, sb = states[oid], states[p]
-            if sa.aabb.min_corner[1] >= sb.aabb.max_corner[1] - self.cfg.geometry.eps_touch \
-                    and sa.aabb.center()[1] > sb.aabb.center()[1]:
+            sa, sb = cache.aabb(oid, f_idx), cache.aabb(p, f_idx)
+            if sa.min_corner[1] >= sb.max_corner[1] - self.cfg.geometry.eps_touch \
+                    and sa.center()[1] > sb.center()[1]:
                 supporters.append(p)
         non_ground = [p for p in supporters if roles.get(p) != "ground"]
         if non_ground:
@@ -674,7 +909,7 @@ class Extractor:
             return GROUND
         if _depth < 3:
             for p in partners:
-                got = self._place_of(p, states, roles, confirmed,
+                got = self._place_of(p, cache, f_idx, roles, confirmed,
                                      _depth + 1, seen | {p})
                 if got != AIR:
                     return got

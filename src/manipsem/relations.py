@@ -106,9 +106,6 @@ class ObjectState:
         pts = as_cloud(points)
         return cls(pts, hull_with_fallback(pts, cfg), compute_aabb(pts))
 
-    def centroid(self) -> np.ndarray:
-        return self.cloud.mean(axis=0)
-
 
 def _interval_overlap(lo_a, hi_a, lo_b, hi_b) -> float:
     return min(hi_a, hi_b) - max(lo_a, lo_b)

@@ -108,6 +108,34 @@ class TestParseCommand:
         assert "offset 0" in capsys.readouterr().err
 
 
+class TestUnreadableInput:
+    """A missing, unreadable or undecodable input file exits 2 with a
+    message naming it, never with a raw traceback."""
+
+    @pytest.mark.parametrize("command", ["relations", "describe"])
+    def test_missing_trace_exit_2(self, command, tmp_path, capsys):
+        path = str(tmp_path / "nope.jsonl")
+        assert cli.main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert f"trace parse error: cannot read {path}: No such file or directory" in err
+
+    @pytest.mark.parametrize("command", ["relations", "describe"])
+    def test_directory_as_trace_exit_2(self, command, tmp_path, capsys):
+        assert cli.main([command, str(tmp_path)]) == 2
+        assert f"trace parse error: cannot read {tmp_path}: " in capsys.readouterr().err
+
+    def test_missing_token_file_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.txt")
+        assert cli.main(["parse", path]) == 2
+        assert f"cannot read {path}: No such file or directory" in capsys.readouterr().err
+
+    def test_non_utf8_token_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "tokens.txt"
+        path.write_bytes(b"\xff\xfeH\x00a\x00")
+        assert cli.main(["parse", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+
 class TestBenchCommand:
     def test_empty_dir_exit_5(self, tmp_path):
         assert cli.main(["bench", str(tmp_path)]) == 5

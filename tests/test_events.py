@@ -155,9 +155,9 @@ class TestTouchGraph:
 def assert_reuse_matches_fresh(frames, cfg=None):
     """Contact reuse through one cache across frames changes no touch graph."""
     cfg = cfg or RunConfig()
-    cache = GeometryCache(cfg)
+    cache = GeometryCache(frames, cfg)
     for f_idx, fr in enumerate(frames):
-        assert touch_graph(fr, cfg, cache) == touch_graph(fr, cfg), f"frame {f_idx}"
+        assert cache.contacts(f_idx) == touch_graph(fr, cfg), f"frame {f_idx}"
 
 
 def random_box_frames(rng, n_frames=8):

@@ -10,7 +10,7 @@ import pytest
 from manipsem import relations
 from manipsem.bench import MODES, AccuracyReport, evaluate_trace
 from manipsem.config import EventConfig, GeometryConfig, RelationConfig, RunConfig
-from manipsem.events import GeometryCache, ObjectInstance
+from manipsem.events import Frame, GeometryCache, ObjectInstance
 from manipsem.geometry import aabb_gap, box_hull, touch
 from manipsem.relations import PATTERN_LABELS, ObjectState, classify_ssr
 from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace
@@ -20,14 +20,15 @@ SRC = pathlib.Path(relations.__file__).parent
 
 
 def test_static_box_ground_built_once():
-    cache = GeometryCache(RunConfig())
     ground = ObjectInstance("table", "table", "ground", None, ((-1, -0.1, -1), (1, 0.0, 1)))
-    first = cache.state(ground)
+    frames = [Frame(k / 30.0, (ground, ObjectInstance(
+        "cup", "cup", "object", box_cloud((0, 0, 0), (0.1, 0.1, 0.1)) + [0.01 * k, 0, 0], None)))
+        for k in range(5)]
+    cache = GeometryCache(frames, RunConfig())
+    first = cache.state("table", 0)
     for k in range(1, 5):
-        cup = ObjectInstance("cup", "cup", "object",
-                             box_cloud((0, 0, 0), (0.1, 0.1, 0.1)) + [0.01 * k, 0, 0], None)
-        cache.state(cup)
-        assert cache.state(ground) is first
+        cache.state("cup", k)
+        assert cache.state("table", k) is first
     assert first.hull.faces.shape == box_hull((-1, -0.1, -1), (1, 0.0, 1)).faces.shape
 
 
@@ -88,11 +89,11 @@ def test_contact_flag_matches_internal_touch(name, noise):
     cfg = RunConfig()
     geo = cfg.geometry
     gen = generate_synthetic_trace(ScenarioSpec(name, seed=1, noise=noise))
-    cache = GeometryCache(cfg)
+    cache = GeometryCache(gen.trace.frames, cfg)
     compared = 0
-    for frame in gen.trace.frames:
-        states = {o.id: cache.state(o) for o in frame.objects}
-        contacts = cache.contacts(states)
+    for f_idx, frame in enumerate(gen.trace.frames):
+        states = {o.id: cache.state(o.id, f_idx) for o in frame.objects}
+        contacts = cache.contacts(f_idx)
         ids = sorted(states)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:

@@ -1,0 +1,210 @@
+"""The per-trace track table of ``GeometryCache`` against fresh per-frame
+geometry, and the memory of the whole pipeline on dense clouds."""
+
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from manipsem import events, relations
+from manipsem.config import RunConfig
+from manipsem.events import Frame, GeometryCache, ObjectInstance, SceneTrace
+from manipsem.geometry import aabb_gap, box_hull, touch
+from manipsem.pipeline import analyze_trace
+from manipsem.relations import ObjectState, _pattern_label
+from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace
+from conftest import box_cloud
+
+NOISY = dict(eps_touch=0.03, delta_move=0.005, delta_rel=0.01, distinguish_in_su="false")
+GROUND = ObjectInstance("table", "table", "ground", None, ((-1, -0.1, -1), (1, 0.0, 1)))
+
+
+def fresh_state(obj, cfg):
+    if obj.points is None:
+        hull = box_hull(*obj.box)
+        return ObjectState(obj.cloud(), hull, hull.aabb())
+    return ObjectState.from_cloud(obj.points, cfg.geometry)
+
+
+def assert_matches_fresh(frames, cfg):
+    """Every state, box, centroid, contact set and containment label the
+    cache gives equals the one computed from scratch for that frame."""
+    cache = GeometryCache(frames, cfg)
+    eps = cfg.geometry.eps_touch
+    centroids = {}
+    for f_idx, frame in enumerate(frames):
+        fresh = {o.id: fresh_state(o, cfg) for o in frame.objects}
+        assert cache.ids[f_idx] == sorted(fresh)
+        for oid, want in fresh.items():
+            got = cache.state(oid, f_idx)
+            where = f"frame {f_idx} object {oid}"
+            assert np.allclose(got.hull.vertices, want.hull.vertices, rtol=0, atol=1e-12), where
+            assert np.allclose(got.hull.face_planes, want.hull.face_planes, rtol=0, atol=1e-12), where
+            for box in (got.aabb, cache.aabb(oid, f_idx)):
+                assert np.array_equal(box.min_corner, want.aabb.min_corner), where
+                assert np.array_equal(box.max_corner, want.aabb.max_corner), where
+            centroids.setdefault(oid, []).append(want.cloud.mean(axis=0))
+            assert cache.seen(oid, f_idx) == len(centroids[oid]), where
+            assert np.array_equal(cache.track(oid, f_idx, 4), centroids[oid][-4:]), where
+        ids = sorted(fresh)
+        want_contacts = set()
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                sa, sb = fresh[a], fresh[b]
+                assert cache.gap(a, b, f_idx) == pytest.approx(aabb_gap(sa.aabb, sb.aabb),
+                                                               rel=0, abs=1e-15)
+                if touch(sa.cloud, sa.hull, sb.cloud, sb.hull, eps, cfg.geometry):
+                    want_contacts.add(frozenset((a, b)))
+        assert cache.contacts(f_idx) == want_contacts, f"frame {f_idx}"
+        for a in ids:
+            for b in ids:
+                if a != b and cache.gap(a, b, f_idx) <= eps:
+                    assert cache.pattern(a, b, f_idx) == _pattern_label(
+                        fresh[a], fresh[b], cfg.relation, cfg.geometry), f"frame {f_idx} {a} {b}"
+    return cache
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenarios_match_fresh_geometry(name):
+    for seed in (1, 2, 3):
+        gen = generate_synthetic_trace(ScenarioSpec(name, seed=seed))
+        assert_matches_fresh(gen.trace.frames, RunConfig())
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_noisy_scenarios_match_fresh_geometry(name):
+    # no cloud is a translation of the one before: nothing is re-used
+    gen = generate_synthetic_trace(ScenarioSpec(name, seed=3, noise=0.01))
+    assert_matches_fresh(gen.trace.frames, RunConfig().with_overrides(**NOISY))
+
+
+def cloud(oid, lo, hi, role="object", per_edge=3):
+    return ObjectInstance(oid, oid, role, box_cloud(lo, hi, per_edge=per_edge), None)
+
+
+def counted_builds(monkeypatch):
+    builds = []
+    from_cloud = ObjectState.from_cloud.__func__
+
+    def counted(cls, points, geo=relations.DEFAULT_GEOMETRY):
+        builds.append(len(points))
+        return from_cloud(cls, points, geo)
+
+    monkeypatch.setattr(ObjectState, "from_cloud", classmethod(counted))
+    return builds
+
+
+def counted_touches(monkeypatch):
+    calls = []
+    real = events.touch
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(events, "touch", counted)
+    return calls
+
+
+def test_point_count_change_rebuilds_once(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    frames = []
+    for k in range(8):
+        shift = np.array([0.01 * k, 0.0, 0.0])
+        per_edge = 3 if k < 4 else 4
+        frames.append(Frame(k / 30.0, (
+            GROUND, ObjectInstance("cup", "cup", "object",
+                                   box_cloud((0, 0, 0), (0.08, 0.1, 0.08), per_edge) + shift, None))))
+    assert_matches_fresh(frames, RunConfig())
+    builds.clear()
+    GeometryCache(frames, RunConfig())
+    assert builds == [27, 57]       # one build per run of rigid steps
+
+
+def test_late_and_vanishing_objects():
+    frames = []
+    for k in range(9):
+        objs = [GROUND, cloud("hand", (0.1 * k / 8, 0.1, 0), (0.1 * k / 8 + 0.08, 0.18, 0.08),
+                              role="hand_left")]
+        if k >= 3:                      # the cup appears late ...
+            objs.append(cloud("cup", (0.1, 0, 0), (0.18, 0.1, 0.08)))
+        if k < 5 or k > 6:              # ... and the box is gone for two frames
+            objs.append(cloud("box", (0.3, 0, 0), (0.4, 0.1, 0.1)))
+        frames.append(Frame(k / 30.0, tuple(objs)))
+    cache = assert_matches_fresh(frames, RunConfig())
+    assert cache.seen("cup", 2) == 0 and cache.seen("cup", 3) == 1
+    assert cache.seen("box", 6) == 5 and cache.seen("box", 8) == 7
+    assert cache.gap("box", "hand", 5) == float("inf")
+
+
+def test_co_moving_pair_reuses_contact_until_it_separates(monkeypatch):
+    touches = counted_touches(monkeypatch)
+    frames = []
+    for k in range(10):
+        carry = np.array([0.02 * k, 0.05 * k, 0.0]) if k < 6 else np.array([0.1, 0.25, 0.0])
+        # the hand rides on the cup, then slides along its top, then lifts off
+        slide = np.array([0.01 * max(0, k - 5), 0.02 * (k == 9), 0.0])
+        frames.append(Frame(k / 30.0, (
+            GROUND,
+            ObjectInstance("cup", "cup", "object",
+                           box_cloud((0, 0.2, 0), (0.08, 0.3, 0.08)) + carry, None),
+            ObjectInstance("hand", "hand", "hand_left",
+                           box_cloud((0, 0.3, 0), (0.08, 0.38, 0.08)) + carry + slide, None))))
+    assert_matches_fresh(frames, RunConfig())
+    touches.clear()
+    cache = GeometryCache(frames, RunConfig())
+    hits = [frozenset(("cup", "hand")) in cache.contacts(k) for k in range(10)]
+    assert hits == [True] * 9 + [False]
+    tested = [args for args in touches if len(args[0]) == len(args[2]) == 27]
+    # one test while the pair moves together, one per sliding frame; the
+    # broad phase rejects the lifted frame
+    assert len(tested) == 1 + 3
+
+
+def test_ground_box_change():
+    boxes = [((-1, -0.1, -1), (1, 0.0, 1))] * 3 + [((-1, -0.1, -1), (1, 0.02, 1))] * 2 \
+        + [((-0.5, -0.1, -1), (1.5, 0.02, 1))] * 2
+    frames = [Frame(k / 30.0, (ObjectInstance("table", "table", "ground", None, box),
+                               cloud("cup", (0, 0.02, 0), (0.08, 0.12, 0.08))))
+              for k, box in enumerate(boxes)]
+    cache = assert_matches_fresh(frames, RunConfig())
+    assert cache.state("table", 0) is cache.state("table", 2)
+    assert cache.state("table", 2) is not cache.state("table", 3)
+    assert cache.contacts(0) == set() and cache.contacts(3) == {frozenset(("cup", "table"))}
+
+
+def dense_trace(frames=30, per_edge=27):
+    cup = box_cloud((0, 0, 0), (0.1, 0.12, 0.1), per_edge=per_edge)
+    hand = box_cloud((0, 0, 0), (0.1, 0.08, 0.1), per_edge=per_edge)
+    out = []
+    for k in range(frames):
+        lift = max(0, k - 10) * 0.01
+        drop = max(0.0, 0.2 - 0.02 * k)
+        out.append(Frame(k / 30.0, (
+            GROUND,
+            ObjectInstance("cup", "cup", "object", cup + [0, 0.001 + lift, 0], None),
+            ObjectInstance("hand", "hand", "hand_left", hand + [0, 0.121 + drop + lift, 0], None))))
+    return SceneTrace(tuple(out), "dense", 30.0)
+
+
+def test_dense_clouds_bounded_memory():
+    """4059-point clouds through load_trace and analyze_trace: memory stays
+    a small multiple of the stacked points, so no per-frame N x M array."""
+    trace = dense_trace()
+    source = io.StringIO(events.dumps_trace(trace))
+    stacked = sum(o.points.nbytes for fr in trace.frames for o in fr.objects
+                  if o.points is not None)
+    tracemalloc.start()
+    try:
+        loaded = events.load_trace(source, "dense")
+        analysis = analyze_trace(loaded, RunConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.frames[0].objects[1].points) == 4059
+    assert analysis.extraction.for_hand("left"), "the hand should touch and lift the cup"
+    # reading the text and its lines is ~4x the stacked points, the stacks
+    # and the track table ~2x more; one 4059 x 4059 float array would
+    # add ~23x
+    assert peak < 8 * stacked, (peak, stacked)

@@ -3,12 +3,15 @@
 
 import io
 import json
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from manipsem import cli
-from manipsem.events import ParseError, TraceError, load_trace
+from manipsem.events import ROLES, ParseError, SchemaError, TraceError, load_trace
+from manipsem.geometry import as_cloud
 from conftest import box_cloud
 
 NAN, INF = float("nan"), float("inf")
@@ -93,11 +96,17 @@ json_values = st.recursive(
 
 
 @st.composite
-def mutated_trace(draw):
-    """A valid trace with one field replaced, deleted or added, at the frame,
+def mutated_trace(draw, n_frames=2, mutations=1):
+    """A valid trace with fields replaced, deleted or added, at the frame,
     object or coordinate level."""
-    frames = valid_frames()
-    frame = frames[draw(st.integers(0, len(frames) - 1))]
+    frames = valid_frames(n_frames)
+    for k in draw(st.lists(st.integers(0, n_frames - 1), min_size=mutations,
+                           max_size=mutations, unique=True)):
+        mutate(draw, frames[k])
+    return text_of(frames)
+
+
+def mutate(draw, frame):
     level = draw(st.sampled_from(("frame", "object", "coordinate")))
     if level == "frame":
         target, keys = frame, ["t", "objects", "extra"]
@@ -112,7 +121,6 @@ def mutated_trace(draw):
         del target[key]
     else:
         target[key] = draw(json_values)
-    return text_of(frames)
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,3 +130,130 @@ def test_field_mutations_load_or_raise_trace_error(text):
         load_trace(io.StringIO(text))
     except TraceError:
         pass
+
+
+# -- the stacked point path against per-object checks -------------------------
+
+def _reference_coords(value, what, lineno):
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError("expected a list of [x, y, z] numbers")
+        return as_cloud(arr)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what}: {exc}", lineno) from exc
+
+
+def _reference_object(rec, lineno):
+    if not isinstance(rec, dict):
+        raise SchemaError("object record must be a mapping", lineno)
+    unknown = set(rec) - {"id", "label", "role", "points", "box"}
+    if unknown:
+        raise SchemaError(f"unknown object field(s) {sorted(unknown)}", lineno)
+    for key in ("id", "label", "role"):
+        if key not in rec:
+            raise SchemaError(f"object missing field {key!r}", lineno)
+    for key in ("id", "label"):
+        if not isinstance(rec[key], str):
+            raise SchemaError(f"object {key} must be a string", lineno)
+    role = rec["role"]
+    if role not in ROLES:
+        raise SchemaError(f"unknown role {role!r}", lineno)
+    points, box = rec.get("points"), rec.get("box")
+    if role == "ground":
+        if box is None and points is None:
+            raise SchemaError("ground needs box or points", lineno)
+    elif points is None:
+        raise SchemaError(f"object {rec['id']!r} missing points", lineno)
+    pts = None
+    if points is not None:
+        pts = _reference_coords(points, f"object {rec['id']!r} points", lineno)
+        need = 1 if role == "ground" else 4
+        if pts.shape[0] < need:
+            raise SchemaError(f"object {rec['id']!r} has < {need} points", lineno)
+    if box is not None:
+        corners = _reference_coords(box, "ground box", lineno)
+        if corners.shape[0] != 2:
+            raise SchemaError("ground box must be [[min x, y, z], [max x, y, z]]", lineno)
+        if np.any(corners[1] <= corners[0]):
+            raise SchemaError("ground box needs max > min on every axis", lineno)
+        box = (tuple(corners[0].tolist()), tuple(corners[1].tolist()))
+    return rec["id"], role, None if pts is None else pts.tolist(), box
+
+
+def reference_objects(text):
+    """Objects per frame, each object's points converted and checked on its
+    own line, as the parser did before points were stacked."""
+    frames = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(lineno, f"bad JSON: {exc.msg}") from exc
+        if not isinstance(rec, dict):
+            raise SchemaError("frame record must be a mapping", lineno)
+        unknown = set(rec) - {"t", "objects"}
+        if unknown:
+            raise SchemaError(f"unknown frame field(s) {sorted(unknown)}", lineno)
+        if "t" not in rec or "objects" not in rec:
+            raise SchemaError("frame needs fields t and objects", lineno)
+        t = rec["t"]
+        if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
+            raise SchemaError("t must be a finite number", lineno)
+        if not isinstance(rec["objects"], list):
+            raise SchemaError("objects must be a list", lineno)
+        objects = [_reference_object(o, lineno) for o in rec["objects"]]
+        roles = [role for _, role, _, _ in objects]
+        for unique_role in ("hand_left", "hand_right", "ground"):
+            if roles.count(unique_role) > 1:
+                raise SchemaError(f"duplicate {unique_role} in frame", lineno)
+        if len({oid for oid, _, _, _ in objects}) != len(objects):
+            raise SchemaError("duplicate object id in frame", lineno)
+        frames.append(objects)
+    return frames
+
+
+def outcome(parse, text):
+    try:
+        return ("ok", parse(text))
+    except TraceError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def loaded_objects(text):
+    trace = load_trace(io.StringIO(text))
+    return [[(o.id, o.role, None if o.points is None else o.points.tolist(), o.box)
+             for o in fr.objects] for fr in trace.frames]
+
+
+def boolean_frames(kind):
+    """A frame whose cup points, or whose ground box, are JSON booleans
+    between frames where they are numbers."""
+    frames = valid_frames(3)
+    for fr in frames:
+        fr["objects"][0]["box"] = [[0, 0, 0], [1, 1, 1]]
+    if kind == "points":
+        frames[1]["objects"][1]["points"] = [[True, False, True]] * 9
+    else:
+        frames[1]["objects"][0]["box"] = [[False, False, False], [True, True, True]]
+    return text_of(frames)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_trace(n_frames=4, mutations=3))
+@example(boolean_frames("points"))
+@example(boolean_frames("box"))
+def test_stacked_points_match_per_object_checks(text):
+    """Points stacked per run give the values, and the first error, of
+    checking each object's points on its own line."""
+    want = outcome(reference_objects, text)
+    if want[0] == "ok":
+        try:
+            load_trace(io.StringIO(text))
+        except TraceError as exc:      # label/role re-binding or timestamps
+            assert not isinstance(exc, ParseError) and "points" not in str(exc)
+            return
+    assert repr(outcome(loaded_objects, text)) == repr(want)
