@@ -262,6 +262,23 @@ def _decode(data: bytes) -> str:
                          f"not UTF-8: {exc.reason}") from exc
 
 
+def _lines(text: str):
+    """The lines of ``text``, split at "\\n" only, one at a time.
+
+    ``str.splitlines`` also splits at U+2028, U+2029 and \\x85, which a
+    JSON string may hold raw, and at \\x0b, \\x0c and \\x1c-\\x1e; and
+    it copies the whole text into a list.  A "\\r" before the "\\n" is
+    stripped with the line's other outer whitespace.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield text[start:end]
+        start = end + 1
+
+
 def load_trace(source, trace_id: str | None = None) -> SceneTrace:
     """Parse a trace from a path, text, or byte stream.
 
@@ -280,11 +297,12 @@ def load_trace(source, trace_id: str | None = None) -> SceneTrace:
             raise ParseError(None, f"cannot read {source}: {exc.strerror or exc}") from exc
         text = _decode(data)
         name = trace_id or os.path.splitext(os.path.basename(str(source)))[0]
+    del data  # the parser reads only the text
 
     stacker = _Stacker()
     parsed: list[tuple[float, list]] = []
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(_lines(text), start=1):
             line = raw.strip()
             if not line:
                 continue

@@ -10,12 +10,15 @@ Conventions used throughout:
     outside none, Exterior otherwise.
 
 Hulls are built with a gift-wrapping sweep: faces are discovered one
-supporting plane at a time by rotating around exposed boundary edges.
-Coplanar point sets are gathered into a single polygon facet and
-fan-triangulated so that square faces (boxes are everywhere in this domain)
-come out as a closed, consistently oriented triangle surface.  Each facet
-contributes one plane row, shared by all of its triangles; the triangles
-are kept for volume, Euler and edge checks.
+supporting plane at a time by rotating around exposed boundary edges, each
+step reading the cloud relative to the edge's first point.  Coplanar point
+sets are gathered into a single polygon facet (boxes are everywhere in this
+domain) with one plane row; a facet of three points takes its loop from one
+orientation sign, a larger one from a 2-D chain.  The wrap keeps each
+facet's boundary loop, and the closed, consistently oriented triangle
+surface that volume, Euler and edge checks read is built from the loops on
+the first read of ``ConvexHull.faces``: the pipeline reads only vertices,
+planes and boxes.
 """
 
 from __future__ import annotations
@@ -75,23 +78,38 @@ class Aabb:
         return (self.max_corner + self.min_corner) / 2.0
 
 
-@dataclass(frozen=True)
 class ConvexHull:
-    """Triangulated boundary surface of a point cloud.
+    """Boundary surface of a point cloud.
 
     vertices        (V, 3) coordinates of hull vertices (a subset of the input cloud)
     vertex_indices  (V,) index of each vertex in the original input sequence
-    faces           (F, 3) triangles as indices into ``vertices``, outward CCW
+    faces           (F, 3) triangles as indices into ``vertices``, outward CCW;
+                    a wrapped hull keeps each facet's boundary loop and builds
+                    the triangles from the loops on first read
     face_planes     (P, 4) rows (a, b, c, d), unit outward normals, one row
                     per polygon facet (a box has 6 rows and 12 triangles)
     degenerate      True when this hull is an inflated-box stand-in for a flat cloud
     """
 
-    vertices: np.ndarray
-    vertex_indices: np.ndarray
-    faces: np.ndarray
-    face_planes: np.ndarray
-    degenerate: bool = False
+    __slots__ = ("vertices", "vertex_indices", "face_planes", "degenerate",
+                 "_faces", "_facets")
+
+    def __init__(self, vertices: np.ndarray, vertex_indices: np.ndarray,
+                 faces: np.ndarray | None, face_planes: np.ndarray,
+                 degenerate: bool = False):
+        self.vertices = vertices
+        self.vertex_indices = vertex_indices
+        self.face_planes = face_planes
+        self.degenerate = degenerate
+        self._faces = faces
+        # (facet loops, sorted vertex ids) of a wrapped hull, see _wrap
+        self._facets = None
+
+    @property
+    def faces(self) -> np.ndarray:
+        if self._faces is None:
+            self._faces = _triangulate_facets(*self._facets)
+        return self._faces
 
     def aabb(self) -> Aabb:
         return Aabb(self.vertices.min(axis=0), self.vertices.max(axis=0))
@@ -101,8 +119,10 @@ class ConvexHull:
         delta = np.asarray(delta, dtype=np.float64)
         planes = self.face_planes.copy()
         planes[:, 3] -= planes[:, :3] @ delta
-        return ConvexHull(self.vertices + delta, self.vertex_indices,
-                          self.faces, planes, self.degenerate)
+        moved = ConvexHull(self.vertices + delta, self.vertex_indices,
+                           self._faces, planes, self.degenerate)
+        moved._facets = self._facets
+        return moved
 
 
 def as_cloud(points) -> np.ndarray:
@@ -133,11 +153,37 @@ def aabb_gap(a: Aabb, b: Aabb) -> float:
     return float(np.linalg.norm(gaps))
 
 
+# Float-tuple 3-vectors: the wrap's per-facet vectors and the GJK simplex are
+# a handful of (x, y, z) tuples, where numpy's per-call overhead would
+# dominate the arithmetic.
 
-def _cross3(a, b):
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _along(a, t, d):
+    """a + t * d."""
+    return (a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2])
+
+
+def _unit(a):
+    s = math.sqrt(_dot(a, a))
+    return (a[0] / s, a[1] / s, a[2] / s)
+
+
+def _toward(n, hint):
+    """``n`` or ``-n``, whichever is on the side of ``hint``."""
+    return n if _dot(n, hint) >= 0 else (-n[0], -n[1], -n[2])
 
 
 def _cross_rows(a, rows):
@@ -147,22 +193,21 @@ def _cross_rows(a, rows):
     out[:, 2] = a[0] * rows[:, 1] - a[1] * rows[:, 0]
     return out
 
+
 def _perp(vecs, e):
     return vecs - np.outer(vecs @ e, e)
 
 
-def _perp1(vec, e):
-    return vec - (vec @ e) * e
+def _pivot(rel, e, v, u):
+    """Rotate a half-plane hinged on the line through the origin along ``e``
+    and return the index of the point it meets first, or None if no
+    candidate exists.
 
-
-def _pivot(pts, anchor, e, v, u):
-    """Rotate a half-plane hinged on the (anchor, e) line and return the
-    index of the point it meets first, or None if no candidate exists.
-
-    ``v`` is the outward normal of the supporting plane we rotate away from,
-    ``u`` points away from that plane's side, both orthogonal to ``e``.
+    ``rel`` holds the cloud relative to a point of the line.  ``v`` is the
+    outward normal of the supporting plane we rotate away from, ``u`` points
+    away from that plane's side, both orthogonal to ``e``.
     """
-    w = _perp(pts - anchor, e)
+    w = _perp(rel, e)
     wu = w @ u
     wv = w @ v
     ok = (np.einsum("ij,ij->i", w, w) > _EPS_LINE ** 2)
@@ -173,18 +218,18 @@ def _pivot(pts, anchor, e, v, u):
     return int(np.argmax(theta))
 
 
-def _face_plane(pts, members, anchor, hint):
-    """Well-conditioned unit plane through the coplanar member set."""
-    rel = pts[members] - anchor
+def _perp1(vec, e):
+    """Component of ``vec`` orthogonal to the unit vector ``e``."""
+    return _along(vec, -_dot(vec, e), e)
+
+
+def _face_normal(rel, hint):
+    """Well-conditioned unit normal of coplanar rows given relative to one
+    of them, turned to the side of ``hint``."""
     i1 = int(np.argmax(np.einsum("ij,ij->i", rel, rel)))
-    q1 = rel[i1]
-    crosses = _cross_rows(q1, rel)
+    crosses = _cross_rows(rel[i1], rel)
     i2 = int(np.argmax(np.einsum("ij,ij->i", crosses, crosses)))
-    n = crosses[i2]
-    n = n / np.linalg.norm(n)
-    if n @ hint < 0:
-        n = -n
-    return n, float(-(n @ anchor))
+    return _toward(_unit(crosses[i2].tolist()), hint)
 
 
 def _chain_2d(coords):
@@ -287,6 +332,48 @@ def _triangulate_convex_loop(loop, flat):
     return [tuple(t) for t in tris]
 
 
+def _triangulate_facets(facets, vert_ids) -> np.ndarray:
+    """Triangles of the stored facet loops, as indices into the vertices."""
+    tris = []
+    for loop, chart in facets:
+        if chart is None:
+            tris.append(loop)
+        else:
+            ids, coords = chart
+            tris.extend(_triangulate_convex_loop(loop, dict(zip(ids, coords.tolist()))))
+    remap = {old: new for new, old in enumerate(vert_ids)}
+    return np.array([[remap[a] for a in tri] for tri in tris], dtype=np.intp)
+
+
+def _triangle_loop(rows, ids, nrm):
+    """CCW loop of a three-point facet from one orientation sign, or None
+    when the triple is too thin to decide here and must go through
+    ``_chain_2d`` (which refuses a collinear one).
+
+    The margin of twice the chain's collinearity tolerance covers the
+    rounding between this 3-D triple product and the chain's in-plane
+    coordinates for clouds within ~1 km of the origin.
+    """
+    a, b, c = ids
+    turn = _dot(_cross(_sub(rows[b], rows[a]), _sub(rows[c], rows[a])), nrm)
+    if turn > 2 * _EPS_LINE:
+        return [a, b, c]
+    if turn < -2 * _EPS_LINE:
+        return [a, c, b]
+    return None
+
+
+def _dedupe(pts):
+    """Distinct rows in lexicographic order and the index of each one's first
+    occurrence, as ``np.unique(pts, axis=0, return_index=True)`` gives them
+    (lexsort is stable and, like it, equates -0.0 with 0.0)."""
+    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
+    srt = pts[order]
+    first = np.ones(len(srt), dtype=bool)
+    np.any(srt[1:] != srt[:-1], axis=1, out=first[1:])
+    return srt[first], order[first]
+
+
 def compute_convex_hull(points) -> ConvexHull:
     """Wrap the convex hull of a 3D cloud.
 
@@ -294,88 +381,94 @@ def compute_convex_hull(points) -> ConvexHull:
     coplanar/collinear cloud; callers wanting a box proxy instead should
     use :func:`hull_with_fallback`.
     """
-    pts_in = as_cloud(points)
+    return _wrap(as_cloud(points))
+
+
+def _wrap(pts_in: np.ndarray) -> ConvexHull:
+    """compute_convex_hull of a cloud already checked by :func:`as_cloud`."""
     if pts_in.shape[0] == 0:
         raise EmptyCloud("no points")
-    uniq, first_idx = np.unique(pts_in, axis=0, return_index=True)
-    if uniq.shape[0] < 4:
-        raise DegenerateCloud(f"need >= 4 distinct points, got {uniq.shape[0]}")
-    centered = uniq - uniq.mean(axis=0)
+    pts, first_idx = _dedupe(pts_in)
+    if pts.shape[0] < 4:
+        raise DegenerateCloud(f"need >= 4 distinct points, got {pts.shape[0]}")
+    centered = pts - pts.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[2] <= max(_EPS_PLANE, 1e-12 * sv[0]):
         raise DegenerateCloud("cloud is coplanar or collinear")
 
-    pts = uniq
     n_pts = pts.shape[0]
-    faces: list[tuple[int, int, int]] = []
+    rows = pts.tolist()
+    # per facet its CCW loop rooted at the smallest id, and for a polygon
+    # (more than three members) the in-plane chart the triangulation reads
+    facets: list[tuple[list[int], tuple | None]] = []
     planes: list[tuple[float, float, float, float]] = []
     used: set[tuple[int, int]] = set()
     pending: deque = deque()
 
-    def emit_face(seed_normal, anchor):
-        nrm_hint = seed_normal / np.linalg.norm(seed_normal)
-        d_hint = float(-(nrm_hint @ anchor))
-        dist = pts @ nrm_hint + d_hint
-        members = np.flatnonzero(np.abs(dist) <= _EPS_PLANE)
-        nrm, d = _face_plane(pts, members, anchor, nrm_hint)
-        dist = pts @ nrm + d
+    def emit_face(seed_normal, i, rel):
+        """Facet through pts[i] near the plane of ``seed_normal``; ``rel`` is
+        the cloud relative to pts[i]."""
+        hint = _unit(seed_normal)
+        members = np.flatnonzero(np.abs(rel @ hint) <= _EPS_PLANE)
+        if len(members) == 3:
+            # the anchor is a member: the normal is the other two's cross
+            q1, q2 = (_sub(rows[k], rows[i]) for k in members.tolist() if k != i)
+            nrm = _toward(_unit(_cross(q1, q2)), hint)
+        else:
+            nrm = _face_normal(rel[members], hint)
+        dist = rel @ nrm
         if dist.max() > _EPS_PLANE:
             raise GeometryError("wrapping produced a non-supporting plane")
         members = np.flatnonzero(np.abs(dist) <= _EPS_PLANE)
-        # polygon boundary in an in-plane basis, CCW around the outward normal
-        t1 = pts[members[int(np.argmax(np.linalg.norm(pts[members] - anchor, axis=1)))]] - anchor
-        t1 = t1 / np.linalg.norm(t1)
-        t2 = _cross3(nrm, t1)
-        rel = pts[members] - anchor
-        coords = np.stack([rel @ t1, rel @ t2], axis=1)
         ids = members.tolist()
-        loop = [ids[k] for k in _chain_2d(coords)]
-        if len(loop) < 3:
-            raise GeometryError("degenerate face polygon")
-        # stable orientation-preserving triangulation; a plain fan would emit
-        # zero-area triangles when boundary runs contain collinear points.
-        # The loop is rooted at its lexicographically smallest point: pts
-        # rows are sorted that way, so that is the smallest index.
-        root_pos = loop.index(min(loop))
-        loop = loop[root_pos:] + loop[:root_pos]
-        flat = dict(zip(ids, coords.tolist()))
-        faces.extend(_triangulate_convex_loop(loop, flat))
-        planes.append((*nrm.tolist(), d))
+        loop = _triangle_loop(rows, ids, nrm) if len(ids) == 3 else None
+        if loop is not None:
+            facets.append((loop, None))
+        else:
+            # polygon boundary in an in-plane basis, CCW around the outward normal
+            rel_m = rel[members]
+            t1 = _unit(rel_m[int(np.argmax(np.einsum("ij,ij->i", rel_m, rel_m)))].tolist())
+            coords = rel_m @ np.array((t1, _cross(nrm, t1))).T
+            loop = [ids[k] for k in _chain_2d(coords)]
+            if len(loop) < 3:
+                raise GeometryError("degenerate face polygon")
+            # the triangulation, built on first read of ``faces``, is
+            # rooted at the loop's lexicographically smallest point: pts
+            # rows are sorted that way, so that is the smallest index
+            root_pos = loop.index(min(loop))
+            loop = loop[root_pos:] + loop[:root_pos]
+            facets.append((loop, (ids, coords)))
+        planes.append((*nrm, -_dot(nrm, rows[i])))
         for k in range(len(loop)):
-            i, j = loop[k], loop[(k + 1) % len(loop)]
-            used.add((i, j))
-            if (j, i) not in used:
-                pending.append((j, i, nrm))
+            a, b = loop[k], loop[(k + 1) % len(loop)]
+            used.add((a, b))
+            if (b, a) not in used:
+                pending.append((b, a, nrm))
 
-    # Bootstrap in two pivots: uniq rows are lexicographically sorted, so
+    # Bootstrap in two pivots: pts rows are lexicographically sorted, so
     # pts[0] minimizes (x, y, z) and the vertical line through it admits a
     # supporting plane.  Rotating away from the virtual plane x = x_min
     # yields a genuine hull edge; rotating around that edge yields the
     # first face (unless the edge's supporting plane already holds one).
-    anchor0 = pts[0]
-    e0 = np.array([0.0, 0.0, 1.0])
-    v0 = np.array([-1.0, 0.0, 0.0])
-    u0 = _cross3(v0, e0)
-    r0 = _pivot(pts, anchor0, e0, v0, u0)
+    rel0 = pts - pts[0]
+    e0 = (0.0, 0.0, 1.0)
+    v0 = (-1.0, 0.0, 0.0)
+    r0 = _pivot(rel0, e0, v0, _cross(v0, e0))
     if r0 is None:
         raise DegenerateCloud("cloud is collinear")
-    w0 = _perp1(pts[r0] - anchor0, e0)
-    n1 = _cross3(e0, w0)
-    n1 = n1 / np.linalg.norm(n1)
-    e1 = pts[r0] - anchor0
-    e1 = e1 / np.linalg.norm(e1)
-    offset = _perp(pts - anchor0, e1)
+    q0 = _sub(rows[r0], rows[0])
+    n1 = _unit(_cross(e0, _perp1(q0, e0)))
+    e1 = _unit(q0)
+    offset = _perp(rel0, e1)
     off_line = np.einsum("ij,ij->i", offset, offset) > _EPS_LINE ** 2
-    on_plane = np.abs((pts - anchor0) @ n1) <= _EPS_PLANE
+    on_plane = np.abs(rel0 @ n1) <= _EPS_PLANE
     if np.any(off_line & on_plane):
-        emit_face(n1, anchor0)
+        emit_face(n1, 0, rel0)
     else:
-        u1 = _cross3(n1, e1)
-        r1 = _pivot(pts, anchor0, e1, n1, u1)
+        r1 = _pivot(rel0, e1, n1, _cross(n1, e1))
         if r1 is None:
             raise DegenerateCloud("cloud is collinear")
-        w1 = _perp1(pts[r1] - anchor0, e1)
-        emit_face(_cross3(e1, w1), anchor0)
+        emit_face(_cross(e1, _perp1(_sub(rows[r1], rows[0]), e1)), 0, rel0)
 
     guard = 0
     while pending:
@@ -385,24 +478,18 @@ def compute_convex_hull(points) -> ConvexHull:
         i, j, n_known = pending.popleft()
         if (i, j) in used:
             continue
-        e = pts[j] - pts[i]
-        e = e / np.linalg.norm(e)
-        u = _cross3(n_known, e)
-        r = _pivot(pts, pts[i], e, n_known, u)
+        rel = pts - pts[i]
+        e = _unit(_sub(rows[j], rows[i]))
+        r = _pivot(rel, e, n_known, _cross(n_known, e))
         if r is None:
             raise GeometryError("no supporting plane found at an open edge")
-        w = _perp1(pts[r] - pts[i], e)
-        emit_face(_cross3(e, w), pts[i])
+        emit_face(_cross(e, _perp1(_sub(rows[r], rows[i]), e)), i, rel)
 
-    vert_ids = sorted({i for tri in faces for i in tri})
-    remap = {old: new for new, old in enumerate(vert_ids)}
-    tris = np.array([[remap[a] for a in tri] for tri in faces], dtype=np.intp)
-    return ConvexHull(
-        vertices=pts[vert_ids],
-        vertex_indices=first_idx[vert_ids],
-        faces=tris,
-        face_planes=np.array(planes, dtype=np.float64),
-    )
+    vert_ids = sorted({k for loop, _ in facets for k in loop})
+    hull = ConvexHull(pts[vert_ids], first_idx[vert_ids], None,
+                      np.array(planes, dtype=np.float64))
+    hull._facets = (facets, vert_ids)
+    return hull
 
 
 def box_hull(min_corner, max_corner, degenerate: bool = False) -> ConvexHull:
@@ -442,12 +529,15 @@ def hull_with_fallback(points, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> Convex
     Axes with (near-)zero extent are inflated by eps_touch so thin sheets
     still participate in touch and relation tests; the result is flagged.
     """
+    return checked_hull_with_fallback(as_cloud(points), cfg)
+
+
+def checked_hull_with_fallback(pts: np.ndarray,
+                               cfg: GeometryConfig = DEFAULT_GEOMETRY) -> ConvexHull:
+    """:func:`hull_with_fallback` of a cloud already checked by :func:`as_cloud`."""
     try:
-        return compute_convex_hull(points)
+        return _wrap(pts)
     except DegenerateCloud:
-        pts = as_cloud(points)
-        if pts.shape[0] == 0:
-            raise
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         pad = np.where(hi - lo < cfg.eps_touch, cfg.eps_touch / 2.0, 0.0)
         return box_hull(lo - pad, hi + pad, degenerate=True)
@@ -527,21 +617,8 @@ def relation_matrix(cloud_a, hull_a: ConvexHull, cloud_b, hull_b: ConvexHull,
 # ---------------------------------------------------------------------------
 # GJK distance between two convex vertex sets
 # ---------------------------------------------------------------------------
-# Simplex points are (x, y, z) float tuples: the simplex holds at most four
-# 3-vectors, where numpy's per-call overhead dominates the arithmetic.
-
-def _sub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _along(a, t, d):
-    """a + t * d."""
-    return (a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2])
-
+# Simplex points are float tuples (helpers above): the simplex holds at most
+# four 3-vectors.
 
 def _closest_on_segment(a, b):
     ab = _sub(b, a)

@@ -26,8 +26,7 @@ from .geometry import (
     DEFAULT_GEOMETRY,
     aabb_gap,
     as_cloud,
-    compute_aabb,
-    hull_with_fallback,
+    checked_hull_with_fallback,
     relation_matrix,
     touch,
 )
@@ -104,7 +103,9 @@ class ObjectState:
     @classmethod
     def from_cloud(cls, points, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> "ObjectState":
         pts = as_cloud(points)
-        return cls(pts, hull_with_fallback(pts, cfg), compute_aabb(pts))
+        # an empty cloud raises EmptyCloud in the wrap, before the box
+        hull = checked_hull_with_fallback(pts, cfg)
+        return cls(pts, hull, Aabb(pts.min(axis=0), pts.max(axis=0)))
 
 
 def _interval_overlap(lo_a, hi_a, lo_b, hi_b) -> float:

@@ -188,3 +188,32 @@ def test_relation_config_validation():
         RelationConfig(theta_near=0.0)
     with pytest.raises(ValueError):
         RelationConfig(window=1)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_from_cloud_checks_its_cloud_once(monkeypatch, flat):
+    """The hull, its box fallback and the AABB take the array ``as_cloud``
+    already checked; the state equals one built by the public functions."""
+    from manipsem import geometry, relations
+
+    cloud = box_cloud((0, 0, 0), (1, 1, 1), 3)
+    if flat:
+        cloud[:, 1] = 0.0
+    calls, check = [], geometry.as_cloud
+
+    def counted(points):
+        calls.append(1)
+        return check(points)
+
+    monkeypatch.setattr(relations, "as_cloud", counted)
+    monkeypatch.setattr(geometry, "as_cloud", counted)
+    got = ObjectState.from_cloud(cloud.tolist())
+    assert len(calls) == 1
+    monkeypatch.undo()
+    want = geometry.hull_with_fallback(cloud)
+    assert got.hull.degenerate == flat == want.degenerate
+    assert np.array_equal(got.hull.vertices, want.vertices)
+    assert np.array_equal(got.hull.face_planes, want.face_planes)
+    box = geometry.compute_aabb(cloud)
+    assert np.array_equal(got.aabb.min_corner, box.min_corner)
+    assert np.array_equal(got.aabb.max_corner, box.max_corner)

@@ -87,6 +87,41 @@ def test_non_utf8_byte_stream_is_parse_error():
         load_trace(io.BytesIO(data))
 
 
+def raw_text_with_label(label, n=3):
+    """Frames whose cup label is ``label``, written with its characters raw."""
+    frames = valid_frames(n)
+    for fr in frames:
+        fr["objects"][1]["label"] = label
+    return [json.dumps(fr, ensure_ascii=False) for fr in frames]
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+def test_raw_line_break_character_in_label_loads(char):
+    lines = raw_text_with_label(f"cup{char}lid")
+    assert char in lines[0]
+    trace = load_trace(io.StringIO("\r\n".join(lines) + "\r\n"))
+    assert [fr.objects[1].label for fr in trace.frames] == [f"cup{char}lid"] * 3
+
+
+def test_line_number_after_raw_line_break_character():
+    lines = raw_text_with_label("cup\u2028lid")
+    lines[2] = lines[2][:-1]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError, match="line 3: bad JSON"):
+        load_trace(io.StringIO(text))
+    # the UTF-8 error path counts the same lines
+    data = text.encode("utf-8").replace(lines[2].encode("utf-8"), b"\xff")
+    with pytest.raises(ParseError, match="line 3: not UTF-8"):
+        load_trace(io.BytesIO(data))
+
+
+def test_raw_control_character_is_refused_on_its_line():
+    lines = raw_text_with_label("cup")
+    lines[1] = lines[1].replace('"cup"', '"c\x0bup"')
+    with pytest.raises(ParseError, match="line 2: bad JSON: Invalid control character"):
+        load_trace(io.StringIO("\n".join(lines)))
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
@@ -185,7 +220,7 @@ def reference_objects(text):
     """Objects per frame, each object's points converted and checked on its
     own line, as the parser did before points were stacked."""
     frames = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
