@@ -5,7 +5,9 @@ full hull classifier and once in the legacy box mode, against constructed
 ground truth.  Object states come from one
 :class:`~manipsem.events.GeometryCache` over a trace's evaluated frames,
 the same geometry path extraction uses, so a static object's hull is
-built once per trace.  The report
+built once per trace, and the hull classifier reads the cache's pair
+memos: a pair's intersection matrix and contact test are computed once
+for both orders and re-used while its relative pose holds.  The report
 carries per-model accuracy, confusion counts, and flags saying which
 containment-style labels each model managed to produce at all: the box
 model cannot express them.
@@ -97,9 +99,9 @@ def evaluate_trace(trace: SceneTrace, relations, cfg: RunConfig | None = None) -
             if gt.a not in present or gt.b not in present:
                 continue
             rep.total += 1
+            sa, sb, memo = cache.state(gt.a, k), cache.state(gt.b, k), cache.pair(gt.a, gt.b, k)
             for mode in MODES:
-                pred = classify_ssr(cache.state(gt.a, k), cache.state(gt.b, k), cfg.relation,
-                                    cfg.geometry, mode=mode)
+                pred = classify_ssr(sa, sb, cfg.relation, cfg.geometry, mode=mode, memo=memo)
                 rep.confusion[mode][(gt.label.value, pred.value)] += 1
                 if pred in PATTERN_LABELS:
                     rep.emitted[mode][pred.value] += 1

@@ -80,8 +80,10 @@ def cmd_relations(args) -> int:
             for b in ids[i + 1:]:
                 touching = frozenset((a, b)) in contacts
                 sa, sb = cache.state(a, f_idx), cache.state(b, f_idx)
-                ssr_ab = classify_ssr(sa, sb, cfg.relation, cfg.geometry, touching=touching)
-                ssr_ba = classify_ssr(sb, sa, cfg.relation, cfg.geometry, touching=touching)
+                ssr_ab = classify_ssr(sa, sb, cfg.relation, cfg.geometry, touching=touching,
+                                      memo=cache.pair(a, b, f_idx))
+                ssr_ba = classify_ssr(sb, sa, cfg.relation, cfg.geometry, touching=touching,
+                                      memo=cache.pair(b, a, f_idx))
                 dsr = ""
                 if f_idx + 1 > window:
                     # centroids of the frames f_idx - window .. f_idx each appears in

@@ -105,10 +105,30 @@ _EVT_KEYS = {f.name for f in fields(EventConfig)}
 CONFIG_ENV_VAR = "MANIPSEM_CONFIG"
 
 
+def split_lines(text: str):
+    """The lines of ``text``, split at "\\n" only, one at a time: the line
+    splitting of every text format the package reads (traces, config,
+    templates, the action library).
+
+    ``str.splitlines`` also splits at U+2028, U+2029 and \\x85, which a
+    value or a JSON string may hold raw, and at \\x0b, \\x0c and
+    \\x1c-\\x1e; and it copies the whole text into a list.  A "\\r"
+    before the "\\n" is left to the caller, which strips it with the
+    line's other outer whitespace.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield text[start:end]
+        start = end + 1
+
+
 def parse_config_text(text: str) -> dict:
     """Parse the ``key = value`` config format. '#' starts a comment."""
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

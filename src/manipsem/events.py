@@ -30,10 +30,10 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .actions import AIR, GROUND, AtomicAction, Primitive, Snippet, Subject
-from .config import RunConfig
-from .geometry import Aabb, as_cloud, box_hull, touch
+from .config import RunConfig, split_lines
+from .geometry import Aabb, RelMatrix, as_cloud, box_hull, touch
 from .relations import (FOOTPRINT_MARGIN, DsrLabel, ObjectState, SsrLabel, _pattern_label,
-                        classify_dsr, classify_ssr, footprint_overlap)
+                        classify_dsr, classify_ssr, footprint_overlap, pattern_matrix)
 
 ROLES = ("hand_left", "hand_right", "object", "ground")
 HAND_ROLES = {"hand_left": "left", "hand_right": "right"}
@@ -262,23 +262,6 @@ def _decode(data: bytes) -> str:
                          f"not UTF-8: {exc.reason}") from exc
 
 
-def _lines(text: str):
-    """The lines of ``text``, split at "\\n" only, one at a time.
-
-    ``str.splitlines`` also splits at U+2028, U+2029 and \\x85, which a
-    JSON string may hold raw, and at \\x0b, \\x0c and \\x1c-\\x1e; and
-    it copies the whole text into a list.  A "\\r" before the "\\n" is
-    stripped with the line's other outer whitespace.
-    """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start)
-        if end < 0:
-            end = len(text)
-        yield text[start:end]
-        start = end + 1
-
-
 def load_trace(source, trace_id: str | None = None) -> SceneTrace:
     """Parse a trace from a path, text, or byte stream.
 
@@ -302,7 +285,7 @@ def load_trace(source, trace_id: str | None = None) -> SceneTrace:
     stacker = _Stacker()
     parsed: list[tuple[float, list]] = []
     try:
-        for lineno, raw in enumerate(_lines(text), start=1):
+        for lineno, raw in enumerate(split_lines(text), start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -490,10 +473,12 @@ class GeometryCache:
     object's ``box`` or its cloud, and translated, on request, only where
     the track moved; a static ground box is thus built once.  Per object
     pair, the broad-phase gap of every frame is computed in one pass, and
-    the pair's narrow-phase contact and containment results are re-used
-    while both objects have only moved by one common shift since they
-    were computed: the pair's relative pose, and with it the answer, is
-    then the same.
+    the pair's narrow-phase contact test and intersection matrix are
+    re-used while both objects have only moved by one common shift since
+    they were computed: the pair's relative pose, and with it the answer,
+    is then the same.  Both are kept per unordered pair: contact is
+    symmetric, and the matrix of the other order is the same matrix with
+    its rows swapped.
     """
 
     def __init__(self, frames, cfg: RunConfig):
@@ -509,8 +494,9 @@ class GeometryCache:
                 if seg not in tr.anchor:
                     tr.anchor[seg] = (r, self._build(tr.objects[r], tr.clouds[r]))
         self._gaps: dict[tuple[str, str], list[float]] = {}
+        # per unordered pair (ids in order): (frame computed, answer)
         self._touch: dict[tuple[str, str], tuple[int, bool]] = {}
-        self._pattern: dict[tuple[str, str], tuple[int, SsrLabel | None]] = {}
+        self._matrix: dict[tuple[str, str], tuple[int, RelMatrix]] = {}
 
     def _build(self, obj: ObjectInstance, cloud: np.ndarray) -> ObjectState:
         if obj.points is None:
@@ -582,29 +568,60 @@ class GeometryCache:
         out: set[frozenset] = set()
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                if self.gap(a, b, f_idx) > eps:
-                    continue
-                last = self._touch.get((a, b))
-                if last is not None and self._pose_kept(a, b, last[0], f_idx):
-                    hit = last[1]
-                else:
-                    sa, sb = self.state(a, f_idx), self.state(b, f_idx)
-                    hit = touch(sa.cloud, sa.hull, sb.cloud, sb.hull, eps, self.cfg.geometry)
-                    self._touch[(a, b)] = (f_idx, hit)
-                if hit:
+                if self.gap(a, b, f_idx) <= eps and self.touching(a, b, f_idx):
                     out.add(frozenset((a, b)))
         return out
+
+    def touching(self, a: str, b: str, f_idx: int) -> bool:
+        """``geometry.touch`` of the two objects in frame ``f_idx``."""
+        key = (a, b) if a < b else (b, a)
+        last = self._touch.get(key)
+        if last is not None and self._pose_kept(*key, last[0], f_idx):
+            return last[1]
+        sa, sb = self.state(key[0], f_idx), self.state(key[1], f_idx)
+        geo = self.cfg.geometry
+        hit = touch(sa.cloud, sa.hull, sb.cloud, sb.hull, geo.eps_touch, geo)
+        self._touch[key] = (f_idx, hit)
+        return hit
+
+    def matrix(self, a: str, b: str, f_idx: int) -> RelMatrix:
+        """``relations.pattern_matrix`` of a against b in frame ``f_idx``."""
+        key = (a, b) if a < b else (b, a)
+        last = self._matrix.get(key)
+        if last is not None and self._pose_kept(*key, last[0], f_idx):
+            m = last[1]
+        else:
+            m = pattern_matrix(self.state(key[0], f_idx), self.state(key[1], f_idx),
+                               self.cfg.geometry)
+            self._matrix[key] = (f_idx, m)
+        return m if key[0] == a else m.swapped()
+
+    def pair(self, a: str, b: str, f_idx: int) -> "PairMemo":
+        """The memos of a against b in frame ``f_idx``, as ``classify_ssr``'s
+        ``memo``."""
+        return PairMemo(self, a, b, f_idx)
 
     def pattern(self, a: str, b: str, f_idx: int) -> SsrLabel | None:
         """The intersection-pattern label of ``a`` against ``b`` in frame
         ``f_idx`` (see ``relations._pattern_label``)."""
-        last = self._pattern.get((a, b))
-        if last is not None and self._pose_kept(a, b, last[0], f_idx):
-            return last[1]
-        label = _pattern_label(self.state(a, f_idx), self.state(b, f_idx),
-                               self.cfg.relation, self.cfg.geometry)
-        self._pattern[(a, b)] = (f_idx, label)
-        return label
+        return _pattern_label(self.state(a, f_idx), self.state(b, f_idx),
+                              self.matrix(a, b, f_idx), self.cfg.relation, self.cfg.geometry)
+
+
+class PairMemo:
+    """An ordered object pair of one :class:`GeometryCache` frame, answering
+    ``classify_ssr``'s questions from the cache's pair memos."""
+
+    __slots__ = ("cache", "a", "b", "f_idx")
+
+    def __init__(self, cache: GeometryCache, a: str, b: str, f_idx: int):
+        self.cache, self.a, self.b, self.f_idx = cache, a, b, f_idx
+
+    def matrix(self) -> RelMatrix:
+        return self.cache.matrix(self.a, self.b, self.f_idx)
+
+    def touching(self) -> bool:
+        return self.cache.touching(self.a, self.b, self.f_idx)
 
 
 def touch_graph(frame: Frame, cfg: RunConfig | None = None) -> set[frozenset]:
@@ -784,7 +801,8 @@ class Extractor:
             subject = Subject(hs.side, grasped) if grasped else Subject(hs.side, None)
             actor_id = grasped if (via == "carried" and grasped in roles) else hid
         rel = classify_ssr(cache.state(actor_id, f_idx), cache.state(other, f_idx),
-                           self.cfg.relation, self.cfg.geometry, touching=(kind == "T"))
+                           self.cfg.relation, self.cfg.geometry, touching=(kind == "T"),
+                           memo=cache.pair(actor_id, other, f_idx))
         obj_id = GROUND if roles.get(other) == "ground" else other
         place = self._place_of(other, cache, f_idx, roles, confirmed)
         prim = Primitive.T if kind == "T" else Primitive.U
@@ -881,7 +899,8 @@ class Extractor:
             if dsr in (DsrLabel.Fmt, DsrLabel.Mt):
                 prim = Primitive.Fmt if dsr is DsrLabel.Fmt else Primitive.Mt
                 rel = classify_ssr(cache.state(rep, f_idx), cache.state(other, f_idx),
-                                   self.cfg.relation, self.cfg.geometry, touching=True)
+                                   self.cfg.relation, self.cfg.geometry, touching=True,
+                                   memo=cache.pair(rep, other, f_idx))
                 obj_id = GROUND if roles.get(other) == "ground" else other
                 place = self._place_of(other, cache, f_idx, roles, confirmed)
                 return AtomicAction(subject, prim, obj_id, rel, place, span,

@@ -102,7 +102,7 @@ class ConvexHull:
         self.face_planes = face_planes
         self.degenerate = degenerate
         self._faces = faces
-        # (facet loops, sorted vertex ids) of a wrapped hull, see _wrap
+        # (loops, loop ends, polygon flags, charts) of a wrapped hull, see _wrap
         self._facets = None
 
     @property
@@ -186,36 +186,23 @@ def _toward(n, hint):
     return n if _dot(n, hint) >= 0 else (-n[0], -n[1], -n[2])
 
 
-def _cross_rows(a, rows):
-    out = np.empty_like(rows)
-    out[:, 0] = a[1] * rows[:, 2] - a[2] * rows[:, 1]
-    out[:, 1] = a[2] * rows[:, 0] - a[0] * rows[:, 2]
-    out[:, 2] = a[0] * rows[:, 1] - a[1] * rows[:, 0]
-    return out
-
-
-def _perp(vecs, e):
-    return vecs - np.outer(vecs @ e, e)
-
-
-def _pivot(rel, e, v, u):
-    """Rotate a half-plane hinged on the line through the origin along ``e``
-    and return the index of the point it meets first, or None if no
-    candidate exists.
+def _pivot(rel, v, u):
+    """Rotate a half-plane hinged on a line through the origin and return
+    the index of the point it meets first, or None if no candidate exists.
 
     ``rel`` holds the cloud relative to a point of the line.  ``v`` is the
     outward normal of the supporting plane we rotate away from, ``u`` points
-    away from that plane's side, both orthogonal to ``e``.
+    away from that plane's side, both orthogonal to the line, so a point's
+    offset from the line is ``(rel . u, rel . v)``.  A point within
+    ``_EPS_LINE`` of the line has both within ``_EPS_PLANE`` and so lies in
+    the excluded quadrant.
     """
-    w = _perp(rel, e)
-    wu = w @ u
-    wv = w @ v
-    ok = (np.einsum("ij,ij->i", w, w) > _EPS_LINE ** 2)
-    ok &= ~((wv >= -_EPS_PLANE) & (wu <= _EPS_PLANE))
-    if not np.any(ok):
-        return None
-    theta = np.where(ok, np.arctan2(wv, wu), -np.inf)
-    return int(np.argmax(theta))
+    wu = rel @ u
+    wv = rel @ v
+    theta = np.arctan2(wv, wu)
+    theta[(wv >= -_EPS_PLANE) & (wu <= _EPS_PLANE)] = -np.inf
+    k = int(theta.argmax())
+    return None if theta[k] == -np.inf else k
 
 
 def _perp1(vec, e):
@@ -223,69 +210,91 @@ def _perp1(vec, e):
     return _along(vec, -_dot(vec, e), e)
 
 
-def _face_normal(rel, hint):
-    """Well-conditioned unit normal of coplanar rows given relative to one
-    of them, turned to the side of ``hint``."""
-    i1 = int(np.argmax(np.einsum("ij,ij->i", rel, rel)))
-    crosses = _cross_rows(rel[i1], rel)
-    i2 = int(np.argmax(np.einsum("ij,ij->i", crosses, crosses)))
-    return _toward(_unit(crosses[i2].tolist()), hint)
+def _offsets(rows, ids, anchor):
+    """The rows ``ids`` relative to ``anchor``, as float tuples."""
+    ax, ay, az = anchor
+    return [(x - ax, y - ay, z - az) for x, y, z in (rows[k] for k in ids)]
 
 
-def _chain_2d(coords):
-    """CCW boundary loop of 2D points, including collinear boundary points.
+def _longest(vecs):
+    """The first of the 3-vectors ``vecs`` with the largest squared length."""
+    lengths = [x * x + y * y + z * z for x, y, z in vecs]
+    return vecs[lengths.index(max(lengths))]
 
-    Strict corners come from a standard monotone chain; points lying on a
-    boundary edge are then spliced into that edge ordered by edge parameter.
-    Interior points are dropped.  Facets hold a handful of points, so both
-    passes run on Python floats, where numpy's per-element overhead would
-    dominate the arithmetic.
+
+def _chain_2d(xy):
+    """CCW boundary loop of the 2D points ``xy`` (a list of (x, y) pairs),
+    including collinear boundary points, from the lexicographically
+    smallest point.
+
+    One monotone chain each way over the points sorted by (x, y) gives the
+    strict corners: a point is popped unless it makes a left turn of more
+    than ``_EPS_LINE``.  A point popped as collinear lies on the edge into
+    the point that popped it and rides with that point, after the points
+    already riding on it; a point popped as a strict right turn is dropped
+    with its riders, which lay on an edge that is not on the boundary.  So
+    each edge's collinear points come in sort order, which runs along the
+    edge, and no second pass is needed.
+
+    Runs of equal x sit at the two ends of the sort order only (a convex
+    polygon's vertical edges are its extremes), and there the sort must
+    run up the column: the first chain's start column is popped by the
+    first point to its right and comes back riding on the start at the end
+    of the other chain, and the end column likewise.  Coordinates computed
+    in a facet's chart put such a column's x a few ulps apart, so x within
+    ``_EPS_LINE / extent`` of either extreme counts as the extreme: the
+    turns that distance can change are within the collinearity tolerance.
+    A point repeated exactly is taken once.  Fewer than three corners (a
+    collinear set) are returned alone.  Facets hold a handful of points,
+    so this runs on Python floats, where numpy's per-element overhead would
+    dominate.
     """
-    xy = coords.tolist()
-    order = np.lexsort((coords[:, 1], coords[:, 0])).tolist()
+    if not xy:
+        return []
+    xs = [p[0] for p in xy]
+    ys = [p[1] for p in xy]
+    lo, hi = min(xs), max(xs)
+    tol = _EPS_LINE / ((hi - lo) + (max(ys) - min(ys)) or 1.0)
+    # (sort x, y, index, x); the index breaks ties as a stable sort would
+    pts = sorted([(lo if x - lo <= tol else hi if hi - x <= tol else x, y, k, x)
+                  for k, (x, y) in enumerate(xy)])
+    pts = [p for j, p in enumerate(pts)
+           if not j or p[1] != pts[j - 1][1] or p[3] != pts[j - 1][3]]
 
-    def build(idx_seq):
-        out = []
-        for idx in idx_seq:
-            bx, by = xy[idx]
-            while len(out) >= 2:
-                ox, oy = xy[out[-2]]
-                ax, ay = xy[out[-1]]
-                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) <= _EPS_LINE:
-                    out.pop()
-                else:
+    def build(seq):
+        chain, riding = [], []     # points, and per point those on the edge into it
+        for p in seq:
+            _, by, _, bx = p
+            riders = None
+            while len(chain) > 1:
+                _, oy, _, ox = chain[-2]
+                _, ay, a, ax = chain[-1]
+                turn = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+                if turn > _EPS_LINE:
                     break
-            out.append(idx)
-        return out
+                chain.pop()
+                a_riders = riding.pop()
+                # a right turn takes the edges the riders lay on off the boundary
+                if turn >= -_EPS_LINE:
+                    riders = (a_riders or []) + [a] + (riders or [])
+                else:
+                    riders = None
+            chain.append(p)
+            riding.append(riders)
+        return chain, riding
 
-    lower = build(order)
-    upper = build(order[::-1])
-    corners = lower[:-1] + upper[:-1]
-    if len(corners) < 3:
-        return corners
-    edges = []
-    for k, c in enumerate(corners):
-        ax, ay = xy[c]
-        bx, by = xy[corners[(k + 1) % len(corners)]]
-        edges.append((ax, ay, bx - ax, by - ay))
-    corner_set = set(corners)
-    inserts: list[list[tuple[float, int]]] = [[] for _ in corners]
-    for idx, (px, py) in enumerate(xy):
-        if idx in corner_set:
-            continue
-        for k, (ax, ay, abx, aby) in enumerate(edges):
-            if abs(abx * (py - ay) - aby * (px - ax)) > _EPS_LINE:
-                continue
-            denom = abx * abx + aby * aby
-            t = ((px - ax) * abx + (py - ay) * aby) / denom if denom > 0 else -1.0
-            if 0.0 < t < 1.0:
-                inserts[k].append((t, idx))
-                break
-    loop = []
-    for k, corner in enumerate(corners):
-        loop.append(corner)
-        loop.extend(idx for _, idx in sorted(inserts[k]))
-    return loop
+    lower, lower_riding = build(pts)
+    upper, upper_riding = build(pts[::-1])
+    if len(lower) + len(upper) < 5:
+        return [p[2] for p in lower[:-1] + upper[:-1]]
+    loop = [pts[0][2]]
+    for p, riders in zip(lower[1:] + upper[1:], lower_riding[1:] + upper_riding[1:]):
+        if riders:
+            loop.extend(riders)
+        loop.append(p[2])
+    loop.pop()       # the start again, closing the loop
+    first = loop.index(min(loop, key=xy.__getitem__))
+    return loop[first:] + loop[:first]
 
 
 def _triangulate_convex_loop(loop, flat):
@@ -332,17 +341,20 @@ def _triangulate_convex_loop(loop, flat):
     return [tuple(t) for t in tris]
 
 
-def _triangulate_facets(facets, vert_ids) -> np.ndarray:
-    """Triangles of the stored facet loops, as indices into the vertices."""
-    tris = []
-    for loop, chart in facets:
-        if chart is None:
+def _triangulate_facets(loops, bounds, polygon, charts) -> np.ndarray:
+    """Triangles of a wrapped hull's stored facet loops (see ``_wrap``), as
+    indices into its vertices: the loops' points in sorted order."""
+    ids, ends, coords = loops.tolist(), bounds.tolist(), charts.tolist()
+    tris, row = [], 0
+    for f, is_polygon in enumerate(polygon.tolist()):
+        loop = ids[ends[f]:ends[f + 1]]
+        if not is_polygon:
             tris.append(loop)
-        else:
-            ids, coords = chart
-            tris.extend(_triangulate_convex_loop(loop, dict(zip(ids, coords.tolist()))))
-    remap = {old: new for new, old in enumerate(vert_ids)}
-    return np.array([[remap[a] for a in tri] for tri in tris], dtype=np.intp)
+            continue
+        flat = dict(zip(loop, coords[row:row + len(loop)]))
+        row += len(loop)
+        tris.extend(_triangulate_convex_loop(loop, flat))
+    return np.searchsorted(np.unique(loops), np.array(tris, dtype=np.intp))
 
 
 def _triangle_loop(rows, ids, nrm):
@@ -385,7 +397,13 @@ def compute_convex_hull(points) -> ConvexHull:
 
 
 def _wrap(pts_in: np.ndarray) -> ConvexHull:
-    """compute_convex_hull of a cloud already checked by :func:`as_cloud`."""
+    """compute_convex_hull of a cloud already checked by :func:`as_cloud`.
+
+    numpy makes only the passes over the whole cloud, a few per facet: the
+    pivot's projection, the two membership tests and the support check.
+    Everything over a facet's members (its normal, chart and loop) runs on
+    Python floats.
+    """
     if pts_in.shape[0] == 0:
         raise EmptyCloud("no points")
     pts, first_idx = _dedupe(pts_in)
@@ -398,9 +416,15 @@ def _wrap(pts_in: np.ndarray) -> ConvexHull:
 
     n_pts = pts.shape[0]
     rows = pts.tolist()
-    # per facet its CCW loop rooted at the smallest id, and for a polygon
-    # (more than three members) the in-plane chart the triangulation reads
-    facets: list[tuple[list[int], tuple | None]] = []
+    # Facet loops, CCW and rooted at their smallest id, are kept flat: the
+    # loops one after another, where each ends, whether it is a polygon (more
+    # than three members), and the polygons' in-plane charts, loop point by
+    # loop point, that the triangulation reads.  A hull holds no per-facet
+    # objects.
+    loops: list[int] = []
+    bounds: list[int] = [0]
+    polygon: list[bool] = []
+    charts: list[float] = []
     planes: list[tuple[float, float, float, float]] = []
     used: set[tuple[int, int]] = set()
     pending: deque = deque()
@@ -409,36 +433,48 @@ def _wrap(pts_in: np.ndarray) -> ConvexHull:
         """Facet through pts[i] near the plane of ``seed_normal``; ``rel`` is
         the cloud relative to pts[i]."""
         hint = _unit(seed_normal)
-        members = np.flatnonzero(np.abs(rel @ hint) <= _EPS_PLANE)
+        anchor = rows[i]
+        members = np.flatnonzero(np.abs(rel @ hint) <= _EPS_PLANE).tolist()
+        qs = _offsets(rows, members, anchor)
+        far = _longest(qs)
         if len(members) == 3:
             # the anchor is a member: the normal is the other two's cross
-            q1, q2 = (_sub(rows[k], rows[i]) for k in members.tolist() if k != i)
+            q1, q2 = (q for k, q in zip(members, qs) if k != i)
             nrm = _toward(_unit(_cross(q1, q2)), hint)
         else:
-            nrm = _face_normal(rel[members], hint)
+            # a well-conditioned pair: the farthest member, and the member
+            # spanning the largest parallelogram with it
+            cx, cy, cz = far
+            crosses = [(cy * z - cz * y, cz * x - cx * z, cx * y - cy * x) for x, y, z in qs]
+            nrm = _toward(_unit(_longest(crosses)), hint)
         dist = rel @ nrm
         if dist.max() > _EPS_PLANE:
             raise GeometryError("wrapping produced a non-supporting plane")
-        members = np.flatnonzero(np.abs(dist) <= _EPS_PLANE)
-        ids = members.tolist()
+        ids = np.flatnonzero(np.abs(dist) <= _EPS_PLANE).tolist()
         loop = _triangle_loop(rows, ids, nrm) if len(ids) == 3 else None
-        if loop is not None:
-            facets.append((loop, None))
-        else:
+        polygon.append(loop is None)
+        if loop is None:
             # polygon boundary in an in-plane basis, CCW around the outward normal
-            rel_m = rel[members]
-            t1 = _unit(rel_m[int(np.argmax(np.einsum("ij,ij->i", rel_m, rel_m)))].tolist())
-            coords = rel_m @ np.array((t1, _cross(nrm, t1))).T
-            loop = [ids[k] for k in _chain_2d(coords)]
-            if len(loop) < 3:
+            if ids != members:
+                qs = _offsets(rows, ids, anchor)
+                far = _longest(qs)
+            ux, uy, uz = t1 = _unit(far)
+            vx, vy, vz = _cross(nrm, t1)
+            coords = [(x * ux + y * uy + z * uz, x * vx + y * vy + z * vz) for x, y, z in qs]
+            ks = _chain_2d(coords)
+            if len(ks) < 3:
                 raise GeometryError("degenerate face polygon")
             # the triangulation, built on first read of ``faces``, is
             # rooted at the loop's lexicographically smallest point: pts
             # rows are sorted that way, so that is the smallest index
-            root_pos = loop.index(min(loop))
-            loop = loop[root_pos:] + loop[:root_pos]
-            facets.append((loop, (ids, coords)))
-        planes.append((*nrm, -_dot(nrm, rows[i])))
+            root = ks.index(min(ks))
+            ks = ks[root:] + ks[:root]
+            loop = [ids[k] for k in ks]
+            for k in ks:
+                charts.extend(coords[k])
+        loops.extend(loop)
+        bounds.append(len(loops))
+        planes.append((*nrm, -_dot(nrm, anchor)))
         for k in range(len(loop)):
             a, b = loop[k], loop[(k + 1) % len(loop)]
             used.add((a, b))
@@ -453,19 +489,20 @@ def _wrap(pts_in: np.ndarray) -> ConvexHull:
     rel0 = pts - pts[0]
     e0 = (0.0, 0.0, 1.0)
     v0 = (-1.0, 0.0, 0.0)
-    r0 = _pivot(rel0, e0, v0, _cross(v0, e0))
+    r0 = _pivot(rel0, v0, _cross(v0, e0))
     if r0 is None:
         raise DegenerateCloud("cloud is collinear")
     q0 = _sub(rows[r0], rows[0])
     n1 = _unit(_cross(e0, _perp1(q0, e0)))
     e1 = _unit(q0)
-    offset = _perp(rel0, e1)
-    off_line = np.einsum("ij,ij->i", offset, offset) > _EPS_LINE ** 2
-    on_plane = np.abs(rel0 @ n1) <= _EPS_PLANE
-    if np.any(off_line & on_plane):
+    u1 = _cross(n1, e1)
+    # offsets from the line along e1, in the orthonormal (u1, n1)
+    wu, wn = rel0 @ u1, rel0 @ n1
+    off_line = wu * wu + wn * wn > _EPS_LINE ** 2
+    if np.any(off_line & (np.abs(wn) <= _EPS_PLANE)):
         emit_face(n1, 0, rel0)
     else:
-        r1 = _pivot(rel0, e1, n1, _cross(n1, e1))
+        r1 = _pivot(rel0, n1, u1)
         if r1 is None:
             raise DegenerateCloud("cloud is collinear")
         emit_face(_cross(e1, _perp1(_sub(rows[r1], rows[0]), e1)), 0, rel0)
@@ -480,15 +517,16 @@ def _wrap(pts_in: np.ndarray) -> ConvexHull:
             continue
         rel = pts - pts[i]
         e = _unit(_sub(rows[j], rows[i]))
-        r = _pivot(rel, e, n_known, _cross(n_known, e))
+        r = _pivot(rel, n_known, _cross(n_known, e))
         if r is None:
             raise GeometryError("no supporting plane found at an open edge")
         emit_face(_cross(e, _perp1(_sub(rows[r], rows[i]), e)), i, rel)
 
-    vert_ids = sorted({k for loop, _ in facets for k in loop})
+    vert_ids = np.array(sorted(set(loops)), dtype=np.intp)
     hull = ConvexHull(pts[vert_ids], first_idx[vert_ids], None,
                       np.array(planes, dtype=np.float64))
-    hull._facets = (facets, vert_ids)
+    hull._facets = (np.array(loops, dtype=np.intp), np.array(bounds, dtype=np.intp),
+                    np.array(polygon), np.array(charts, dtype=np.float64).reshape(-1, 2))
     return hull
 
 
@@ -583,6 +621,12 @@ class RelMatrix:
     def rows(self):
         return ((self.a_in_b0, self.a_on_db, self.a_in_bminus),
                 (self.a0_has_b, self.da_has_b, self.aminus_has_b))
+
+    def swapped(self) -> "RelMatrix":
+        """The matrix of the pair in the other order: its two rows swapped,
+        which is what ``relation_matrix`` returns for the swapped arguments."""
+        return RelMatrix(self.a0_has_b, self.da_has_b, self.aminus_has_b,
+                         self.a_in_b0, self.a_on_db, self.a_in_bminus)
 
 
 def _region_flags(cloud, hull, tol):

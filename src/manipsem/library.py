@@ -29,6 +29,7 @@ import importlib.resources
 from dataclasses import dataclass
 
 from .actions import AIR, GROUND, NO_OBJECT, AtomicAction, Primitive, Subject, action_tokens
+from .config import split_lines
 from .grammar import NoParse, PRIMITIVE_TERMINALS, RESERVED, parse
 from .relations import SsrLabel
 
@@ -164,7 +165,7 @@ def parse_library_text(text: str) -> MappingLibrary:
     name = None
     steps: list[StepTemplate] = []
     start_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

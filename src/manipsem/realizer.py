@@ -16,6 +16,7 @@ import importlib.resources
 from dataclasses import dataclass, field, replace
 
 from .actions import AIR, GROUND, AtomicAction, Primitive, Snippet
+from .config import split_lines
 from .library import MappingLibrary, RecognizedAction
 
 VOWELS = "aeiou"
@@ -55,7 +56,7 @@ class TemplateSet:
 
 def parse_template_text(text: str) -> TemplateSet:
     entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -24,6 +24,7 @@ from .geometry import (
     Aabb,
     ConvexHull,
     DEFAULT_GEOMETRY,
+    RelMatrix,
     aabb_gap,
     as_cloud,
     checked_hull_with_fallback,
@@ -136,9 +137,17 @@ def wall_contact_distance(inner_cloud, outer_hull: ConvexHull) -> float:
     return float(d.min())
 
 
-def _pattern_label(a: ObjectState, b: ObjectState, cfg: RelationConfig,
+def pattern_matrix(a: ObjectState, b: ObjectState,
+                   geo: GeometryConfig = DEFAULT_GEOMETRY) -> RelMatrix:
+    """The intersection matrix the patterns are read from: full clouds
+    against hulls, with the boundary band widened to the touch tolerance."""
+    return relation_matrix(a.cloud, a.hull, b.cloud, b.hull, geo, tol=geo.eps_touch)
+
+
+def _pattern_label(a: ObjectState, b: ObjectState, m: RelMatrix, cfg: RelationConfig,
                    geo: GeometryConfig) -> SsrLabel | None:
-    m = relation_matrix(a.cloud, a.hull, b.cloud, b.hull, geo, tol=geo.eps_touch)
+    """The intersection-pattern label of a against b, given their
+    :func:`pattern_matrix` ``m``, or None when they are disjoint."""
     if m.a_in_b0 and m.a0_has_b:
         return SsrLabel.Cr
     if m.a_in_b0 and not m.a0_has_b:
@@ -160,12 +169,17 @@ def classify_ssr(a: ObjectState, b: ObjectState,
                  cfg: RelationConfig = DEFAULT_RELATION,
                  geo: GeometryConfig = DEFAULT_GEOMETRY,
                  mode: str = "hull",
-                 touching: bool | None = None) -> SsrLabel:
+                 touching: bool | None = None,
+                 memo=None) -> SsrLabel:
     """Static relation of a with respect to b for one frame.
 
     ``touching`` short-circuits the internal contact test when the caller
-    already maintains a touch graph.  Ordering: intersection patterns first
-    (hull mode only), then contact-dependent labels, then disjoint ones.
+    already maintains a touch graph.  ``memo``, when given, answers for the
+    pair in hull mode where a fresh computation would: ``memo.matrix()``
+    gives their :func:`pattern_matrix` and ``memo.touching()`` their
+    contact test (see ``events.GeometryCache.pair``).  Ordering:
+    intersection patterns first (hull mode only), then contact-dependent
+    labels, then disjoint ones.
     """
     if mode not in ("hull", "aabb"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -176,11 +190,13 @@ def classify_ssr(a: ObjectState, b: ObjectState,
             touching = aabb_gap(a.aabb, b.aabb) <= geo.eps_touch
     else:
         if aabb_gap(a.aabb, b.aabb) <= geo.eps_touch:
-            label = _pattern_label(a, b, cfg, geo)
+            m = memo.matrix() if memo else pattern_matrix(a, b, geo)
+            label = _pattern_label(a, b, m, cfg, geo)
             if label is not None:
                 return label
         if touching is None:
-            touching = touch(a.cloud, a.hull, b.cloud, b.hull, geo.eps_touch, geo)
+            touching = (memo.touching() if memo
+                        else touch(a.cloud, a.hull, b.cloud, b.hull, geo.eps_touch, geo))
 
     if touching:
         if _above(a.aabb, b.aabb, geo.eps_touch) and footprint_overlap(a.aabb, b.aabb, FOOTPRINT_MARGIN):

@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, so a
+# failing oracle example reproduces.  Local runs keep drawing fresh ones.
+settings.register_profile("ci", derandomize=True)
 
 from manipsem.config import RunConfig
 from manipsem.library import default_library

@@ -1,10 +1,10 @@
 """The convex-hull wrap as it was before facets kept their loops and the
 triangles were built on first read, frozen as the oracle of
-``test_hull_oracle.py``.
+``test_hull_oracle.py``, with the facet chain it used then
+(``oracle_chain_2d``, also the oracle of the chain in
+``test_hull_facets.py``).
 
-Only the facet chain and the loop triangulation are taken from the
-package: they did not change, and ``test_hull_facets.py`` checks the chain
-against its own oracle.
+Only the loop triangulation is taken from the package: it did not change.
 """
 
 from collections import deque
@@ -18,10 +18,59 @@ from manipsem.geometry import (
     GeometryError,
     _EPS_LINE,
     _EPS_PLANE,
-    _chain_2d,
     _triangulate_convex_loop,
     as_cloud,
 )
+
+
+def oracle_chain_2d(coords):
+    """The facet loop as the wrap took it then, in numpy scalar arithmetic:
+    strict corners from two monotone chains, then each other point within
+    ``_EPS_LINE`` of a corner edge spliced into it by edge parameter."""
+    order = np.lexsort((coords[:, 1], coords[:, 0]))
+
+    def build(idx_seq):
+        out = []
+        for idx in idx_seq:
+            while len(out) >= 2:
+                o, a = coords[out[-2]], coords[out[-1]]
+                b = coords[idx]
+                cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+                if cross <= _EPS_LINE:
+                    out.pop()
+                else:
+                    break
+            out.append(int(idx))
+        return out
+
+    lower = build(order)
+    upper = build(order[::-1])
+    corners = lower[:-1] + upper[:-1]
+    if len(corners) < 3:
+        return corners
+    corner_set = set(corners)
+    inserts = [[] for _ in corners]
+    for idx in range(coords.shape[0]):
+        if idx in corner_set:
+            continue
+        p = coords[idx]
+        for k in range(len(corners)):
+            a = coords[corners[k]]
+            b = coords[corners[(k + 1) % len(corners)]]
+            ab = b - a
+            cross = ab[0] * (p[1] - a[1]) - ab[1] * (p[0] - a[0])
+            if abs(cross) > _EPS_LINE:
+                continue
+            denom = ab @ ab
+            t = float((p - a) @ ab / denom) if denom > 0 else -1.0
+            if 0.0 < t < 1.0:
+                inserts[k].append((t, idx))
+                break
+    loop = []
+    for k, corner in enumerate(corners):
+        loop.append(corner)
+        loop.extend(idx for _, idx in sorted(inserts[k]))
+    return loop
 
 
 def _cross3(a, b):
@@ -119,7 +168,7 @@ def frozen_convex_hull(points) -> ConvexHull:
         rel = pts[members] - anchor
         coords = np.stack([rel @ t1, rel @ t2], axis=1)
         ids = members.tolist()
-        loop = [ids[k] for k in _chain_2d(coords)]
+        loop = [ids[k] for k in oracle_chain_2d(coords)]
         if len(loop) < 3:
             raise GeometryError("degenerate face polygon")
         # stable orientation-preserving triangulation; a plain fan would emit

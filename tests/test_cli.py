@@ -222,6 +222,14 @@ class TestConfigPlumbing:
         assert cli.main(["relations", nested_trace, "--set", flag]) == 7
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0c"])
+    def test_config_lines_split_at_newline_only(self, char):
+        from manipsem.config import parse_config_text
+        text = f"# note:{char}a b\r\neps_touch = 0.01\nwindow = 4{char}\n"
+        assert parse_config_text(text) == {"eps_touch": "0.01", "window": "4"}
+        with pytest.raises(ValueError, match="config line 3:"):
+            parse_config_text(f"# {char}x\neps_touch = 0.01\nwindow 4\n")
+
     def test_config_line_without_equals_exits_7(self, nested_trace, tmp_path, capsys):
         cfg_file = tmp_path / "ms.cfg"
         cfg_file.write_text("theta_near = 0.5\neps_touch 0.002\n")

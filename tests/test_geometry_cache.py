@@ -13,7 +13,7 @@ from manipsem.config import EventConfig, GeometryConfig, RelationConfig, RunConf
 from manipsem.events import Frame, GeometryCache, ObjectInstance
 from manipsem.geometry import aabb_gap, box_hull, touch
 from manipsem.relations import PATTERN_LABELS, ObjectState, classify_ssr
-from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace
+from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace, make_corpus
 from conftest import box_cloud
 
 SRC = pathlib.Path(relations.__file__).parent
@@ -81,6 +81,41 @@ def test_evaluate_trace_matches_fresh_states(name, monkeypatch):
     evaluated = {g.frame for g in gen.relations if g.frame < len(gen.trace.frames)}
     clouds = sum(o.points is not None for f in evaluated for o in gen.trace.frames[f].objects)
     assert len(builds) < clouds        # states were re-used, not rebuilt per frame
+
+
+def assert_memos_match_brute_force(trace, rows, cfg):
+    """``evaluate_trace`` equals the loop over fresh states, and for every
+    ground-truth pair, in both orders, the cache's matrix and contact memos
+    equal the matrix and contact test of fresh states."""
+    got = evaluate_trace(trace, rows, cfg)
+    want = oracle_report(trace, rows, cfg)
+    assert want.total > 0
+    assert (got.total, got.correct, got.confusion, got.emitted) == \
+        (want.total, want.correct, want.confusion, want.emitted)
+    evaluated = sorted({gt.frame for gt in rows if gt.frame < len(trace.frames)})
+    cache = GeometryCache([trace.frames[f] for f in evaluated], cfg)
+    geo = cfg.geometry
+    for k, f_idx in enumerate(evaluated):
+        fresh = {o.id: fresh_state(o, cfg) for o in trace.frames[f_idx].objects}
+        pairs = {(gt.a, gt.b) for gt in rows if gt.frame == f_idx}
+        for a, b in pairs | {(b, a) for a, b in pairs}:
+            sa, sb = fresh[a], fresh[b]
+            assert cache.matrix(a, b, k) == relations.pattern_matrix(sa, sb, geo)
+            assert cache.touching(a, b, k) == touch(sa.cloud, sa.hull, sb.cloud, sb.hull,
+                                                   geo.eps_touch, geo)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_pair_memos_match_brute_force_on_moving_traces(name, noise):
+    gen = generate_synthetic_trace(ScenarioSpec(name, seed=2, noise=noise))
+    assert_memos_match_brute_force(gen.trace, gen.relations, RunConfig())
+
+
+@pytest.mark.parametrize("seed", [1, 23])
+def test_pair_memos_match_brute_force_on_corpus_scenes(seed):
+    for trace, rows in make_corpus(27, seed):
+        assert_memos_match_brute_force(trace, rows, RunConfig())
 
 
 @pytest.mark.parametrize("name,noise", [("Screw", 0.0), ("Pour", 0.0), ("Cut", 0.0),

@@ -12,7 +12,7 @@ from manipsem.config import RunConfig
 from manipsem.events import Frame, GeometryCache, ObjectInstance, SceneTrace
 from manipsem.geometry import aabb_gap, box_hull, touch
 from manipsem.pipeline import analyze_trace
-from manipsem.relations import ObjectState, _pattern_label
+from manipsem.relations import ObjectState, _pattern_label, pattern_matrix
 from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace
 from conftest import box_cloud
 
@@ -60,8 +60,10 @@ def assert_matches_fresh(frames, cfg):
         for a in ids:
             for b in ids:
                 if a != b and cache.gap(a, b, f_idx) <= eps:
+                    m = pattern_matrix(fresh[a], fresh[b], cfg.geometry)
+                    assert cache.matrix(a, b, f_idx) == m, f"frame {f_idx} {a} {b}"
                     assert cache.pattern(a, b, f_idx) == _pattern_label(
-                        fresh[a], fresh[b], cfg.relation, cfg.geometry), f"frame {f_idx} {a} {b}"
+                        fresh[a], fresh[b], m, cfg.relation, cfg.geometry), f"frame {f_idx} {a} {b}"
     return cache
 
 

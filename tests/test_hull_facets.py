@@ -1,7 +1,7 @@
-"""Polygon facets of the hull wrap: the 2-D boundary loop of one facet
-against the numpy-scalar monotone chain it replaced, and the one plane row
-per facet against a hull whose planes are expanded to one row per
-triangle."""
+"""Polygon facets of the hull wrap: the single-pass 2-D boundary loop of
+one facet against the two-pass chain it replaced and against a brute-force
+boundary, and the one plane row per facet against a hull whose planes are
+expanded to one row per triangle."""
 
 import numpy as np
 import pytest
@@ -17,55 +17,7 @@ from manipsem.geometry import (
 )
 from manipsem.relations import wall_contact_distance
 from conftest import box_cloud
-
-
-def oracle_chain_2d(coords):
-    """The wrap's facet loop as it was before it moved to Python floats:
-    numpy scalar arithmetic, one point at a time."""
-    order = np.lexsort((coords[:, 1], coords[:, 0]))
-
-    def build(idx_seq):
-        out = []
-        for idx in idx_seq:
-            while len(out) >= 2:
-                o, a = coords[out[-2]], coords[out[-1]]
-                b = coords[idx]
-                cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-                if cross <= _EPS_LINE:
-                    out.pop()
-                else:
-                    break
-            out.append(int(idx))
-        return out
-
-    lower = build(order)
-    upper = build(order[::-1])
-    corners = lower[:-1] + upper[:-1]
-    if len(corners) < 3:
-        return corners
-    corner_set = set(corners)
-    inserts = [[] for _ in corners]
-    for idx in range(coords.shape[0]):
-        if idx in corner_set:
-            continue
-        p = coords[idx]
-        for k in range(len(corners)):
-            a = coords[corners[k]]
-            b = coords[corners[(k + 1) % len(corners)]]
-            ab = b - a
-            cross = ab[0] * (p[1] - a[1]) - ab[1] * (p[0] - a[0])
-            if abs(cross) > _EPS_LINE:
-                continue
-            denom = ab @ ab
-            t = float((p - a) @ ab / denom) if denom > 0 else -1.0
-            if 0.0 < t < 1.0:
-                inserts[k].append((t, idx))
-                break
-    loop = []
-    for k, corner in enumerate(corners):
-        loop.append(corner)
-        loop.extend(idx for _, idx in sorted(inserts[k]))
-    return loop
+from hull_wrap_frozen import oracle_chain_2d
 
 
 def _cross(o, a, b):
@@ -123,17 +75,76 @@ def triangle_points(draw):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(lattice_points(), triangle_points()))
 def test_chain_2d_equals_oracle_and_walks_the_boundary(xy):
-    coords = np.array(xy, dtype=np.float64)
-    loop = _chain_2d(coords)
-    assert loop == oracle_chain_2d(coords)
-    if len(loop) < 3:
-        return
+    loop = _chain_2d(xy)
+    assert loop == oracle_chain_2d(np.array(xy, dtype=np.float64))
+    if len(loop) >= 3:
+        assert_walks_the_boundary(xy, loop)
+
+
+def assert_walks_the_boundary(xy, loop):
+    """``loop`` visits each point of the polygon's boundary once, CCW."""
     assert len(set(loop)) == len(loop)
     assert set(loop) == brute_force_boundary(xy)
-    # CCW without backtracking: no point lies right of a loop edge
     for k, i in enumerate(loop):
         j = loop[(k + 1) % len(loop)]
         assert min(_cross(xy[i], xy[j], p) for p in xy) >= -_EPS_LINE
+
+
+def distinct_cycle(xy, loop):
+    """The loop's coordinates with repeats in a row merged, from the
+    smallest: the same polygon walk whichever copy of a point is named."""
+    pts = [xy[i] for i in loop]
+    pts = [p for k, p in enumerate(pts) if p != pts[k - 1]] or pts[:1]
+    if not pts:
+        return pts
+    k = pts.index(min(pts))
+    return pts[k:] + pts[:k]
+
+
+@st.composite
+def column_lattices(draw):
+    """Lattice points with whole columns at both ends of the x order, so
+    collinear runs sit at the start and end of the sort, repeated x values
+    inside, some points repeated exactly, and each point moved off its row
+    by up to a tenth of the collinearity tolerance."""
+    cols = draw(st.integers(2, 6))
+    rows = draw(st.integers(2, 6))
+    cells = {(0, j) for j in range(rows)} | {(cols, j) for j in range(rows)}
+    cells |= draw(st.sets(st.tuples(st.integers(1, cols - 1), st.integers(0, rows - 1)),
+                          max_size=20))
+    scale = draw(st.floats(0.01, 10.0))
+    shift = draw(st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
+    cells = draw(st.permutations(sorted(cells)))
+    extent = scale * (cols + rows)
+    nudge = st.floats(-0.1, 0.1).map(lambda f: f * _EPS_LINE / extent)
+    pts = [(shift[0] + i * scale, shift[1] + j * scale + draw(nudge)) for i, j in cells]
+    repeats = draw(st.lists(st.integers(0, len(pts) - 1), max_size=4))
+    return pts + [pts[k] for k in repeats]
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_lattices())
+def test_chain_2d_end_columns_repeats_and_near_edge_points(xy):
+    loop = _chain_2d(xy)
+    want = oracle_chain_2d(np.array(xy))
+    assert distinct_cycle(xy, loop) == distinct_cycle(xy, want)
+    distinct = list(dict.fromkeys(xy))
+    assert_walks_the_boundary(distinct, [distinct.index(xy[i]) for i in loop])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lattice_points(), column_lattices()), st.floats(0.0, 6.3))
+def test_chain_2d_columns_a_few_ulps_apart(xy, angle):
+    """Points rotated and rotated back, as a facet chart computes them: a
+    column's x values differ in the last bits and sort in any y order.  The
+    two-pass oracle can drop boundary points of such an end column, so the
+    loop is checked against the brute-force boundary."""
+    turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    coords = (np.array(list(dict.fromkeys(xy))) @ turn) @ turn.T
+    pts = [tuple(p) for p in coords.tolist()]
+    loop = _chain_2d(pts)
+    if len(loop) >= 3:
+        assert_walks_the_boundary(pts, loop)
 
 
 def expanded(hull):

@@ -73,6 +73,14 @@ class TestLoading:
         with pytest.raises(PatternParseError):
             parse_library_text("action Dangling\nhands one\nH T ?object To ?place\n")
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0c"])
+    def test_lines_split_at_newline_only(self, char):
+        hold = f"action Hold # held{char}still\nhands one\nH T ?object To ?place\nend\n"
+        assert parse_library_text(hold)["Hold"].steps
+        with pytest.raises(PatternParseError) as info:
+            parse_library_text(f"# a{char}b\naction Bad\nhands one\nH Q ?object To ?place\nend\n")
+        assert info.value.lineno == 4
+
     def test_non_cfg_pattern_rejected(self):
         # a reserved grammar token in the object slot cannot derive
         text = "action Bad\nhands one\nH T Mt To ?place\nend\n"

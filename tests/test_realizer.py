@@ -155,6 +155,14 @@ def test_template_parse_rejects_bad_line():
         parse_template_text("just words\n")
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0c"])
+def test_template_lines_split_at_newline_only(char):
+    ts = parse_template_text(f"# a{char}b\r\nidle = The hand rests{char}quietly.\n")
+    assert ts.get("idle") == f"The hand rests{char}quietly."
+    with pytest.raises(ValueError, match="template line 3:"):
+        parse_template_text(f"idle = a{char}b\n# c\njust words\n")
+
+
 def test_ground_relabel(templates):
     ts = templates.with_ground("bench")
     s = aa(MERGED, Primitive.Mt, None, SsrLabel.Ab, AIR)
