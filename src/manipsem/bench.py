@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import RunConfig
-from .events import GeometryCache, SceneTrace, dump_trace, load_trace
+from .events import GeometryCache, ParseError, SceneTrace, SchemaError, dump_trace, load_trace
 from .relations import PATTERN_LABELS, SsrLabel, classify_ssr
 
 MODES = ("hull", "aabb")
@@ -149,15 +149,38 @@ def load_corpus_dir(path: str):
             continue
         trace = load_trace(os.path.join(path, name))
         gt_path = os.path.join(path, name[:-len(".jsonl")] + ".gt.json")
-        rels = []
-        if os.path.exists(gt_path):
-            with open(gt_path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            for row in doc.get("relations", []):
-                rels.append(GroundTruthRelation(int(row["frame"]), row["a"],
-                                                row["b"], SsrLabel(row["label"])))
+        rels = _load_relations(gt_path) if os.path.exists(gt_path) else []
         out.append((trace, rels))
     return out
+
+
+def _load_relations(path: str) -> list[GroundTruthRelation]:
+    """The relations of one .gt.json file.  A file that is not UTF-8 JSON
+    raises ``ParseError``, a malformed relation ``SchemaError``; both name
+    the file."""
+    try:
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(None, f"{path}: not UTF-8: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(None, f"{path}: line {exc.lineno}: bad JSON: {exc.msg}") from exc
+    rows = doc.get("relations", []) if isinstance(doc, dict) else None
+    if not isinstance(rows, list):
+        raise SchemaError(f"{path}: expected a mapping with a list of relations")
+    rels = []
+    for k, row in enumerate(rows):
+        if not isinstance(row, dict) or not {"frame", "a", "b", "label"} <= row.keys():
+            raise SchemaError(f"{path}: relation {k} needs fields frame, a, b and label")
+        frame = row["frame"]
+        if type(frame) is not int or frame < 0:
+            raise SchemaError(f"{path}: relation {k}: frame must be a non-negative integer")
+        try:
+            label = SsrLabel(row["label"])
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: relation {k}: unknown label {row['label']!r}") from exc
+        rels.append(GroundTruthRelation(frame, row["a"], row["b"], label))
+    return rels
 
 
 def write_corpus_entry(dirpath: str, stem: str, trace: SceneTrace, relations,

@@ -4,7 +4,8 @@ Subcommands: relations, describe, bench, parse, generate.  Global flags
 --config/--seed/--format apply to all of them; MANIPSEM_CONFIG names a
 config file when --config is absent.  Data goes to stdout, diagnostics to
 stderr.  Exit codes: 2 trace parse error or an unreadable or undecodable
-input file (trace or token file), 3 schema/monotonicity error,
+input file (trace, token file, or a corpus's ``.gt.json``), 3 schema or
+monotonicity error (also a malformed ``.gt.json`` relation),
 4 unavailable description level, 5 empty corpus, 6 token string rejected,
 7 bad configuration (unknown key, bad value, unreadable or malformed file,
 including the library and template files and a template they lack).
@@ -110,8 +111,8 @@ def cmd_describe(args) -> int:
     trace = events.load_trace(args.trace)
     analysis = analyze_trace(trace, cfg, lib, ts)
     hands = ("left", "right") if args.hand == "both" else (args.hand,)
-    level = None if args.all_levels else (args.level if args.level else None)
-    if args.level:
+    level = None if args.all_levels else args.level
+    if args.level is not None:
         for hand in hands:
             ha = analysis.hands.get(hand)
             if ha and ha.episodes:

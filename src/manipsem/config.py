@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, fields, replace
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    """Tolerances for hull construction, point classification, and touch."""
+    """The contact tolerance: touch depth and gap, the boundary band of the
+    relation patterns, and the padding of flat clouds' fallback boxes."""
 
-    eps_bnd: float = 1e-7     # boundary band for point classification
     eps_touch: float = 5e-3   # surface proximity / allowed shallow overlap for touch
 
     def __post_init__(self):

@@ -131,97 +131,29 @@ def _points(value, oid, need, lineno) -> np.ndarray:
     return pts
 
 
-# Points of one object held as Python floats before they are stacked: bounds
-# the parser's memory on dense clouds, where a float costs 4x its array slot.
-_STACK_POINTS = 1 << 15
-
-
-class _Stacker:
-    """Turns each object's point lists into row views of ``(rows, N, 3)``
-    float arrays, one per run of equal point count (split every
-    ``_STACK_POINTS`` points).  Each line's ``[x, y, z]`` triples are
-    flattened into the run's list of numbers as they come, so the parsed
-    lists are freed line by line; numpy then converts and checks the run
-    once.  When that check fails, the pending lines are checked one by
-    one, in file order, so the error is the one the first bad line gives.
-    Ground boxes are checked as they come, once per distinct box.
-    """
-
-    def __init__(self):
-        # id -> (points per row, flat numbers, [(seq, lineno, need, slot)])
-        self.runs: dict[str, tuple[int, list, list]] = {}
-        self.seq = 0
-        self.last_box: tuple[list, tuple] | None = None
-
-    def add(self, oid: str, raw: list, need: int, lineno: int) -> list:
-        """A one-element list that will hold the points' array."""
-        if set(map(type, raw)) != {list} or set(map(len, raw)) != {3}:
-            # not a list of triples; valid only as one [x, y, z] for a ground
-            return [_points(raw, oid, need, lineno)]
-        run = self.runs.get(oid)
-        if run and run[0] != len(raw):
-            self._stack(oid)
-            run = None
-        if run is None:
-            run = self.runs[oid] = (len(raw), [], [])
-        run[1].extend(chain.from_iterable(raw))
-        slot = [None]
-        run[2].append((self.seq, lineno, need, slot))
-        self.seq += 1
-        if len(run[1]) >= 3 * _STACK_POINTS:
-            self._stack(oid)
-        return slot
-
-    def _stack(self, oid: str) -> None:
-        n, flat, rows = self.runs[oid]
-        try:
-            arr = np.array(flat)
-            ok = arr.dtype.kind in "iuf" and arr.ndim == 1 and bool(np.isfinite(arr).all())
-        except ValueError:
-            ok = False
-        if not ok:
-            self.raise_first_error()
-            # every line passed alone, yet their numbers do not mix
-            raise SchemaError(f"object {oid!r} points: expected [x, y, z] numbers", rows[0][1])
-        del self.runs[oid]
-        arr = arr.astype(np.float64, copy=False).reshape(len(rows), n, 3)
-        for (_, _, _, slot), row in zip(rows, arr):
-            slot[0] = row
-
-    def raise_first_error(self) -> None:
-        pending = []
-        for oid, (n, flat, rows) in self.runs.items():
-            for k, (seq, lineno, need, _) in enumerate(rows):
-                pending.append((seq, lineno, need, oid, flat[3 * n * k:3 * n * (k + 1)]))
-        for _, lineno, need, oid, numbers in sorted(pending, key=lambda e: e[0]):
-            # the triples as they were on the line
-            _points([numbers[i:i + 3] for i in range(0, len(numbers), 3)], oid, need, lineno)
-
-    def box(self, raw, lineno: int, eager: bool) -> tuple:
-        """A ground box as ((min), (max)); a list equal to the previous
-        box's is not checked again."""
-        if not eager and self.last_box is not None and raw == self.last_box[0]:
-            return self.last_box[1]
-        corners = _coords(raw, "ground box", lineno)
-        if corners.shape[0] != 2:
-            raise SchemaError("ground box must be [[min x, y, z], [max x, y, z]]", lineno)
-        if np.any(corners[1] <= corners[0]):
-            raise SchemaError("ground box needs max > min on every axis", lineno)
-        box = (tuple(corners[0].tolist()), tuple(corners[1].tolist()))
-        self.last_box = (raw, box)
-        return box
-
-    def finish(self) -> None:
-        for oid in list(self.runs):
-            self._stack(oid)
+def _ground_box(raw, lineno, last: list, eager: bool) -> tuple:
+    """A ground box as ((min), (max)); a list equal to the previous box's
+    (``last`` holds [list, box] and is updated here) is not checked again."""
+    if not eager and raw == last[0]:
+        return last[1]
+    corners = _coords(raw, "ground box", lineno)
+    if corners.shape[0] != 2:
+        raise SchemaError("ground box must be [[min x, y, z], [max x, y, z]]", lineno)
+    if np.any(corners[1] <= corners[0]):
+        raise SchemaError("ground box needs max > min on every axis", lineno)
+    box = (tuple(corners[0].tolist()), tuple(corners[1].tolist()))
+    last[:] = raw, box
+    return box
 
 
 _OBJECT_FIELDS = frozenset({"id", "label", "role", "points", "box"})
 
 
-def _object_from_record(rec, lineno, stacker: _Stacker, eager: bool):
-    """(id, label, role, points slot, box) of one object record; ``eager``
-    checks points and box here rather than once per stacked run or box."""
+def _object_from_record(rec, lineno, eager: bool, pending: list, last_box: list):
+    """(id, label, role, points, box) of one object record.  A list of
+    [x, y, z] lists is left for :func:`_line_points`: ``pending`` gets
+    (id, list, points needed), and ``points`` is its index there.
+    ``eager`` checks every point list here."""
     if not isinstance(rec, dict):
         raise SchemaError("object record must be a mapping", lineno)
     unknown = rec.keys() - _OBJECT_FIELDS
@@ -243,15 +175,39 @@ def _object_from_record(rec, lineno, stacker: _Stacker, eager: bool):
             raise SchemaError("ground needs box or points", lineno)
     elif points is None:
         raise SchemaError(f"object {rec['id']!r} missing points", lineno)
-    slot = None
     if points is not None:
         need = 1 if role == "ground" else 4
-        if eager or type(points) is not list or len(points) < need:
-            _points(points, rec["id"], need, lineno)
-        slot = stacker.add(rec["id"], points, need, lineno)
+        if (eager or type(points) is not list or len(points) < need
+                or set(map(type, points)) != {list} or set(map(len, points)) != {3}):
+            # checked alone; a ground's one [x, y, z] is valid only here
+            points = _points(points, rec["id"], need, lineno)
+        else:
+            pending.append((rec["id"], points, need))
+            points = len(pending) - 1
     if box is not None:
-        box = stacker.box(box, lineno, eager)
-    return rec["id"], rec["label"], role, slot, box
+        box = _ground_box(box, lineno, last_box, eager)
+    return rec["id"], rec["label"], role, points, box
+
+
+def _check_each(pending, lineno) -> list[np.ndarray]:
+    return [_points(raw, oid, need, lineno) for oid, raw, need in pending]
+
+
+def _line_points(pending, lineno) -> list[np.ndarray]:
+    """The pending point lists of one line as row views of one ``(M, 3)``
+    float array, converted and checked once.  When that check fails, each
+    list is checked alone, in order, so the first bad object names itself."""
+    try:
+        arr = np.array(list(chain.from_iterable(chain.from_iterable(
+            raw for _, raw, _ in pending))))
+        ok = arr.dtype.kind in "iuf" and arr.ndim == 1 and bool(np.isfinite(arr).all())
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        return _check_each(pending, lineno)
+    rows = arr.astype(np.float64, copy=False).reshape(-1, 3)
+    ends = accumulate(len(raw) for _, raw, _ in pending)
+    return [rows[end - len(raw):end] for (_, raw, _), end in zip(pending, ends)]
 
 
 def _decode(data: bytes) -> str:
@@ -265,8 +221,9 @@ def _decode(data: bytes) -> str:
 def load_trace(source, trace_id: str | None = None) -> SceneTrace:
     """Parse a trace from a path, text, or byte stream.
 
-    Each object's points become row views of one array per run of frames
-    with its point count, checked once; an error still names its line.
+    The point lists of each line are converted to one float array and
+    checked once; every object's points are row views of it.  An error
+    names its line and, for points, the first bad object on it.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -282,49 +239,50 @@ def load_trace(source, trace_id: str | None = None) -> SceneTrace:
         name = trace_id or os.path.splitext(os.path.basename(str(source)))[0]
     del data  # the parser reads only the text
 
-    stacker = _Stacker()
-    parsed: list[tuple[float, list]] = []
-    try:
-        for lineno, raw in enumerate(split_lines(text), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(lineno, f"bad JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict):
-                raise SchemaError("frame record must be a mapping", lineno)
-            unknown = set(rec) - {"t", "objects"}
-            if unknown:
-                raise SchemaError(f"unknown frame field(s) {sorted(unknown)}", lineno)
-            if "t" not in rec or "objects" not in rec:
-                raise SchemaError("frame needs fields t and objects", lineno)
-            t = rec["t"]
-            if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
-                raise SchemaError("t must be a finite number", lineno)
-            if not isinstance(rec["objects"], list):
-                raise SchemaError("objects must be a list", lineno)
-            # a stacked array would read a JSON boolean as 0 or 1, where an
-            # all-boolean point list alone is refused
-            eager = "true" in line or "false" in line
-            objects = [_object_from_record(o, lineno, stacker, eager) for o in rec["objects"]]
-            roles = [role for _, _, role, _, _ in objects]
-            for unique_role in ("hand_left", "hand_right", "ground"):
-                if roles.count(unique_role) > 1:
-                    raise SchemaError(f"duplicate {unique_role} in frame", lineno)
-            ids = [oid for oid, _, _, _, _ in objects]
-            if len(set(ids)) != len(ids):
-                raise SchemaError("duplicate object id in frame", lineno)
-            parsed.append((float(t), objects))
-        stacker.finish()
-    except TraceError:
-        # a bad point list on an earlier line is the error to report
-        stacker.raise_first_error()
-        raise
-    frames = [Frame(t, tuple(ObjectInstance(oid, label, role, slot and slot[0], box)
-                             for oid, label, role, slot, box in objects))
-              for t, objects in parsed]
+    frames: list[Frame] = []
+    last_box: list = [None, None]
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(lineno, f"bad JSON: {exc.msg}") from exc
+        if not isinstance(rec, dict):
+            raise SchemaError("frame record must be a mapping", lineno)
+        unknown = set(rec) - {"t", "objects"}
+        if unknown:
+            raise SchemaError(f"unknown frame field(s) {sorted(unknown)}", lineno)
+        if "t" not in rec or "objects" not in rec:
+            raise SchemaError("frame needs fields t and objects", lineno)
+        t = rec["t"]
+        if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
+            raise SchemaError("t must be a finite number", lineno)
+        if not isinstance(rec["objects"], list):
+            raise SchemaError("objects must be a list", lineno)
+        # one array would read a JSON boolean as 0 or 1, where an
+        # all-boolean point list alone is refused
+        eager = "true" in line or "false" in line
+        pending: list = []
+        try:
+            objects = [_object_from_record(o, lineno, eager, pending, last_box)
+                       for o in rec["objects"]]
+        except TraceError:
+            # a bad point list on an earlier object is the error to report
+            _check_each(pending, lineno)
+            raise
+        points = _line_points(pending, lineno)
+        roles = [role for _, _, role, _, _ in objects]
+        for unique_role in ("hand_left", "hand_right", "ground"):
+            if roles.count(unique_role) > 1:
+                raise SchemaError(f"duplicate {unique_role} in frame", lineno)
+        ids = [oid for oid, _, _, _, _ in objects]
+        if len(set(ids)) != len(ids):
+            raise SchemaError("duplicate object id in frame", lineno)
+        frames.append(Frame(float(t), tuple(
+            ObjectInstance(oid, label, role, points[p] if type(p) is int else p, box)
+            for oid, label, role, p, box in objects)))
 
     identity: dict[str, tuple[str, str]] = {}
     for fr in frames:
@@ -808,7 +766,8 @@ class Extractor:
         prim = Primitive.T if kind == "T" else Primitive.U
         return AtomicAction(subject, prim, obj_id, rel, place, (f_idx, f_idx),
                             object_label=labels.get(other, other),
-                            carried_label=labels.get(subject.carried) if subject.carried else None)
+                            carried_label=labels.get(subject.carried) if subject.carried else None,
+                            place_label=_place_label(place, labels))
 
     def _update_grasp(self, hs, hid, confirmed, contact_age, cache, roles, f_idx):
         if hs.grasped is not None:
@@ -905,7 +864,8 @@ class Extractor:
                 place = self._place_of(other, cache, f_idx, roles, confirmed)
                 return AtomicAction(subject, prim, obj_id, rel, place, span,
                                     object_label=labels.get(other, other),
-                                    carried_label=labels.get(grasped) if grasped else None)
+                                    carried_label=labels.get(grasped) if grasped else None,
+                                    place_label=_place_label(place, labels))
         if partners:
             # while an external contact exists, motion reads off that contact;
             # falling back to carried-pair co-motion would misreport it
@@ -918,7 +878,8 @@ class Extractor:
                     place = self._place_of(ctx_obj, cache, f_idx, roles, confirmed)
                     return AtomicAction(subject, Primitive.Mt, ctx_obj, ctx_rel, place, span,
                                         object_label=labels.get(ctx_obj, ctx_obj),
-                                        carried_label=labels.get(grasped))
+                                        carried_label=labels.get(grasped),
+                                        place_label=_place_label(place, labels))
                 rel = ctx_rel if ground_id is not None else SsrLabel.NoRelation
                 return AtomicAction(subject, Primitive.Mt, None, rel, AIR, span,
                                     carried_label=labels.get(grasped))
@@ -951,6 +912,11 @@ class Extractor:
                 if got != AIR:
                     return got
         return AIR
+
+
+def _place_label(place: str, labels: dict[str, str]) -> str | None:
+    """The label of a place that is an object; the ground and the air have none."""
+    return None if place in (GROUND, AIR) else labels.get(place, place)
 
 
 def extract_atomic_actions(trace: SceneTrace, cfg: RunConfig | None = None) -> ExtractionResult:

@@ -24,6 +24,7 @@ planes and boxes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -238,12 +239,15 @@ def _chain_2d(xy):
 
     Runs of equal x sit at the two ends of the sort order only (a convex
     polygon's vertical edges are its extremes), and there the sort must
-    run up the column: the first chain's start column is popped by the
+    run along the column: the first chain's start column is popped by the
     first point to its right and comes back riding on the start at the end
     of the other chain, and the end column likewise.  Coordinates computed
     in a facet's chart put such a column's x a few ulps apart, so x within
     ``_EPS_LINE / extent`` of either extreme counts as the extreme: the
     turns that distance can change are within the collinearity tolerance.
+    A column runs up, unless its top point's x is less than its bottom
+    point's: it then runs down, so that a tilted edge whose further points
+    lie past that distance stays in x order.
     A point repeated exactly is taken once.  Fewer than three corners (a
     collinear set) are returned alone.  Facets hold a handful of points,
     so this runs on Python floats, where numpy's per-element overhead would
@@ -260,6 +264,13 @@ def _chain_2d(xy):
                   for k, (x, y) in enumerate(xy)])
     pts = [p for j, p in enumerate(pts)
            if not j or p[1] != pts[j - 1][1] or p[3] != pts[j - 1][3]]
+    # an end column whose x falls as y rises runs down instead
+    m = bisect_right(pts, (lo, math.inf))
+    if m > 1 and pts[m - 1][3] < pts[0][3]:
+        pts[:m] = pts[:m][::-1]
+    m = bisect_left(pts, (hi, -math.inf))
+    if len(pts) - m > 1 and pts[-1][3] < pts[m][3]:
+        pts[m:] = pts[m:][::-1]
 
     def build(seq):
         chain, riding = [], []     # points, and per point those on the edge into it
@@ -581,11 +592,9 @@ def checked_hull_with_fallback(pts: np.ndarray,
         return box_hull(lo - pad, hi + pad, degenerate=True)
 
 
-def classify_points(hull: ConvexHull, points, tol: float | None = None,
-                    cfg: GeometryConfig = DEFAULT_GEOMETRY) -> np.ndarray:
-    """Vectorized region classification of many points against one hull."""
-    if tol is None:
-        tol = cfg.eps_bnd
+def classify_points(hull: ConvexHull, points, tol: float = 1e-7) -> np.ndarray:
+    """Vectorized region classification of many points against one hull;
+    points within ``tol`` of its surface are on the boundary."""
     pts = as_cloud(points)
     if pts.shape[0] == 0:
         return np.empty(0, dtype=np.intp)
@@ -596,11 +605,10 @@ def classify_points(hull: ConvexHull, points, tol: float | None = None,
     return out
 
 
-def classify_point(hull: ConvexHull, p, tol: float | None = None,
-                   cfg: GeometryConfig = DEFAULT_GEOMETRY) -> RegionClass:
-    if tol is not None and tol < 0:
+def classify_point(hull: ConvexHull, p, tol: float = 1e-7) -> RegionClass:
+    if tol < 0:
         raise ValueError("tol must be >= 0")
-    return RegionClass(int(classify_points(hull, [p], tol, cfg)[0]))
+    return RegionClass(int(classify_points(hull, [p], tol)[0]))
 
 
 @dataclass(frozen=True)
@@ -642,16 +650,13 @@ def _region_flags(cloud, hull, tol):
 
 
 def relation_matrix(cloud_a, hull_a: ConvexHull, cloud_b, hull_b: ConvexHull,
-                    cfg: GeometryConfig = DEFAULT_GEOMETRY,
-                    tol: float | None = None) -> RelMatrix:
+                    tol: float = 1e-7) -> RelMatrix:
     """Evaluate the six-part matrix over the full clouds (not just vertices).
 
     ``tol`` widens the boundary band; relation classification passes the
     touch tolerance here so shallow contact overlap does not read as
     interior penetration.
     """
-    if tol is None:
-        tol = cfg.eps_bnd
     ca, cb = as_cloud(cloud_a), as_cloud(cloud_b)
     r1 = _region_flags(ca, hull_b, tol)
     r2 = _region_flags(cb, hull_a, tol)

@@ -141,7 +141,7 @@ def pattern_matrix(a: ObjectState, b: ObjectState,
                    geo: GeometryConfig = DEFAULT_GEOMETRY) -> RelMatrix:
     """The intersection matrix the patterns are read from: full clouds
     against hulls, with the boundary band widened to the touch tolerance."""
-    return relation_matrix(a.cloud, a.hull, b.cloud, b.hull, geo, tol=geo.eps_touch)
+    return relation_matrix(a.cloud, a.hull, b.cloud, b.hull, geo.eps_touch)
 
 
 def _pattern_label(a: ObjectState, b: ObjectState, m: RelMatrix, cfg: RelationConfig,

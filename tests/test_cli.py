@@ -85,6 +85,11 @@ class TestDescribeCommand:
         assert cli.main(["describe", screw_trace, "--level", "99"]) == 4
         assert "available" in capsys.readouterr().err
 
+    def test_level_zero_exit_4(self, screw_trace, capsys):
+        assert cli.main(["describe", screw_trace, "--level", "0"]) == 4
+        captured = capsys.readouterr()
+        assert "level 0 unavailable" in captured.err and not captured.out
+
     def test_records_format(self, screw_trace, capsys):
         assert cli.main(["describe", screw_trace, "--format", "records",
                          "--hand", "left"]) == 0
@@ -152,6 +157,26 @@ class TestBenchCommand:
         assert os.path.exists(os.path.join(out_dir, "bench_report.tsv"))
         assert os.path.exists(os.path.join(out_dir, "bench_report.records"))
 
+    @pytest.mark.parametrize("content, code, message", [
+        (b'{"relations": [', 2, "line 1: bad JSON"),
+        (b'\xff{"relations": []}', 2, "not UTF-8"),
+        (b'{"relations": [{"frame": 0, "b": "x", "label": "To"}]}', 3,
+         "relation 0 needs fields frame, a, b and label"),
+        (b'{"relations": [{"frame": 0, "a": "x", "b": "y", "label": "Nope"}]}', 3,
+         "relation 0: unknown label 'Nope'"),
+        (b'{"relations": [{"frame": "0", "a": "x", "b": "y", "label": "To"}]}', 3,
+         "relation 0: frame must be a non-negative integer"),
+    ], ids=["bad_json", "not_utf8", "missing_field", "unknown_label", "string_frame"])
+    def test_malformed_ground_truth_names_its_file(self, tmp_path, capsys,
+                                                   content, code, message):
+        assert cli.main(["generate", "--corpus-out", str(tmp_path), "--count", "2"]) == 0
+        gt_path = tmp_path / "scene_0001.gt.json"
+        gt_path.write_bytes(content)
+        capsys.readouterr()
+        assert cli.main(["bench", str(tmp_path), "--jobs", "1"]) == code
+        err = capsys.readouterr().err
+        assert f"{gt_path}: " in err and message in err
+
 
 class TestGenerateCommand:
     def test_round_trip_through_cli(self, tmp_path, capsys):
@@ -207,6 +232,7 @@ class TestConfigPlumbing:
         (["--set", "eps_touch=-1"], "eps_touch must be >= 0"),
         (["--set", "eps_touch"], "--set expects key=value"),
         (["--config", "missing.cfg"], "No such file"),
+        (["--set", "eps_bnd=1e-7"], "unknown config key: eps_bnd"),
     ])
     def test_bad_config_exits_7(self, nested_trace, flags, message, capsys):
         assert cli.main(["relations", nested_trace, *flags]) == cli.EXIT_CONFIG == 7

@@ -23,7 +23,8 @@ from manipsem.events import (
     segment_actions,
     touch_graph,
 )
-from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace
+from manipsem.pipeline import analyze_trace, describe_document
+from manipsem.synth import SCENARIOS, ScenarioSpec, Script, generate_synthetic_trace
 from conftest import box_cloud
 
 
@@ -253,6 +254,21 @@ class TestExtraction:
         reloaded = load_trace(io.StringIO(dumps_trace(gen.trace)))
         second = extract_atomic_actions(reloaded).for_hand("left")
         assert [str(a) for a in first] == [str(a) for a in second]
+
+    def test_object_place_is_named_by_its_label(self):
+        sc = Script(np.random.default_rng(0), 0.0, per_edge=3)
+        sc.add_ground()
+        sc.add("plate1", "plate", "object", (0.3, 0.02, 0.3), (0.1, 0.01, 0.0))
+        sc.add("block1", "box", "object", (0.1, 0.1, 0.1), (0.1, 0.07, 0.0))
+        sc.add("hand_l", "left hand", "hand_left", (0.08, 0.08, 0.08), (0.1, 0.3, 0.0))
+        sc.hold(6)
+        sc.move({"hand_l": (0.0, -0.14, 0.0)}, 10)     # down onto the block's top
+        sc.hold(14)
+        analysis = analyze_trace(sc.build_trace("stacked"), RunConfig())
+        (touch,) = analysis.extraction.for_hand("left")
+        assert (str(touch), touch.place_label) == ("(Hand_L, T, block1, To, plate1)", "plate")
+        doc = describe_document(analysis, ("left",))
+        assert "The left hand touches the top of a box on a plate." in doc
 
 
 class TestSegmentation:

@@ -5,7 +5,7 @@ expanded to one row per triangle."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from manipsem.geometry import (
     ConvexHull,
@@ -72,8 +72,16 @@ def triangle_points(draw):
     return list(dict.fromkeys(pts))
 
 
+# A tilted end column that straddles the snap distance (~6.7e-10 here) from
+# the extreme, at either end of the sort: sorted up, its snapped points
+# came before the unsnapped one below them, and the loop named a point twice.
+TILTED_COLUMN = [(1e-9, 0.0), (0.0, 1.0), (0.5, 0.0), (6.25e-10, 0.375)]
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(lattice_points(), triangle_points()))
+@example(TILTED_COLUMN)
+@example([(-x, -y) for x, y in TILTED_COLUMN])
 def test_chain_2d_equals_oracle_and_walks_the_boundary(xy):
     loop = _chain_2d(xy)
     assert loop == oracle_chain_2d(np.array(xy, dtype=np.float64))

@@ -44,7 +44,7 @@ def assert_same_hull(pts, rng=None):
     rng = rng or np.random.default_rng(0)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     probes = np.vstack([pts, rng.uniform(lo - 0.1, hi + 0.1, size=(100, 3))])
-    for tol in (None, 5e-3):
+    for tol in (1e-7, 5e-3):
         assert np.array_equal(classify_points(got, probes, tol),
                               classify_points(want, probes, tol))
     other = rng.uniform(-0.5, 0.5, size=(12, 3)) + (hi - lo)

@@ -167,7 +167,7 @@ def test_field_mutations_load_or_raise_trace_error(text):
         pass
 
 
-# -- the stacked point path against per-object checks -------------------------
+# -- one array per line against per-object checks -----------------------------
 
 def _reference_coords(value, what, lineno):
     try:
@@ -282,8 +282,8 @@ def boolean_frames(kind):
 @example(boolean_frames("points"))
 @example(boolean_frames("box"))
 def test_stacked_points_match_per_object_checks(text):
-    """Points stacked per run give the values, and the first error, of
-    checking each object's points on its own line."""
+    """Points converted once per line, as one array, give the values, and
+    the first error, of checking each object's points on its own."""
     want = outcome(reference_objects, text)
     if want[0] == "ok":
         try:
