@@ -4,10 +4,13 @@ Relations are evaluated every ten frames per ordered pair, once with the
 full hull classifier and once in the legacy box mode, against constructed
 ground truth.  Object states come from one
 :class:`~manipsem.events.GeometryCache` over a trace's evaluated frames,
-the same geometry path extraction uses, so a static object's hull is
-built once per trace, and the hull classifier reads the cache's pair
-memos: a pair's intersection matrix and contact test are computed once
-for both orders and re-used while its relative pose holds.  The report
+the same geometry path extraction uses.  A hull is built on its first
+read, and only a pair whose boxes lie within ``eps_touch`` reads one: a
+static object's hull is built at most once per trace, a cloud no such pair
+reads is never wrapped, and a wrap error surfaces at that first read.  The
+hull classifier reads the cache's pair memos: a pair's intersection matrix
+and contact test are computed once for both orders and re-used while its
+relative pose holds.  The report
 carries per-model accuracy, confusion counts, and flags saying which
 containment-style labels each model managed to produce at all: the box
 model cannot express them.
@@ -21,7 +24,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import RunConfig
-from .events import GeometryCache, ParseError, SceneTrace, SchemaError, dump_trace, load_trace
+from .events import (GeometryCache, ParseError, SceneTrace, SchemaError, TraceError, dump_trace,
+                     load_trace)
 from .relations import PATTERN_LABELS, SsrLabel, classify_ssr
 
 MODES = ("hull", "aabb")
@@ -142,12 +146,18 @@ def _eval_star(args):
 
 
 def load_corpus_dir(path: str):
-    """(trace, relations) pairs from a directory of trace + .gt.json files."""
+    """(trace, relations) pairs from a directory of trace + .gt.json files.
+    A malformed file raises its ``TraceError``, naming the file."""
     out = []
     for name in sorted(os.listdir(path)):
         if not name.endswith(".jsonl"):
             continue
-        trace = load_trace(os.path.join(path, name))
+        trace_path = os.path.join(path, name)
+        try:
+            trace = load_trace(trace_path)
+        except TraceError as exc:
+            exc.args = (f"{trace_path}: {exc}",)
+            raise
         gt_path = os.path.join(path, name[:-len(".jsonl")] + ".gt.json")
         rels = _load_relations(gt_path) if os.path.exists(gt_path) else []
         out.append((trace, rels))

@@ -23,15 +23,16 @@ import io
 import json
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain
 
 import numpy as np
 
 from .actions import AIR, GROUND, AtomicAction, Primitive, Snippet, Subject
 from .config import RunConfig, split_lines
-from .geometry import Aabb, RelMatrix, as_cloud, box_hull, touch
+from .geometry import Aabb, RelMatrix, aabb_gap, as_cloud, box_hull, touch
 from .relations import (FOOTPRINT_MARGIN, DsrLabel, ObjectState, SsrLabel, _pattern_label,
                         classify_dsr, classify_ssr, footprint_overlap, pattern_matrix)
 
@@ -347,8 +348,8 @@ class _Track:
     ``(rows, N, 3)`` array, and a few vectorised passes over it give every
     row its AABB and centroid and tell whether the step from the previous
     row moved every point by the first point's shift (to ``_RIGID_TOL``).  Rows joined by
-    such rigid steps share a segment, whose state is built once, at its
-    first row; rows joined by steps that moved nothing also share a pose.
+    such rigid steps share a segment, whose hull is built at most once, from
+    its first row; rows joined by steps that moved nothing also share a pose.
     """
 
     def __init__(self, appearances, n_frames: int):
@@ -427,9 +428,13 @@ class GeometryCache:
     their index in the sequence; nothing carries over between sequences.
 
     Each object's clouds are stacked and checked for rigid steps once, as a
-    :class:`_Track`.  A state is built once per rigid segment, from the
-    object's ``box`` or its cloud, and translated, on request, only where
-    the track moved; a static ground box is thus built once.  Per object
+    :class:`_Track`.  A state carries its cloud and box, the track's row, at
+    once, and its hull from the first read of ``hull`` on.  That hull is
+    built once per rigid segment, from the object's ``box`` or its cloud,
+    and translated only where the track moved; a static ground box is thus
+    built once.  Only a pair within ``eps_touch`` reads hulls, so a cloud
+    that no object comes near is never wrapped, and a wrap error surfaces
+    at the first read, not when the cache is made.  Per object
     pair, the broad-phase gap of every frame is computed in one pass, and
     the pair's narrow-phase contact test and intersection matrix are
     re-used while both objects have only moved by one common shift since
@@ -447,33 +452,33 @@ class GeometryCache:
             for o in fr.objects:
                 appearances.setdefault(o.id, []).append((f_idx, o))
         self._tracks = {oid: _Track(app, len(frames)) for oid, app in appearances.items()}
-        for tr in self._tracks.values():
-            for r, seg in enumerate(tr.segment):
-                if seg not in tr.anchor:
-                    tr.anchor[seg] = (r, self._build(tr.objects[r], tr.clouds[r]))
         self._gaps: dict[tuple[str, str], list[float]] = {}
         # per unordered pair (ids in order): (frame computed, answer)
         self._touch: dict[tuple[str, str], tuple[int, bool]] = {}
         self._matrix: dict[tuple[str, str], tuple[int, RelMatrix]] = {}
 
-    def _build(self, obj: ObjectInstance, cloud: np.ndarray) -> ObjectState:
-        if obj.points is None:
-            hull = box_hull(*obj.box)
-            return ObjectState(cloud, hull, hull.aabb())
-        return ObjectState.from_cloud(cloud, self.cfg.geometry)
+    def _anchor(self, tr: _Track, seg: int) -> tuple[int, ObjectState]:
+        """(row, state) of the segment's first row, its hull deferred."""
+        if seg not in tr.anchor:
+            r = bisect_left(tr.segment, seg)
+            obj, cloud, geo = tr.objects[r], tr.clouds[r], self.cfg.geometry
+            build = (partial(box_hull, *obj.box) if obj.points is None
+                     else lambda: ObjectState.from_cloud(cloud, geo).hull)
+            # the row's own extremes, as in tr.lo and tr.hi
+            box = Aabb(cloud.min(axis=0), cloud.max(axis=0))
+            tr.anchor[seg] = (r, ObjectState.deferred(cloud, box, build))
+        return tr.anchor[seg]
 
     def state(self, oid: str, f_idx: int) -> ObjectState:
-        """The object's state in frame ``f_idx``, where it must appear."""
+        """The object's state in frame ``f_idx``, where it must appear.  Its
+        hull is built, or translated from the state before it, on first read."""
         tr = self._tracks[oid]
         r = tr.row_of[f_idx]
-        base_r, base = tr.last if tr.last else tr.anchor[tr.segment[r]]
+        base_r, base = tr.last if tr.last else self._anchor(tr, tr.segment[r])
         if tr.segment[base_r] != tr.segment[r]:
-            base_r, base = tr.anchor[tr.segment[r]]
+            base_r, base = self._anchor(tr, tr.segment[r])
         if tr.pose[base_r] != tr.pose[r]:
-            cloud = tr.clouds[r]
-            base = ObjectState(cloud, base.hull.translated(cloud[0] - tr.clouds[base_r][0]),
-                               Aabb(tr.lo[r], tr.hi[r]))
-            base_r = r
+            base, base_r = base.moved(tr.clouds[r], Aabb(tr.lo[r], tr.hi[r])), r
         # a state keeps the row its cloud is from: a later shift is taken
         # from there, as its hull sits there
         tr.last = (base_r, base)
@@ -531,14 +536,17 @@ class GeometryCache:
         return out
 
     def touching(self, a: str, b: str, f_idx: int) -> bool:
-        """``geometry.touch`` of the two objects in frame ``f_idx``."""
+        """``geometry.touch`` of the two objects in frame ``f_idx``.  Boxes
+        further apart than ``eps_touch`` answer False before either hull is
+        read, as ``touch`` itself would."""
         key = (a, b) if a < b else (b, a)
         last = self._touch.get(key)
         if last is not None and self._pose_kept(*key, last[0], f_idx):
             return last[1]
         sa, sb = self.state(key[0], f_idx), self.state(key[1], f_idx)
         geo = self.cfg.geometry
-        hit = touch(sa.cloud, sa.hull, sb.cloud, sb.hull, geo.eps_touch, geo)
+        hit = (aabb_gap(sa.aabb, sb.aabb) <= geo.eps_touch
+               and touch(sa.cloud, sa.hull, sb.cloud, sb.hull, geo.eps_touch, geo))
         self._touch[key] = (f_idx, hit)
         return hit
 

@@ -14,7 +14,6 @@ available at all (so Cr/Wi/Pwi/Co/Pco can never be emitted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -93,13 +92,22 @@ class WindowTooShort(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ObjectState:
-    """Geometry snapshot of one object in one frame."""
+    """Geometry snapshot of one object in one frame: its cloud, hull and box.
 
-    cloud: np.ndarray
-    hull: ConvexHull
-    aabb: Aabb
+    A state made by :meth:`deferred` or :meth:`moved` has its cloud and box
+    at once but builds its hull on the first read of ``hull``, so a cloud
+    whose hull nothing reads is never wrapped, and a wrap error surfaces at
+    that read.
+    """
+
+    __slots__ = ("cloud", "aabb", "_hull", "_source")
+
+    def __init__(self, cloud: np.ndarray, hull: ConvexHull, aabb: Aabb):
+        self.cloud, self.aabb = cloud, aabb
+        self._hull = hull
+        # until the hull is read: its build, or the state it is moved from
+        self._source = None
 
     @classmethod
     def from_cloud(cls, points, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> "ObjectState":
@@ -107,6 +115,37 @@ class ObjectState:
         # an empty cloud raises EmptyCloud in the wrap, before the box
         hull = checked_hull_with_fallback(pts, cfg)
         return cls(pts, hull, Aabb(pts.min(axis=0), pts.max(axis=0)))
+
+    @classmethod
+    def deferred(cls, cloud: np.ndarray, aabb: Aabb, build) -> "ObjectState":
+        """A state whose hull is ``build()``, called on the first read."""
+        state = cls(cloud, None, aabb)
+        state._source = build
+        return state
+
+    def moved(self, cloud: np.ndarray, aabb: Aabb) -> "ObjectState":
+        """This state translated to ``cloud``: its hull, on the first read,
+        is this state's hull translated by the shift of the first point."""
+        state = ObjectState(cloud, None, aabb)
+        state._source = self
+        return state
+
+    @property
+    def hull(self) -> ConvexHull:
+        if self._hull is None:
+            # back to the nearest state with a hull or a build, then forward,
+            # translating once per move: a loop, as a long track chains
+            # thousands of moves
+            chain, s = [], self
+            while s._hull is None and isinstance(s._source, ObjectState):
+                chain.append(s)
+                s = s._source
+            if s._hull is None:
+                s._hull, s._source = s._source(), None
+            for t in reversed(chain):
+                t._hull = t._source.hull.translated(t.cloud[0] - t._source.cloud[0])
+                t._source = None
+        return self._hull
 
 
 def _interval_overlap(lo_a, hi_a, lo_b, hi_b) -> float:

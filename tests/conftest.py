@@ -9,6 +9,7 @@ settings.register_profile("ci", derandomize=True)
 from manipsem.config import RunConfig
 from manipsem.library import default_library
 from manipsem.realizer import default_templates
+from manipsem.relations import DEFAULT_GEOMETRY, ObjectState
 
 
 def box_cloud(lo, hi, per_edge=3, skip_top_inner=False, center=True):
@@ -28,6 +29,19 @@ def box_cloud(lo, hi, per_edge=3, skip_top_inner=False, center=True):
     if center:
         pts.append((lo + hi) / 2.0)
     return np.array(pts)
+
+
+def counted_builds(monkeypatch):
+    """The point count of every ``ObjectState.from_cloud`` call from here on."""
+    builds = []
+    from_cloud = ObjectState.from_cloud.__func__
+
+    def counted(cls, points, geo=DEFAULT_GEOMETRY):
+        builds.append(len(points))
+        return from_cloud(cls, points, geo)
+
+    monkeypatch.setattr(ObjectState, "from_cloud", classmethod(counted))
+    return builds
 
 
 @pytest.fixture(scope="session")

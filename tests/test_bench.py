@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from manipsem import cli
 from manipsem.bench import (
     AccuracyReport,
     SPECIAL_LABELS,
@@ -87,6 +88,24 @@ class TestCorpusIo:
         rep_disk = compare_models(loaded)
         rep_mem = compare_models(small_corpus[:6])
         assert rep_disk.correct == rep_mem.correct
+
+    @pytest.mark.parametrize("row, edit, code, message", [
+        (0, lambda line: line[:40], 2, "line 1: bad JSON: "),
+        (1, lambda line: line.replace('"objects"', '"things"'), 3,
+         "line 2: unknown frame field(s) ['things']"),
+        (1, lambda line: line.replace('"t": ', '"t": -1', 1), 3,
+         "timestamps not strictly increasing"),
+    ], ids=["truncated", "unknown_field", "time_goes_back"])
+    def test_malformed_trace_names_its_file(self, tmp_path, capsys, row, edit, code, message):
+        assert cli.main(["generate", "--corpus-out", str(tmp_path), "--count", "2"]) == 0
+        path = tmp_path / "scene_0001.jsonl"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[row] = edit(lines[row])
+        path.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["bench", str(tmp_path), "--jobs", "1"]) == code
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err, err
 
 
 def test_setup_modules_leave_generator_unimported():

@@ -5,6 +5,7 @@ import dataclasses
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from manipsem import relations
@@ -13,8 +14,9 @@ from manipsem.config import EventConfig, GeometryConfig, RelationConfig, RunConf
 from manipsem.events import Frame, GeometryCache, ObjectInstance
 from manipsem.geometry import aabb_gap, box_hull, touch
 from manipsem.relations import PATTERN_LABELS, ObjectState, classify_ssr
-from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace, make_corpus
-from conftest import box_cloud
+from manipsem.synth import (SCENARIOS, SCENE_KINDS, ScenarioSpec, generate_synthetic_trace,
+                            make_corpus, make_relation_scene)
+from conftest import box_cloud, counted_builds
 
 SRC = pathlib.Path(relations.__file__).parent
 
@@ -67,20 +69,30 @@ def test_evaluate_trace_matches_fresh_states(name, monkeypatch):
     expected = oracle_report(gen.trace, gen.relations, cfg)
     assert expected.total > 0
 
-    builds = []
-    from_cloud = ObjectState.from_cloud.__func__
-
-    def counted(cls, points, geo=relations.DEFAULT_GEOMETRY):
-        builds.append(len(points))
-        return from_cloud(cls, points, geo)
-
-    monkeypatch.setattr(ObjectState, "from_cloud", classmethod(counted))
+    builds = counted_builds(monkeypatch)
     got = evaluate_trace(gen.trace, gen.relations, cfg)
     assert (got.total, got.correct, got.confusion, got.emitted) == \
         (expected.total, expected.correct, expected.confusion, expected.emitted)
     evaluated = {g.frame for g in gen.relations if g.frame < len(gen.trace.frames)}
     clouds = sum(o.points is not None for f in evaluated for o in gen.trace.frames[f].objects)
     assert len(builds) < clouds        # states were re-used, not rebuilt per frame
+
+
+@pytest.mark.parametrize("kind", SCENE_KINDS)
+def test_scenes_out_of_touch_range_wrap_no_hull(kind, monkeypatch):
+    """Only a pair within eps_touch reads hulls: the Ab, Ar and NoRelation
+    scenes, whose boxes lie further apart, wrap none, every other kind
+    wraps both objects once; the report is the fresh-state one either way."""
+    cfg = RunConfig()
+    builds = counted_builds(monkeypatch)
+    for seed in range(3):
+        trace, rows = make_relation_scene(kind, np.random.default_rng(seed))
+        want = oracle_report(trace, rows, cfg)
+        builds.clear()
+        got = evaluate_trace(trace, rows, cfg)
+        assert (got.total, got.correct, got.confusion, got.emitted) == \
+            (want.total, want.correct, want.confusion, want.emitted)
+        assert len(builds) == (0 if kind in ("Ab", "Ar", "NoRelation") else 2), seed
 
 
 def assert_memos_match_brute_force(trace, rows, cfg):

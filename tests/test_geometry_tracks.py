@@ -6,15 +6,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from manipsem import events, relations
+from manipsem import events
 from manipsem.config import RunConfig
 from manipsem.events import Frame, GeometryCache, ObjectInstance, SceneTrace
 from manipsem.geometry import aabb_gap, box_hull, touch
 from manipsem.pipeline import analyze_trace
 from manipsem.relations import ObjectState, _pattern_label, pattern_matrix
 from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace
-from conftest import box_cloud
+from conftest import box_cloud, counted_builds
 
 NOISY = dict(eps_touch=0.03, delta_move=0.005, delta_rel=0.01, distinguish_in_su="false")
 GROUND = ObjectInstance("table", "table", "ground", None, ((-1, -0.1, -1), (1, 0.0, 1)))
@@ -85,18 +86,6 @@ def cloud(oid, lo, hi, role="object", per_edge=3):
     return ObjectInstance(oid, oid, role, box_cloud(lo, hi, per_edge=per_edge), None)
 
 
-def counted_builds(monkeypatch):
-    builds = []
-    from_cloud = ObjectState.from_cloud.__func__
-
-    def counted(cls, points, geo=relations.DEFAULT_GEOMETRY):
-        builds.append(len(points))
-        return from_cloud(cls, points, geo)
-
-    monkeypatch.setattr(ObjectState, "from_cloud", classmethod(counted))
-    return builds
-
-
 def counted_touches(monkeypatch):
     calls = []
     real = events.touch
@@ -120,7 +109,10 @@ def test_point_count_change_rebuilds_once(monkeypatch):
                                    box_cloud((0, 0, 0), (0.08, 0.1, 0.08), per_edge) + shift, None))))
     assert_matches_fresh(frames, RunConfig())
     builds.clear()
-    GeometryCache(frames, RunConfig())
+    cache = GeometryCache(frames, RunConfig())
+    assert builds == []             # hulls are built on first read
+    for k in range(len(frames)):
+        cache.state("cup", k).hull
     assert builds == [27, 57]       # one build per run of rigid steps
 
 
@@ -174,6 +166,57 @@ def test_ground_box_change():
     assert cache.state("table", 0) is cache.state("table", 2)
     assert cache.state("table", 2) is not cache.state("table", 3)
     assert cache.contacts(0) == set() and cache.contacts(3) == {frozenset(("cup", "table"))}
+
+
+def test_long_rigid_track_translates_on_read_without_recursion():
+    """3000 moved states whose hulls are first read at the end: the
+    deferred translations resolve in a loop, each hull bit-identical to
+    translating the first one frame by frame."""
+    base = box_cloud((0, 0, 0), (0.08, 0.1, 0.08), per_edge=2)
+    clouds = [base + [0.001 * k, 0.0005 * k, 0.0] for k in range(3000)]
+    cache = GeometryCache([Frame(k / 30.0, (ObjectInstance("cup", "cup", "object", c, None),))
+                           for k, c in enumerate(clouds)], RunConfig())
+    states = [cache.state("cup", k) for k in range(len(clouds))]
+    want = [ObjectState.from_cloud(clouds[0]).hull]
+    for k in range(1, len(clouds)):
+        want.append(want[-1].translated(clouds[k][0] - clouds[k - 1][0]))
+    for k in (len(clouds) - 1, 1500, 0):      # later reads find earlier hulls built
+        got = states[k].hull
+        assert np.array_equal(got.vertices, want[k].vertices), k
+        assert np.array_equal(got.face_planes, want[k].face_planes), k
+
+
+EPS_TOUCH = RunConfig().geometry.eps_touch
+
+
+def ulps_from(x, k):
+    """x moved by k representable floats, up for k > 0."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, np.inf if k > 0 else -np.inf))
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.floats(0.0, 2 * EPS_TOUCH),
+                 st.integers(-4, 4).map(lambda k: ulps_from(EPS_TOUCH, k))),
+       st.sampled_from([0.0, 0.05]), st.sampled_from([0.0, 0.003, -0.02]))
+@example(EPS_TOUCH, 0.0, 0.0)
+def test_touching_gate_matches_brute_force(gap, dy, dz):
+    """``GeometryCache.touching`` against ``touch`` on fresh hulls, for two
+    boxes whose gap straddles ``eps_touch``; beyond it no hull is built."""
+    a = box_cloud((-0.1, 0.0, 0.0), (0.0, 0.1, 0.1))
+    b = box_cloud((gap, dy, dz), (gap + 0.08, dy + 0.1, dz + 0.1))
+    cfg = RunConfig()
+    sa, sb = ObjectState.from_cloud(a), ObjectState.from_cloud(b)
+    want = touch(a, sa.hull, b, sb.hull, EPS_TOUCH, cfg.geometry)
+    beyond = aabb_gap(sa.aabb, sb.aabb) > EPS_TOUCH
+    frame = Frame(0.0, (ObjectInstance("a", "a", "object", a, None),
+                        ObjectInstance("b", "b", "object", b, None)))
+    for pair in (("a", "b"), ("b", "a")):
+        with pytest.MonkeyPatch.context() as mp:
+            builds = counted_builds(mp)
+            assert GeometryCache((frame,), cfg).touching(*pair, 0) == want
+        assert len(builds) == (0 if beyond else 2)
 
 
 def dense_trace(frames=30, per_edge=27):
