@@ -5,9 +5,12 @@ full hull classifier and once in the legacy box mode, against constructed
 ground truth.  Object states come from one
 :class:`~manipsem.events.GeometryCache` over a trace's evaluated frames,
 the same geometry path extraction uses.  A hull is built on its first
-read, and only a pair whose boxes lie within ``eps_touch`` reads one: a
-static object's hull is built at most once per trace, a cloud no such pair
-reads is never wrapped, and a wrap error surfaces at that first read.  The
+read, and only a pair whose boxes lie within ``eps_touch`` reads one, and
+only where the boxes and clouds cannot decide: a scene in surface contact
+(To, ArT) wraps none, a container with an object deep in its box (In, Wi,
+Pwi) wraps the container, and a crossing pair wraps both.  A static
+object's hull is built at most once per trace, and a wrap error surfaces
+at that first read.  The
 hull classifier reads the cache's pair memos: a pair's intersection matrix
 and contact test are computed once for both orders and re-used while its
 relative pose holds.  The report

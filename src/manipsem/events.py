@@ -32,7 +32,7 @@ import numpy as np
 
 from .actions import AIR, GROUND, AtomicAction, Primitive, Snippet, Subject
 from .config import RunConfig, split_lines
-from .geometry import Aabb, RelMatrix, aabb_gap, as_cloud, box_hull, touch
+from .geometry import Aabb, ConvexHull, RelMatrix, aabb_gap, as_cloud, box_hull, touch
 from .relations import (FOOTPRINT_MARGIN, DsrLabel, ObjectState, SsrLabel, _pattern_label,
                         classify_dsr, classify_ssr, footprint_overlap, pattern_matrix)
 
@@ -428,13 +428,15 @@ class GeometryCache:
     their index in the sequence; nothing carries over between sequences.
 
     Each object's clouds are stacked and checked for rigid steps once, as a
-    :class:`_Track`.  A state carries its cloud and box, the track's row, at
-    once, and its hull from the first read of ``hull`` on.  That hull is
+    :class:`_Track`.  A state carries its cloud and box, the track's row, and
+    a hull built on the first read of its vertices or planes.  That hull is
     built once per rigid segment, from the object's ``box`` or its cloud,
     and translated only where the track moved; a static ground box is thus
-    built once.  Only a pair within ``eps_touch`` reads hulls, so a cloud
-    that no object comes near is never wrapped, and a wrap error surfaces
-    at the first read, not when the cache is made.  Per object
+    built once.  Only a pair within ``eps_touch`` may read hulls, and it
+    reads one only where the boxes and clouds cannot decide (see
+    ``touching`` and ``matrix``), so a cloud that no object comes into is
+    never wrapped, and a wrap error surfaces at the first read, not when
+    the cache is made.  Per object
     pair, the broad-phase gap of every frame is computed in one pass, and
     the pair's narrow-phase contact test and intersection matrix are
     re-used while both objects have only moved by one common shift since
@@ -466,7 +468,7 @@ class GeometryCache:
                      else lambda: ObjectState.from_cloud(cloud, geo).hull)
             # the row's own extremes, as in tr.lo and tr.hi
             box = Aabb(cloud.min(axis=0), cloud.max(axis=0))
-            tr.anchor[seg] = (r, ObjectState.deferred(cloud, box, build))
+            tr.anchor[seg] = (r, ObjectState(cloud, ConvexHull.deferred(cloud, geo, build), box))
         return tr.anchor[seg]
 
     def state(self, oid: str, f_idx: int) -> ObjectState:
@@ -538,7 +540,9 @@ class GeometryCache:
     def touching(self, a: str, b: str, f_idx: int) -> bool:
         """``geometry.touch`` of the two objects in frame ``f_idx``.  Boxes
         further apart than ``eps_touch`` answer False before either hull is
-        read, as ``touch`` itself would."""
+        read, as ``touch`` itself would; nearer ones build a hull only where
+        a point lies deep in the other's box or the clouds' distance is
+        within GJK's error of ``eps_touch``."""
         key = (a, b) if a < b else (b, a)
         last = self._touch.get(key)
         if last is not None and self._pose_kept(*key, last[0], f_idx):
@@ -551,7 +555,10 @@ class GeometryCache:
         return hit
 
     def matrix(self, a: str, b: str, f_idx: int) -> RelMatrix:
-        """``relations.pattern_matrix`` of a against b in frame ``f_idx``."""
+        """``relations.pattern_matrix`` of a against b in frame ``f_idx``.
+        Its entries are computed on first read and kept with it, so a
+        pattern label that reads only the interior entries, and finds none
+        of b's points deep in a's box or a's in b's, builds no hull."""
         key = (a, b) if a < b else (b, a)
         last = self._matrix.get(key)
         if last is not None and self._pose_kept(*key, last[0], f_idx):

@@ -19,6 +19,15 @@ facet's boundary loop, and the closed, consistently oriented triangle
 surface that volume, Euler and edge checks read is built from the loops on
 the first read of ``ConvexHull.faces``: the pipeline reads only vertices,
 planes and boxes.
+
+The pipeline's hulls are built on first read (``ConvexHull.deferred``),
+and the contact test and the relation matrix read a hull only where its
+box and its cloud cannot decide: a point can lie deeper than the
+tolerance inside a hull only if it lies that deep inside a box holding the
+hull, and GJK over two clouds gives the distance between their convex
+hulls.  Surface contact without interpenetration, such as a hand on an
+object or one object resting on another, builds no hull; a point deep in
+the other object's box (containment, crossing) reads that object's planes.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
 
 import numpy as np
 
@@ -79,6 +89,15 @@ class Aabb:
         return (self.max_corner + self.min_corner) / 2.0
 
 
+def _built(slot: str) -> property:
+    """A hull attribute read from ``slot`` after the hull is built."""
+    def read(hull):
+        if hull._source is not None:
+            hull._build()
+        return getattr(hull, slot)
+    return property(read)
+
+
 class ConvexHull:
     """Boundary surface of a point cloud.
 
@@ -90,38 +109,127 @@ class ConvexHull:
     face_planes     (P, 4) rows (a, b, c, d), unit outward normals, one row
                     per polygon facet (a box has 6 rows and 12 triangles)
     degenerate      True when this hull is an inflated-box stand-in for a flat cloud
+
+    A hull made by :meth:`deferred`, or :meth:`translated` from any hull, is
+    built on the first read of one of these, and a build error surfaces
+    there.  Until then ``box`` bounds it and :meth:`flat` says whether it
+    will be its cloud's convex hull, which is what the contact and pattern
+    tests read first.
     """
 
-    __slots__ = ("vertices", "vertex_indices", "face_planes", "degenerate",
-                 "_faces", "_facets")
+    __slots__ = ("_vertices", "_vertex_indices", "_face_planes", "_degenerate",
+                 "_faces", "_facets", "_source", "_box", "_root", "_cloud", "_flat")
 
     def __init__(self, vertices: np.ndarray, vertex_indices: np.ndarray,
                  faces: np.ndarray | None, face_planes: np.ndarray,
                  degenerate: bool = False):
-        self.vertices = vertices
-        self.vertex_indices = vertex_indices
-        self.face_planes = face_planes
-        self.degenerate = degenerate
+        self._vertices = vertices
+        self._vertex_indices = vertex_indices
+        self._face_planes = face_planes
+        self._degenerate = degenerate
         self._faces = faces
         # (loops, loop ends, polygon flags, charts) of a wrapped hull, see _wrap
         self._facets = None
+        # until built: the build, or (hull, shift) for a translation of a hull
+        self._source = None
+        self._box = None
+        # the hull this one is a translation of, in any number of steps
+        # (itself if none), and, while that one is not built, its cloud and
+        # whether the cloud is flat
+        self._root = self
+        self._cloud = None
+        self._flat = None
+
+    @classmethod
+    def deferred(cls, pts: np.ndarray, cfg: GeometryConfig = DEFAULT_GEOMETRY,
+                 build=None) -> "ConvexHull":
+        """The hull of the checked cloud ``pts``, as
+        ``checked_hull_with_fallback(pts, cfg)`` makes it, built on first
+        read by that call or by ``build()`` when given.  Its ``box`` until
+        then is the cloud's box padded on its flat axes, which holds the
+        hull whether the cloud is flat or not."""
+        hull = cls._pending(partial(checked_hull_with_fallback, pts, cfg) if build is None
+                            else build, Aabb(*_padded(pts.min(axis=0), pts.max(axis=0), cfg)))
+        hull._cloud = pts
+        return hull
+
+    @classmethod
+    def _pending(cls, source, box: Aabb) -> "ConvexHull":
+        hull = cls(None, None, None, None)
+        hull._source, hull._box = source, box
+        return hull
+
+    @property
+    def built(self) -> bool:
+        return self._source is None
+
+    vertices = _built("_vertices")
+    vertex_indices = _built("_vertex_indices")
+    face_planes = _built("_face_planes")
+    degenerate = _built("_degenerate")
 
     @property
     def faces(self) -> np.ndarray:
+        if self._source is not None:
+            self._build()
         if self._faces is None:
             self._faces = _triangulate_facets(*self._facets)
         return self._faces
+
+    @property
+    def box(self) -> Aabb:
+        """A box holding the hull: its own once built, read without a build."""
+        if self._box is None:
+            self._box = self.aabb()
+        return self._box
+
+    def flat(self) -> bool:
+        """``degenerate``, read without a build: whether the hull is a flat
+        cloud's padded box rather than its cloud's convex hull."""
+        root = self._root
+        if root._source is None:
+            return root._degenerate
+        if root._flat is None:
+            root._flat = not _spans_volume(root._cloud)
+        return root._flat
+
+    def _build(self):
+        # back to the nearest hull built or with a build, then forward,
+        # translating once per step: a loop, as a long track chains
+        # thousands of translations
+        chain, h = [], self
+        while isinstance(h._source, tuple):
+            chain.append(h)
+            h = h._source[0]
+        if h._source is not None:
+            h._take(h._source())
+        for t in reversed(chain):
+            t._take(t._source[0]._shifted(t._source[1]))
+
+    def _take(self, other: "ConvexHull"):
+        self._vertices, self._vertex_indices = other._vertices, other._vertex_indices
+        self._face_planes, self._degenerate = other._face_planes, other._degenerate
+        self._faces, self._facets = other._faces, other._facets
+        self._source = self._box = self._cloud = None
 
     def aabb(self) -> Aabb:
         return Aabb(self.vertices.min(axis=0), self.vertices.max(axis=0))
 
     def translated(self, delta) -> "ConvexHull":
-        """Rigid translation; planes shift as d' = d - n . delta."""
+        """Rigid translation, made on first read; planes shift as
+        d' = d - n . delta."""
         delta = np.asarray(delta, dtype=np.float64)
+        box = self.box
+        moved = ConvexHull._pending((self, delta), Aabb(box.min_corner + delta,
+                                                        box.max_corner + delta))
+        moved._root = self._root
+        return moved
+
+    def _shifted(self, delta: np.ndarray) -> "ConvexHull":
         planes = self.face_planes.copy()
         planes[:, 3] -= planes[:, :3] @ delta
-        moved = ConvexHull(self.vertices + delta, self.vertex_indices,
-                           self._faces, planes, self.degenerate)
+        moved = ConvexHull(self._vertices + delta, self._vertex_indices,
+                           self._faces, planes, self._degenerate)
         moved._facets = self._facets
         return moved
 
@@ -248,7 +356,8 @@ def _chain_2d(xy):
     A column runs up, unless its top point's x is less than its bottom
     point's: it then runs down, so that a tilted edge whose further points
     lie past that distance stays in x order.
-    A point repeated exactly is taken once.  Fewer than three corners (a
+    A point repeated exactly, or within the tolerance of an extreme, is
+    taken once.  Fewer than three corners (a
     collinear set) are returned alone.  Facets hold a handful of points,
     so this runs on Python floats, where numpy's per-element overhead would
     dominate.
@@ -298,6 +407,12 @@ def _chain_2d(xy):
     upper, upper_riding = build(pts[::-1])
     if len(lower) + len(upper) < 5:
         return [p[2] for p in lower[:-1] + upper[:-1]]
+    # A near repeat of an extreme lies within the collinearity tolerance of
+    # both edges at it, so it rides into it at the end of one chain and out
+    # of it on the other chain's first edge; it is kept on the edge out.
+    for into, out in ((lower_riding, upper_riding), (upper_riding, lower_riding)):
+        if into[-1] and out[1]:
+            into[-1] = [k for k in into[-1] if k not in out[1]]
     loop = [pts[0][2]]
     for p, riders in zip(lower[1:] + upper[1:], lower_riding[1:] + upper_riding[1:]):
         if riders:
@@ -397,6 +512,31 @@ def _dedupe(pts):
     return srt[first], order[first]
 
 
+def _distinct(pts_in: np.ndarray):
+    """The distinct rows of a cloud and the index of each one's first
+    occurrence (see :func:`_dedupe`); raises DegenerateCloud unless they
+    span a volume."""
+    if pts_in.shape[0] == 0:
+        raise EmptyCloud("no points")
+    pts, first_idx = _dedupe(pts_in)
+    if pts.shape[0] < 4:
+        raise DegenerateCloud(f"need >= 4 distinct points, got {pts.shape[0]}")
+    centered = pts - pts.mean(axis=0)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    if sv[2] <= max(_EPS_PLANE, 1e-12 * sv[0]):
+        raise DegenerateCloud("cloud is coplanar or collinear")
+    return pts, first_idx
+
+
+def _spans_volume(pts: np.ndarray) -> bool:
+    """True unless the wrap of ``pts`` would give way to the fallback box."""
+    try:
+        _distinct(pts)
+    except DegenerateCloud:
+        return False
+    return True
+
+
 def compute_convex_hull(points) -> ConvexHull:
     """Wrap the convex hull of a 3D cloud.
 
@@ -415,16 +555,7 @@ def _wrap(pts_in: np.ndarray) -> ConvexHull:
     Everything over a facet's members (its normal, chart and loop) runs on
     Python floats.
     """
-    if pts_in.shape[0] == 0:
-        raise EmptyCloud("no points")
-    pts, first_idx = _dedupe(pts_in)
-    if pts.shape[0] < 4:
-        raise DegenerateCloud(f"need >= 4 distinct points, got {pts.shape[0]}")
-    centered = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[2] <= max(_EPS_PLANE, 1e-12 * sv[0]):
-        raise DegenerateCloud("cloud is coplanar or collinear")
-
+    pts, first_idx = _distinct(pts_in)
     n_pts = pts.shape[0]
     rows = pts.tolist()
     # Facet loops, CCW and rooted at their smallest id, are kept flat: the
@@ -587,9 +718,14 @@ def checked_hull_with_fallback(pts: np.ndarray,
     try:
         return _wrap(pts)
     except DegenerateCloud:
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        pad = np.where(hi - lo < cfg.eps_touch, cfg.eps_touch / 2.0, 0.0)
-        return box_hull(lo - pad, hi + pad, degenerate=True)
+        return box_hull(*_padded(pts.min(axis=0), pts.max(axis=0), cfg), degenerate=True)
+
+
+def _padded(lo: np.ndarray, hi: np.ndarray, cfg: GeometryConfig):
+    """The box (lo, hi) of a cloud with its axes thinner than eps_touch
+    inflated to eps_touch, as a flat cloud's fallback hull is."""
+    pad = np.where(hi - lo < cfg.eps_touch, cfg.eps_touch / 2.0, 0.0)
+    return lo - pad, hi + pad
 
 
 def classify_points(hull: ConvexHull, points, tol: float = 1e-7) -> np.ndarray:
@@ -611,20 +747,26 @@ def classify_point(hull: ConvexHull, p, tol: float = 1e-7) -> RegionClass:
     return RegionClass(int(classify_points(hull, [p], tol)[0]))
 
 
-@dataclass(frozen=True)
 class RelMatrix:
     """Non-emptiness of the six intersections between two clouds.
 
     Row one looks at cloud A against the interior / boundary / exterior of
-    B's hull; row two looks at cloud B against A's hull.
+    B's hull; row two looks at cloud B against A's hull.  Each entry is
+    computed on its first read, reading a hull only where its box cannot
+    decide (see :func:`relation_matrix`).
     """
 
-    a_in_b0: bool
-    a_on_db: bool
-    a_in_bminus: bool
-    a0_has_b: bool
-    da_has_b: bool
-    aminus_has_b: bool
+    __slots__ = ("_sides",)
+
+    def __init__(self, side_a: _Side, side_b: _Side):
+        self._sides = (side_a, side_b)
+
+    a_in_b0 = property(lambda self: self._sides[0].flag(RegionClass.INTERIOR))
+    a_on_db = property(lambda self: self._sides[0].flag(RegionClass.BOUNDARY))
+    a_in_bminus = property(lambda self: self._sides[0].flag(RegionClass.EXTERIOR))
+    a0_has_b = property(lambda self: self._sides[1].flag(RegionClass.INTERIOR))
+    da_has_b = property(lambda self: self._sides[1].flag(RegionClass.BOUNDARY))
+    aminus_has_b = property(lambda self: self._sides[1].flag(RegionClass.EXTERIOR))
 
     def rows(self):
         return ((self.a_in_b0, self.a_on_db, self.a_in_bminus),
@@ -632,9 +774,15 @@ class RelMatrix:
 
     def swapped(self) -> "RelMatrix":
         """The matrix of the pair in the other order: its two rows swapped,
-        which is what ``relation_matrix`` returns for the swapped arguments."""
-        return RelMatrix(self.a0_has_b, self.da_has_b, self.aminus_has_b,
-                         self.a_in_b0, self.a_on_db, self.a_in_bminus)
+        which is what ``relation_matrix`` returns for the swapped arguments.
+        It shares this matrix's entries, each still computed once."""
+        return RelMatrix(self._sides[1], self._sides[0])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RelMatrix) and self.rows() == other.rows()
+
+    def __repr__(self) -> str:
+        return f"RelMatrix{self.rows()}"
 
 
 def _region_flags(cloud, hull, tol):
@@ -649,18 +797,65 @@ def _region_flags(cloud, hull, tol):
     return flags
 
 
+# A point can lie deeper than tol inside a hull only if it lies that deep
+# inside a box holding the hull.  The margin covers the rounding between
+# the two depths, a box's and a plane row's.
+_DEEP_MARGIN = 1e-9
+
+
+def _reaches_interior(cloud: np.ndarray, hull: ConvexHull, tol: float) -> bool:
+    """Whether some point of ``cloud`` lies in the interior of ``hull`` (as
+    :func:`classify_points` with ``tol`` says).  Only the points deeper than
+    ``tol`` inside ``hull.box`` are classified, so a hull no point comes
+    that deep into is not read."""
+    box = hull.box
+    depth = np.minimum(cloud - box.min_corner, box.max_corner - cloud).min(axis=1)
+    deep = depth > tol - _DEEP_MARGIN
+    if not deep.any():
+        return False
+    return bool(np.any(classify_points(hull, cloud[deep], tol) == RegionClass.INTERIOR))
+
+
+class _Side:
+    """One cloud against the interior, boundary and exterior of one hull:
+    whether some point lies in each, found on first read.  The interior
+    flag classifies only the points deep inside the hull's box, and a point
+    beyond that box by more than ``tol`` settles the exterior flag; the
+    rest classifies every point within ``tol`` of the hull's own box."""
+
+    __slots__ = ("cloud", "hull", "tol", "flags")
+
+    def __init__(self, cloud: np.ndarray, hull: ConvexHull, tol: float):
+        self.cloud, self.hull, self.tol = cloud, hull, tol
+        self.flags = [None, None, None]
+
+    def flag(self, region: RegionClass) -> bool:
+        flags = self.flags
+        if flags[region] is None:
+            if region == RegionClass.INTERIOR:
+                flags[region] = _reaches_interior(self.cloud, self.hull, self.tol)
+            elif (region == RegionClass.EXTERIOR
+                  and not self.hull.box.contains(self.cloud, self.tol).all()):
+                flags[region] = True
+            else:
+                full = _region_flags(self.cloud, self.hull, self.tol)
+                self.flags = [f if f is not None else g for f, g in zip(flags, full)]
+        return self.flags[region]
+
+
 def relation_matrix(cloud_a, hull_a: ConvexHull, cloud_b, hull_b: ConvexHull,
                     tol: float = 1e-7) -> RelMatrix:
     """Evaluate the six-part matrix over the full clouds (not just vertices).
 
     ``tol`` widens the boundary band; relation classification passes the
     touch tolerance here so shallow contact overlap does not read as
-    interior penetration.
+    interior penetration.  Entries are computed on first read: an interior
+    entry reads the other hull's planes only for points deeper than ``tol``
+    inside its box, and an exterior entry none when some point lies beyond
+    that box by more than ``tol``, so a hull whose box decides is not built.
     """
     ca, cb = as_cloud(cloud_a), as_cloud(cloud_b)
-    r1 = _region_flags(ca, hull_b, tol)
-    r2 = _region_flags(cb, hull_a, tol)
-    return RelMatrix(r1[0], r1[1], r1[2], r2[0], r2[1], r2[2])
+    return RelMatrix(_Side(ca, hull_b, tol), _Side(cb, hull_a, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -729,14 +924,23 @@ def _closest_on_simplex(simplex):
     return best, keep
 
 
+# GJK stops when a support point brings |v|^2 closer by at most this share
+# of max(|v|^2, 1): at a distance t its answer then exceeds the true one by
+# at most _GJK_STOP * max(t^2, 1) / t.
+_GJK_STOP = 1e-10
+
+
 def gjk_distance(verts_a, verts_b, eps: float = 1e-12, max_iter: int = 128) -> float:
     """Distance between the convex hulls of two vertex sets (0 if they meet)."""
-    A = as_cloud(verts_a)
-    B = as_cloud(verts_b)
+    return _gjk(as_cloud(verts_a), as_cloud(verts_b), eps, max_iter)[0]
+
+
+def _gjk(A: np.ndarray, B: np.ndarray, eps: float = 1e-12, max_iter: int = 128):
+    """(:func:`gjk_distance`, False if it stopped on ``max_iter``)."""
     rows_a, rows_b = A.tolist(), B.tolist()
     v = tuple((A.mean(axis=0) - B.mean(axis=0)).tolist())
     if _dot(v, v) < eps:
-        return 0.0
+        return 0.0, True
     simplex: list[tuple[float, float, float]] = []
     witnesses: list[tuple[int, int]] = []    # vertex pair of each simplex point
     for _ in range(max_iter):
@@ -746,16 +950,16 @@ def gjk_distance(verts_a, verts_b, eps: float = 1e-12, max_iter: int = 128) -> f
         vv = _dot(v, v)
         # a support point already in the simplex cannot bring v closer; one
         # dropped earlier may re-enter
-        if vv - _dot(v, w) <= 1e-10 * max(vv, 1.0) or (ia, ib) in witnesses:
-            return math.sqrt(vv)
+        if vv - _dot(v, w) <= _GJK_STOP * max(vv, 1.0) or (ia, ib) in witnesses:
+            return math.sqrt(vv), True
         witnesses.append((ia, ib))
         simplex.append(w)
         v, keep = _closest_on_simplex(simplex)
         simplex = [simplex[k] for k in keep]
         witnesses = [witnesses[k] for k in keep]
         if _dot(v, v) <= eps:
-            return 0.0
-    return math.sqrt(_dot(v, v))
+            return 0.0, True
+    return math.sqrt(_dot(v, v)), False
 
 
 def hull_surface_distance(hull_a: ConvexHull, hull_b: ConvexHull) -> float:
@@ -763,23 +967,49 @@ def hull_surface_distance(hull_a: ConvexHull, hull_b: ConvexHull) -> float:
     return gjk_distance(hull_a.vertices, hull_b.vertices)
 
 
+def _surface_band(tol: float) -> float:
+    """Half-width of the band around ``tol`` in which the distance between
+    two clouds may decide the surface test otherwise than the distance
+    between their hulls' vertices: twice GJK's stopping error there (see
+    ``_GJK_STOP``), one for each distance, plus the wrap's plane tolerance,
+    by which a cloud may stand out of its hull."""
+    if tol <= 0.0:
+        return math.inf
+    return 2 * _GJK_STOP * max(tol * tol, 1.0) / tol + _EPS_PLANE
+
+
 def touch(cloud_a, hull_a: ConvexHull, cloud_b, hull_b: ConvexHull,
           tol: float | None = None, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> bool:
     """Contact test: interiors mutually free of the other's points (to depth
     tol) and surfaces within tol of each other.
 
-    Each hull contains its cloud, so the hull distance never exceeds the
-    closest point pair's distance and GJK alone decides the surface test.
+    Each cloud is its hull's cloud or a rigid translation of it.  The
+    interior tests classify only the points deep inside the other hull's
+    box.  GJK over the two clouds, or the vertices of a hull already
+    built, gives the surface distance.  A cloud's hull is its convex hull,
+    or a larger padded box if the cloud is flat, so the hulls lie no
+    further apart than the clouds.  Only when that distance lies within
+    :func:`_surface_band` of ``tol``, or beyond it for a flat cloud, or GJK
+    stopped on its iteration cap, is it taken again over the hulls'
+    vertices, as :func:`hull_surface_distance`.  So a pair in surface
+    contact without interpenetration is decided without building either
+    hull.
     """
     if tol is None:
         tol = cfg.eps_touch
     ca, cb = as_cloud(cloud_a), as_cloud(cloud_b)
     if aabb_gap(compute_aabb(ca), compute_aabb(cb)) > tol:
         return False
-    if np.any(classify_points(hull_b, ca, tol) == RegionClass.INTERIOR):
+    if _reaches_interior(ca, hull_b, tol) or _reaches_interior(cb, hull_a, tol):
         return False
-    if np.any(classify_points(hull_a, cb, tol) == RegionClass.INTERIOR):
-        return False
+    dist, converged = _gjk(hull_a.vertices if hull_a.built else ca,
+                           hull_b.vertices if hull_b.built else cb)
+    if hull_a.built and hull_b.built:
+        return dist <= tol
+    band = _surface_band(tol)
+    if converged and (dist < tol - band or dist > tol + band
+                      and not (hull_a.flat() or hull_b.flat())):
+        return dist <= tol
     return hull_surface_distance(hull_a, hull_b) <= tol
 
 

@@ -95,57 +95,29 @@ class WindowTooShort(ValueError):
 class ObjectState:
     """Geometry snapshot of one object in one frame: its cloud, hull and box.
 
-    A state made by :meth:`deferred` or :meth:`moved` has its cloud and box
-    at once but builds its hull on the first read of ``hull``, so a cloud
-    whose hull nothing reads is never wrapped, and a wrap error surfaces at
-    that read.
+    The hull may be one that is built on first read
+    (``ConvexHull.deferred``); a state's contact and pattern tests read it
+    only where its box and cloud cannot decide.  :meth:`moved` translates
+    the hull on first read too.
     """
 
-    __slots__ = ("cloud", "aabb", "_hull", "_source")
+    __slots__ = ("cloud", "hull", "aabb")
 
     def __init__(self, cloud: np.ndarray, hull: ConvexHull, aabb: Aabb):
-        self.cloud, self.aabb = cloud, aabb
-        self._hull = hull
-        # until the hull is read: its build, or the state it is moved from
-        self._source = None
+        self.cloud, self.hull, self.aabb = cloud, hull, aabb
 
     @classmethod
     def from_cloud(cls, points, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> "ObjectState":
+        """The state of a cloud, its hull wrapped now."""
         pts = as_cloud(points)
         # an empty cloud raises EmptyCloud in the wrap, before the box
         hull = checked_hull_with_fallback(pts, cfg)
         return cls(pts, hull, Aabb(pts.min(axis=0), pts.max(axis=0)))
 
-    @classmethod
-    def deferred(cls, cloud: np.ndarray, aabb: Aabb, build) -> "ObjectState":
-        """A state whose hull is ``build()``, called on the first read."""
-        state = cls(cloud, None, aabb)
-        state._source = build
-        return state
-
     def moved(self, cloud: np.ndarray, aabb: Aabb) -> "ObjectState":
-        """This state translated to ``cloud``: its hull, on the first read,
-        is this state's hull translated by the shift of the first point."""
-        state = ObjectState(cloud, None, aabb)
-        state._source = self
-        return state
-
-    @property
-    def hull(self) -> ConvexHull:
-        if self._hull is None:
-            # back to the nearest state with a hull or a build, then forward,
-            # translating once per move: a loop, as a long track chains
-            # thousands of moves
-            chain, s = [], self
-            while s._hull is None and isinstance(s._source, ObjectState):
-                chain.append(s)
-                s = s._source
-            if s._hull is None:
-                s._hull, s._source = s._source(), None
-            for t in reversed(chain):
-                t._hull = t._source.hull.translated(t.cloud[0] - t._source.cloud[0])
-                t._source = None
-        return self._hull
+        """This state translated to ``cloud``: its hull is this state's hull
+        translated by the shift of the first point."""
+        return ObjectState(cloud, self.hull.translated(cloud[0] - self.cloud[0]), aabb)
 
 
 def _interval_overlap(lo_a, hi_a, lo_b, hi_b) -> float:

@@ -78,11 +78,16 @@ def test_evaluate_trace_matches_fresh_states(name, monkeypatch):
     assert len(builds) < clouds        # states were re-used, not rebuilt per frame
 
 
+WRAPS_PER_SCENE = dict(Ab=0, Ar=0, NoRelation=0, To=0, ArT=0, In=1, Wi=1, Pwi=1, Cr=2)
+
+
 @pytest.mark.parametrize("kind", SCENE_KINDS)
 def test_scenes_out_of_touch_range_wrap_no_hull(kind, monkeypatch):
-    """Only a pair within eps_touch reads hulls: the Ab, Ar and NoRelation
-    scenes, whose boxes lie further apart, wrap none, every other kind
-    wraps both objects once; the report is the fresh-state one either way."""
+    """A hull is wrapped only where the boxes and clouds cannot decide: the
+    Ab, Ar and NoRelation scenes, whose boxes lie further apart, and the To
+    and ArT scenes, in surface contact, wrap none; In, Wi and Pwi wrap the
+    container, whose planes classify the points deep in its box; Cr wraps
+    both.  The report is the fresh-state one either way."""
     cfg = RunConfig()
     builds = counted_builds(monkeypatch)
     for seed in range(3):
@@ -92,7 +97,7 @@ def test_scenes_out_of_touch_range_wrap_no_hull(kind, monkeypatch):
         got = evaluate_trace(trace, rows, cfg)
         assert (got.total, got.correct, got.confusion, got.emitted) == \
             (want.total, want.correct, want.confusion, want.emitted)
-        assert len(builds) == (0 if kind in ("Ab", "Ar", "NoRelation") else 2), seed
+        assert len(builds) == WRAPS_PER_SCENE[kind], seed
 
 
 def assert_memos_match_brute_force(trace, rows, cfg):
