@@ -37,7 +37,6 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import partial
 
 import numpy as np
 
@@ -141,15 +140,14 @@ class ConvexHull:
         self._flat = None
 
     @classmethod
-    def deferred(cls, pts: np.ndarray, cfg: GeometryConfig = DEFAULT_GEOMETRY,
-                 build=None) -> "ConvexHull":
-        """The hull of the checked cloud ``pts``, as
-        ``checked_hull_with_fallback(pts, cfg)`` makes it, built on first
-        read by that call or by ``build()`` when given.  Its ``box`` until
-        then is the cloud's box padded on its flat axes, which holds the
-        hull whether the cloud is flat or not."""
-        hull = cls._pending(partial(checked_hull_with_fallback, pts, cfg) if build is None
-                            else build, Aabb(*_padded(pts.min(axis=0), pts.max(axis=0), cfg)))
+    def deferred(cls, pts: np.ndarray, cfg: GeometryConfig, build) -> "ConvexHull":
+        """The hull of the checked cloud ``pts``, built on first read by
+        ``build()``.  Its ``box`` until then is the cloud's box padded on its
+        flat axes, which the interior and exterior tests and the cloud GJK
+        of ``touch`` take to hold the hull and to span it; so ``build()``
+        must return ``checked_hull_with_fallback(pts, cfg)`` or another hull
+        of the same points (a ground box whose corners are ``pts``)."""
+        hull = cls._pending(build, Aabb(*_padded(pts.min(axis=0), pts.max(axis=0), cfg)))
         hull._cloud = pts
         return hull
 

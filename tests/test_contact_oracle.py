@@ -119,7 +119,8 @@ def deferred_pair(a, b, shift):
     """Clouds a, b and their hulls built on first read; with a shift, the
     clouds moved by it (b by half of it) and the hulls translations of the
     unmoved clouds' hulls, as a moved track's states hold them."""
-    ha, hb = ConvexHull.deferred(a), ConvexHull.deferred(b)
+    ha = ConvexHull.deferred(a, DEFAULT_GEOMETRY, lambda: ObjectState.from_cloud(a).hull)
+    hb = ConvexHull.deferred(b, DEFAULT_GEOMETRY, lambda: ObjectState.from_cloud(b).hull)
     if shift is None:
         return a, ha, b, hb
     delta = np.asarray(shift)

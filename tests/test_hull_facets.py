@@ -90,16 +90,10 @@ NEAR_REPEAT_OF_EXTREME = [(0, -1), (2.5e-14, -0.75), (1, 1.07e-202), (1, 0)]
 @example(NEAR_REPEAT_OF_EXTREME)
 @example([(-x, -y) for x, y in NEAR_REPEAT_OF_EXTREME])
 def test_chain_2d_equals_oracle_and_walks_the_boundary(xy):
-    """The loop walks the boundary, and equals the two-pass oracle's loop
-    wherever that one holds every boundary point: the oracle can drop a
-    point of an end column whose x differs in the last bit, as
-    [(1 - 2**-53, 1), (0, 0), (1, 0), (1 - 2**-53, 0.625)] drops point 0."""
     loop = _chain_2d(xy)
-    want = oracle_chain_2d(np.array(xy, dtype=np.float64))
+    assert loop == oracle_chain_2d(np.array(xy, dtype=np.float64))
     if len(loop) >= 3:
         assert_walks_the_boundary(xy, loop)
-    if len(want) < 3 or set(want) == brute_force_boundary(xy):
-        assert loop == want
 
 
 def assert_walks_the_boundary(xy, loop):
