@@ -550,7 +550,7 @@ class GeometryCache:
         sa, sb = self.state(key[0], f_idx), self.state(key[1], f_idx)
         geo = self.cfg.geometry
         hit = (aabb_gap(sa.aabb, sb.aabb) <= geo.eps_touch
-               and touch(sa.cloud, sa.hull, sb.cloud, sb.hull, geo.eps_touch, geo))
+               and touch(sa.cloud, sa.hull, sb.cloud, sb.hull, geo.eps_touch))
         self._touch[key] = (f_idx, hit)
         return hit
 

@@ -2,7 +2,10 @@
 six-part intersection matrix between two objects, and touch detection.
 
 Conventions used throughout:
-  * clouds are (N, 3) float64 arrays in meters, y is the vertical axis;
+  * clouds are (N, 3) float64 arrays of finite coordinates in meters, y is
+    the vertical axis.  Every function here takes them as given: the trace
+    loader checks each cloud once, with :func:`as_cloud`, and synthetic
+    traces are built as such arrays, so nothing here checks one again;
   * face planes satisfy a*x + b*y + c*z + d = 0 with the unit normal
     (a, b, c) pointing outward, so every hull vertex has signed distance <= 0;
   * a point is Interior when it is strictly inside every face plane,
@@ -77,8 +80,7 @@ class Aabb:
     min_corner: np.ndarray
     max_corner: np.ndarray
 
-    def contains(self, pts, tol: float = 0.0) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
+    def contains(self, pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
         return np.all((pts >= self.min_corner - tol) & (pts <= self.max_corner + tol), axis=-1)
 
     def extent(self) -> np.ndarray:
@@ -127,7 +129,7 @@ class ConvexHull:
         self._face_planes = face_planes
         self._degenerate = degenerate
         self._faces = faces
-        # (loops, loop ends, polygon flags, charts) of a wrapped hull, see _wrap
+        # (loops, loop ends, polygon flags, charts), see compute_convex_hull
         self._facets = None
         # until built: the build, or (hull, shift) for a translation of a hull
         self._source = None
@@ -141,12 +143,12 @@ class ConvexHull:
 
     @classmethod
     def deferred(cls, pts: np.ndarray, cfg: GeometryConfig, build) -> "ConvexHull":
-        """The hull of the checked cloud ``pts``, built on first read by
-        ``build()``.  Its ``box`` until then is the cloud's box padded on its
-        flat axes, which the interior and exterior tests and the cloud GJK
-        of ``touch`` take to hold the hull and to span it; so ``build()``
-        must return ``checked_hull_with_fallback(pts, cfg)`` or another hull
-        of the same points (a ground box whose corners are ``pts``)."""
+        """The hull of the cloud ``pts``, built on first read by ``build()``.
+        Its ``box`` until then is the cloud's box padded on its flat axes,
+        which the interior and exterior tests and the cloud GJK of ``touch``
+        take to hold the hull and to span it; so ``build()`` must return
+        ``hull_with_fallback(pts, cfg)`` or another hull of the same points
+        (a ground box whose corners are ``pts``)."""
         hull = cls._pending(build, Aabb(*_padded(pts.min(axis=0), pts.max(axis=0), cfg)))
         hull._cloud = pts
         return hull
@@ -233,7 +235,8 @@ class ConvexHull:
 
 
 def as_cloud(points) -> np.ndarray:
-    """Coerce a point sequence to an (N, 3) float array, checking finiteness."""
+    """Coerce a point sequence to an (N, 3) float array, checking finiteness:
+    the trace loader's one check of a cloud."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         return pts.reshape(0, 3)
@@ -246,8 +249,7 @@ def as_cloud(points) -> np.ndarray:
     return pts
 
 
-def compute_aabb(points) -> Aabb:
-    pts = as_cloud(points)
+def compute_aabb(pts: np.ndarray) -> Aabb:
     if pts.shape[0] == 0:
         raise EmptyCloud("cannot build a bounding box from zero points")
     return Aabb(pts.min(axis=0), pts.max(axis=0))
@@ -466,8 +468,9 @@ def _triangulate_convex_loop(loop, flat):
 
 
 def _triangulate_facets(loops, bounds, polygon, charts) -> np.ndarray:
-    """Triangles of a wrapped hull's stored facet loops (see ``_wrap``), as
-    indices into its vertices: the loops' points in sorted order."""
+    """Triangles of a wrapped hull's stored facet loops (see
+    :func:`compute_convex_hull`), as indices into its vertices: the loops'
+    points in sorted order."""
     ids, ends, coords = loops.tolist(), bounds.tolist(), charts.tolist()
     tris, row = [], 0
     for f, is_polygon in enumerate(polygon.tolist()):
@@ -535,18 +538,12 @@ def _spans_volume(pts: np.ndarray) -> bool:
     return True
 
 
-def compute_convex_hull(points) -> ConvexHull:
+def compute_convex_hull(pts_in: np.ndarray) -> ConvexHull:
     """Wrap the convex hull of a 3D cloud.
 
     Raises DegenerateCloud for fewer than four distinct points or a
     coplanar/collinear cloud; callers wanting a box proxy instead should
     use :func:`hull_with_fallback`.
-    """
-    return _wrap(as_cloud(points))
-
-
-def _wrap(pts_in: np.ndarray) -> ConvexHull:
-    """compute_convex_hull of a cloud already checked by :func:`as_cloud`.
 
     numpy makes only the passes over the whole cloud, a few per facet: the
     pivot's projection, the two membership tests and the support check.
@@ -701,20 +698,14 @@ def box_hull(min_corner, max_corner, degenerate: bool = False) -> ConvexHull:
     )
 
 
-def hull_with_fallback(points, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> ConvexHull:
+def hull_with_fallback(pts: np.ndarray, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> ConvexHull:
     """Hull of a cloud, or an inflated-box proxy when the cloud is flat.
 
     Axes with (near-)zero extent are inflated by eps_touch so thin sheets
     still participate in touch and relation tests; the result is flagged.
     """
-    return checked_hull_with_fallback(as_cloud(points), cfg)
-
-
-def checked_hull_with_fallback(pts: np.ndarray,
-                               cfg: GeometryConfig = DEFAULT_GEOMETRY) -> ConvexHull:
-    """:func:`hull_with_fallback` of a cloud already checked by :func:`as_cloud`."""
     try:
-        return _wrap(pts)
+        return compute_convex_hull(pts)
     except DegenerateCloud:
         return box_hull(*_padded(pts.min(axis=0), pts.max(axis=0), cfg), degenerate=True)
 
@@ -726,10 +717,9 @@ def _padded(lo: np.ndarray, hi: np.ndarray, cfg: GeometryConfig):
     return lo - pad, hi + pad
 
 
-def classify_points(hull: ConvexHull, points, tol: float = 1e-7) -> np.ndarray:
+def classify_points(hull: ConvexHull, pts: np.ndarray, tol: float = 1e-7) -> np.ndarray:
     """Vectorized region classification of many points against one hull;
     points within ``tol`` of its surface are on the boundary."""
-    pts = as_cloud(points)
     if pts.shape[0] == 0:
         return np.empty(0, dtype=np.intp)
     worst = (pts @ hull.face_planes[:, :3].T + hull.face_planes[:, 3]).max(axis=1)
@@ -739,10 +729,10 @@ def classify_points(hull: ConvexHull, points, tol: float = 1e-7) -> np.ndarray:
     return out
 
 
-def classify_point(hull: ConvexHull, p, tol: float = 1e-7) -> RegionClass:
+def classify_point(hull: ConvexHull, p: np.ndarray, tol: float = 1e-7) -> RegionClass:
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    return RegionClass(int(classify_points(hull, [p], tol)[0]))
+    return RegionClass(int(classify_points(hull, p[None], tol)[0]))
 
 
 class RelMatrix:
@@ -841,7 +831,8 @@ class _Side:
         return self.flags[region]
 
 
-def relation_matrix(cloud_a, hull_a: ConvexHull, cloud_b, hull_b: ConvexHull,
+def relation_matrix(cloud_a: np.ndarray, hull_a: ConvexHull,
+                    cloud_b: np.ndarray, hull_b: ConvexHull,
                     tol: float = 1e-7) -> RelMatrix:
     """Evaluate the six-part matrix over the full clouds (not just vertices).
 
@@ -852,8 +843,7 @@ def relation_matrix(cloud_a, hull_a: ConvexHull, cloud_b, hull_b: ConvexHull,
     inside its box, and an exterior entry none when some point lies beyond
     that box by more than ``tol``, so a hull whose box decides is not built.
     """
-    ca, cb = as_cloud(cloud_a), as_cloud(cloud_b)
-    return RelMatrix(_Side(ca, hull_b, tol), _Side(cb, hull_a, tol))
+    return RelMatrix(_Side(cloud_a, hull_b, tol), _Side(cloud_b, hull_a, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -928,9 +918,10 @@ def _closest_on_simplex(simplex):
 _GJK_STOP = 1e-10
 
 
-def gjk_distance(verts_a, verts_b, eps: float = 1e-12, max_iter: int = 128) -> float:
+def gjk_distance(verts_a: np.ndarray, verts_b: np.ndarray, eps: float = 1e-12,
+                 max_iter: int = 128) -> float:
     """Distance between the convex hulls of two vertex sets (0 if they meet)."""
-    return _gjk(as_cloud(verts_a), as_cloud(verts_b), eps, max_iter)[0]
+    return _gjk(verts_a, verts_b, eps, max_iter)[0]
 
 
 def _gjk(A: np.ndarray, B: np.ndarray, eps: float = 1e-12, max_iter: int = 128):
@@ -976,8 +967,8 @@ def _surface_band(tol: float) -> float:
     return 2 * _GJK_STOP * max(tol * tol, 1.0) / tol + _EPS_PLANE
 
 
-def touch(cloud_a, hull_a: ConvexHull, cloud_b, hull_b: ConvexHull,
-          tol: float | None = None, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> bool:
+def touch(cloud_a: np.ndarray, hull_a: ConvexHull, cloud_b: np.ndarray, hull_b: ConvexHull,
+          tol: float) -> bool:
     """Contact test: interiors mutually free of the other's points (to depth
     tol) and surfaces within tol of each other.
 
@@ -993,15 +984,12 @@ def touch(cloud_a, hull_a: ConvexHull, cloud_b, hull_b: ConvexHull,
     contact without interpenetration is decided without building either
     hull.
     """
-    if tol is None:
-        tol = cfg.eps_touch
-    ca, cb = as_cloud(cloud_a), as_cloud(cloud_b)
-    if aabb_gap(compute_aabb(ca), compute_aabb(cb)) > tol:
+    if aabb_gap(compute_aabb(cloud_a), compute_aabb(cloud_b)) > tol:
         return False
-    if _reaches_interior(ca, hull_b, tol) or _reaches_interior(cb, hull_a, tol):
+    if _reaches_interior(cloud_a, hull_b, tol) or _reaches_interior(cloud_b, hull_a, tol):
         return False
-    dist, converged = _gjk(hull_a.vertices if hull_a.built else ca,
-                           hull_b.vertices if hull_b.built else cb)
+    dist, converged = _gjk(hull_a.vertices if hull_a.built else cloud_a,
+                           hull_b.vertices if hull_b.built else cloud_b)
     if hull_a.built and hull_b.built:
         return dist <= tol
     band = _surface_band(tol)

@@ -25,8 +25,7 @@ from .geometry import (
     DEFAULT_GEOMETRY,
     RelMatrix,
     aabb_gap,
-    as_cloud,
-    checked_hull_with_fallback,
+    hull_with_fallback,
     relation_matrix,
     touch,
 )
@@ -107,11 +106,10 @@ class ObjectState:
         self.cloud, self.hull, self.aabb = cloud, hull, aabb
 
     @classmethod
-    def from_cloud(cls, points, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> "ObjectState":
+    def from_cloud(cls, pts: np.ndarray, cfg: GeometryConfig = DEFAULT_GEOMETRY) -> "ObjectState":
         """The state of a cloud, its hull wrapped now."""
-        pts = as_cloud(points)
         # an empty cloud raises EmptyCloud in the wrap, before the box
-        hull = checked_hull_with_fallback(pts, cfg)
+        hull = hull_with_fallback(pts, cfg)
         return cls(pts, hull, Aabb(pts.min(axis=0), pts.max(axis=0)))
 
     def moved(self, cloud: np.ndarray, aabb: Aabb) -> "ObjectState":
@@ -141,10 +139,9 @@ def _above(a: Aabb, b: Aabb, slack: float) -> bool:
     return True
 
 
-def wall_contact_distance(inner_cloud, outer_hull: ConvexHull) -> float:
+def wall_contact_distance(inner_cloud: np.ndarray, outer_hull: ConvexHull) -> float:
     """Nearest approach of contained points to the container's face planes."""
-    pts = as_cloud(inner_cloud)
-    d = np.abs(pts @ outer_hull.face_planes[:, :3].T + outer_hull.face_planes[:, 3])
+    d = np.abs(inner_cloud @ outer_hull.face_planes[:, :3].T + outer_hull.face_planes[:, 3])
     return float(d.min())
 
 
@@ -207,7 +204,7 @@ def classify_ssr(a: ObjectState, b: ObjectState,
                 return label
         if touching is None:
             touching = (memo.touching() if memo
-                        else touch(a.cloud, a.hull, b.cloud, b.hull, geo.eps_touch, geo))
+                        else touch(a.cloud, a.hull, b.cloud, b.hull, geo.eps_touch))
 
     if touching:
         if _above(a.aabb, b.aabb, geo.eps_touch) and footprint_overlap(a.aabb, b.aabb, FOOTPRINT_MARGIN):
@@ -227,15 +224,13 @@ def classify_ssr(a: ObjectState, b: ObjectState,
     return SsrLabel.NoRelation
 
 
-def classify_dsr(track_a, track_b, touching,
+def classify_dsr(ta: np.ndarray, tb: np.ndarray, touching,
                  cfg: RelationConfig = DEFAULT_RELATION) -> DsrLabel:
     """Dynamic relation of an object pair over a window of centroid samples.
 
-    ``track_a`` and ``track_b`` are (W, 3) centroid sequences; ``touching``
-    is a per-frame contact flag (or one flag for the whole window).
+    ``ta`` and ``tb`` are (W, 3) centroid arrays; ``touching`` is a
+    per-frame contact flag (or one flag for the whole window).
     """
-    ta = as_cloud(track_a)
-    tb = as_cloud(track_b)
     if ta.shape != tb.shape:
         raise ValueError("tracks must have identical shapes")
     w = ta.shape[0]

@@ -119,7 +119,7 @@ def assert_memos_match_brute_force(trace, rows, cfg):
             sa, sb = fresh[a], fresh[b]
             assert cache.matrix(a, b, k) == relations.pattern_matrix(sa, sb, geo)
             assert cache.touching(a, b, k) == touch(sa.cloud, sa.hull, sb.cloud, sb.hull,
-                                                   geo.eps_touch, geo)
+                                                   geo.eps_touch)
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.01])
@@ -154,8 +154,8 @@ def test_contact_flag_matches_internal_touch(name, noise):
                     assert frozenset((a, b)) not in contacts
                     continue
                 flag = frozenset((a, b)) in contacts
-                assert touch(sa.cloud, sa.hull, sb.cloud, sb.hull, geo.eps_touch, geo) == flag
-                assert touch(sb.cloud, sb.hull, sa.cloud, sa.hull, geo.eps_touch, geo) == flag
+                assert touch(sa.cloud, sa.hull, sb.cloud, sb.hull, geo.eps_touch) == flag
+                assert touch(sb.cloud, sb.hull, sa.cloud, sa.hull, geo.eps_touch) == flag
                 for x, y in ((sa, sb), (sb, sa)):
                     assert classify_ssr(x, y, cfg.relation, geo, touching=flag) == \
                         classify_ssr(x, y, cfg.relation, geo)

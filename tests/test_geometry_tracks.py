@@ -55,7 +55,7 @@ def assert_matches_fresh(frames, cfg):
                 sa, sb = fresh[a], fresh[b]
                 assert cache.gap(a, b, f_idx) == pytest.approx(aabb_gap(sa.aabb, sb.aabb),
                                                                rel=0, abs=1e-15)
-                if touch(sa.cloud, sa.hull, sb.cloud, sb.hull, eps, cfg.geometry):
+                if touch(sa.cloud, sa.hull, sb.cloud, sb.hull, eps):
                     want_contacts.add(frozenset((a, b)))
         assert cache.contacts(f_idx) == want_contacts, f"frame {f_idx}"
         for a in ids:
@@ -211,7 +211,7 @@ def test_touching_gate_matches_brute_force(gap, dy, dz):
     b = box_cloud((gap, dy, dz), (gap + 0.08, dy + 0.1, dz + 0.1))
     cfg = RunConfig()
     sa, sb = ObjectState.from_cloud(a), ObjectState.from_cloud(b)
-    want = touch(a, sa.hull, b, sb.hull, EPS_TOUCH, cfg.geometry)
+    want = touch(a, sa.hull, b, sb.hull, EPS_TOUCH)
     beyond = aabb_gap(sa.aabb, sb.aabb) > EPS_TOUCH
     in_band = abs(gjk_distance(a, b) - EPS_TOUCH) <= _surface_band(EPS_TOUCH)
     frame = Frame(0.0, (ObjectInstance("a", "a", "object", a, None),

@@ -191,10 +191,10 @@ def test_relation_config_validation():
 
 
 @pytest.mark.parametrize("flat", [False, True])
-def test_from_cloud_checks_its_cloud_once(monkeypatch, flat):
-    """The hull, its box fallback and the AABB take the array ``as_cloud``
-    already checked; the state equals one built by the public functions."""
-    from manipsem import geometry, relations
+def test_from_cloud_takes_its_cloud_as_given(monkeypatch, flat):
+    """The hull, its box fallback and the AABB take the array as given,
+    unchecked; the state equals one built by the public functions."""
+    from manipsem import geometry
 
     cloud = box_cloud((0, 0, 0), (1, 1, 1), 3)
     if flat:
@@ -205,10 +205,10 @@ def test_from_cloud_checks_its_cloud_once(monkeypatch, flat):
         calls.append(1)
         return check(points)
 
-    monkeypatch.setattr(relations, "as_cloud", counted)
     monkeypatch.setattr(geometry, "as_cloud", counted)
-    got = ObjectState.from_cloud(cloud.tolist())
-    assert len(calls) == 1
+    got = ObjectState.from_cloud(cloud)
+    assert got.cloud is cloud
+    assert calls == []
     monkeypatch.undo()
     want = geometry.hull_with_fallback(cloud)
     assert got.hull.degenerate == flat == want.degenerate

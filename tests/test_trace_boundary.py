@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from manipsem import cli
-from manipsem.events import ROLES, ParseError, SchemaError, TraceError, load_trace
+from manipsem import bench, cli
+from manipsem.config import RunConfig
+from manipsem.events import ROLES, ParseError, SchemaError, TraceError, dumps_trace, load_trace
 from manipsem.geometry import as_cloud
+from manipsem.pipeline import analyze_trace, describe_document
+from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace, make_corpus
 from conftest import box_cloud
 
 NAN, INF = float("nan"), float("inf")
@@ -44,6 +47,12 @@ def with_object(index, key, value):
     return frames
 
 
+def with_coordinate(value):
+    frames = valid_frames(1)
+    frames[0]["objects"][1]["points"][0][0] = value
+    return frames
+
+
 MALFORMED = {
     "objects_not_list": with_frame("objects", 5),
     "t_bool": with_frame("t", True),
@@ -57,6 +66,8 @@ MALFORMED = {
     "ground_no_points": with_object(0, "points", []),
     "points_mapping": with_object(1, "points", {"x": 1}),
     "points_strings": with_object(1, "points", [["0", "0", "0"]] * 4),
+    "points_nan": with_coordinate(NAN),
+    "points_inf": with_coordinate(INF),
     "id_not_string": with_object(1, "id", 7),
     "label_not_string": with_object(1, "label", ["cup"]),
 }
@@ -72,6 +83,36 @@ def test_malformed_trace_exits_3(case, tmp_path, capsys):
     path.write_text(text_of(MALFORMED[case]), encoding="utf-8")
     assert cli.main(["relations", str(path)]) == 3
     assert "trace schema error" in capsys.readouterr().err
+
+
+def test_as_cloud_rejects_nonfinite():
+    for value in (NAN, INF, -INF):
+        with pytest.raises(ValueError, match="finite"):
+            as_cloud([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, value)])
+
+
+def test_as_cloud_runs_only_in_the_loader(monkeypatch, lib, templates):
+    """Each cloud is checked once, by ``load_trace``: a load, analyze and
+    describe round of the 14 clean scenarios checks their 14 ground boxes
+    (each line's point lists are checked as one array, without
+    ``as_cloud``), and geometry, relations and the relation bench, which
+    take the arrays as given, check none."""
+    texts = [dumps_trace(generate_synthetic_trace(ScenarioSpec(name, seed=1), lib).trace)
+             for name in SCENARIOS]
+    corpus = make_corpus(90, 1)
+    calls = []
+    for name, module in list(sys.modules.items()):
+        check = getattr(module, "as_cloud", None) if name.startswith("manipsem") else None
+        if check is not None:
+            monkeypatch.setattr(module, "as_cloud",
+                                lambda pts, check=check: calls.append(1) or check(pts))
+    traces = [load_trace(io.StringIO(text)) for text in texts]
+    assert len(calls) == len(SCENARIOS) == 14
+    for trace in traces:
+        describe_document(analyze_trace(trace, RunConfig(), lib, templates))
+    for trace, rows in corpus:
+        bench.evaluate_trace(trace, rows)
+    assert len(calls) == 14
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):
