@@ -7,6 +7,7 @@ down unchanged.  Units are meters and frames; the vertical axis is y.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -20,7 +21,10 @@ class GeometryConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
+            if value < 0:
                 raise ValueError(f"{f.name} must be >= 0")
 
 
@@ -35,8 +39,10 @@ class RelationConfig:
     distinguish_in_su: bool = True  # upgrade snug containment to In/Su
 
     def __post_init__(self):
-        if self.theta_near <= 0 or self.delta_move <= 0 or self.delta_rel <= 0:
-            raise ValueError("relation thresholds must be strictly positive")
+        for value in (self.theta_near, self.delta_move, self.delta_rel):
+            # a NaN fails every comparison: ask for the finite range
+            if not 0 < value < math.inf:
+                raise ValueError("relation thresholds must be finite and strictly positive")
         if self.window < 2:
             raise ValueError("window must be >= 2")
 
@@ -76,8 +82,7 @@ class RunConfig:
                 if key == "window":
                     cast = int
                 elif key == "distinguish_in_su":
-                    def cast(v):
-                        return str(v).strip().lower() in ("1", "true", "yes", "on")
+                    cast = _flag
                 else:
                     cast = float
                 rel = replace(rel, **{key: _cast(key, cast, value)})
@@ -96,6 +101,17 @@ def _cast(key: str, cast, value):
         return cast(value)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from exc
+
+
+_FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _flag(value) -> bool:
+    word = str(value).strip().lower()
+    if word not in _FLAG_WORDS:
+        raise ValueError(f"expected one of {'/'.join(_FLAG_WORDS)}, got {value!r}")
+    return _FLAG_WORDS[word]
 
 
 _GEO_KEYS = {f.name for f in fields(GeometryConfig)}

@@ -23,7 +23,6 @@ import io
 import json
 import os
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain
@@ -329,8 +328,8 @@ def dumps_trace(trace: SceneTrace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Geometry of a frame sequence: whole object tracks, hull reuse across rigid
-# translation, pair results reused across rigid co-motion
+# Geometry of a frame sequence: whole object tracks, one state per pose,
+# pair results reused across rigid co-motion
 # ---------------------------------------------------------------------------
 
 _RIGID_TOL = 1e-12
@@ -347,9 +346,10 @@ class _Track:
     with one point count (a box is its 8 corners) is stacked into one
     ``(rows, N, 3)`` array, and a few vectorised passes over it give every
     row its AABB and centroid and tell whether the step from the previous
-    row moved every point by the first point's shift (to ``_RIGID_TOL``).  Rows joined by
-    such rigid steps share a segment, whose hull is built at most once, from
-    its first row; rows joined by steps that moved nothing also share a pose.
+    row moved every point by the first point's shift (to ``_RIGID_TOL``).  Rows
+    joined by such rigid steps share a segment, over which pair results are
+    re-used; rows joined by steps that moved nothing also share a pose, and
+    with it one state.
     """
 
     def __init__(self, appearances, n_frames: int):
@@ -374,7 +374,7 @@ class _Track:
         self.segment = list(accumulate(not r for r in rigid))
         self.pose = list(accumulate(not r or m for r, m in zip(rigid, moved)))
         self.row_of = dict(zip(self.frames, range(len(self.frames))))
-        self.anchor: dict[int, tuple[int, ObjectState]] = {}
+        # (pose, state) of the last state asked for
         self.last: tuple[int, ObjectState] | None = None
 
     # Per-row values below are computed on first use: a caller that only
@@ -428,22 +428,20 @@ class GeometryCache:
     their index in the sequence; nothing carries over between sequences.
 
     Each object's clouds are stacked and checked for rigid steps once, as a
-    :class:`_Track`.  A state carries its cloud and box, the track's row, and
-    a hull built on the first read of its vertices or planes.  That hull is
-    built once per rigid segment, from the object's ``box`` or its cloud,
-    and translated only where the track moved; a static ground box is thus
-    built once.  Only a pair within ``eps_touch`` may read hulls, and it
-    reads one only where the boxes and clouds cannot decide (see
-    ``touching`` and ``matrix``), so a cloud that no object comes into is
-    never wrapped, and a wrap error surfaces at the first read, not when
-    the cache is made.  Per object
-    pair, the broad-phase gap of every frame is computed in one pass, and
-    the pair's narrow-phase contact test and intersection matrix are
-    re-used while both objects have only moved by one common shift since
-    they were computed: the pair's relative pose, and with it the answer,
-    is then the same.  Both are kept per unordered pair: contact is
-    symmetric, and the matrix of the other order is the same matrix with
-    its rows swapped.
+    :class:`_Track`.  A state carries its cloud and box, rows of the track,
+    and a hull built on the first read of its vertices or planes, from the
+    object's ``box`` or its own cloud.  Rows whose step moved nothing share
+    one state, so a static ground box is built once.  Only a pair within
+    ``eps_touch`` may read hulls, and it reads one only where the boxes and
+    clouds cannot decide (see ``touching`` and ``matrix``), so a cloud that
+    no object comes into is never wrapped, and a wrap error surfaces at the
+    first read, not when the cache is made.  Per object pair, the
+    broad-phase gap of every frame is computed in one pass, and the pair's
+    narrow-phase contact test and intersection matrix are re-used while
+    both objects have only moved by one common shift since they were
+    computed: the pair's relative pose, and with it the answer, is then the
+    same.  Both are kept per unordered pair: contact is symmetric, and the
+    matrix of the other order is the same matrix with its rows swapped.
     """
 
     def __init__(self, frames, cfg: RunConfig):
@@ -459,32 +457,19 @@ class GeometryCache:
         self._touch: dict[tuple[str, str], tuple[int, bool]] = {}
         self._matrix: dict[tuple[str, str], tuple[int, RelMatrix]] = {}
 
-    def _anchor(self, tr: _Track, seg: int) -> tuple[int, ObjectState]:
-        """(row, state) of the segment's first row, its hull deferred."""
-        if seg not in tr.anchor:
-            r = bisect_left(tr.segment, seg)
+    def state(self, oid: str, f_idx: int) -> ObjectState:
+        """The object's state in frame ``f_idx``, where it must appear: one
+        per pose, its hull built from its own cloud on first read."""
+        tr = self._tracks[oid]
+        r = tr.row_of[f_idx]
+        if tr.last is None or tr.last[0] != tr.pose[r]:
             obj, cloud, geo = tr.objects[r], tr.clouds[r], self.cfg.geometry
             build = (partial(box_hull, *obj.box) if obj.points is None
                      else lambda: ObjectState.from_cloud(cloud, geo).hull)
             # the row's own extremes, as in tr.lo and tr.hi
             box = Aabb(cloud.min(axis=0), cloud.max(axis=0))
-            tr.anchor[seg] = (r, ObjectState(cloud, ConvexHull.deferred(cloud, geo, build), box))
-        return tr.anchor[seg]
-
-    def state(self, oid: str, f_idx: int) -> ObjectState:
-        """The object's state in frame ``f_idx``, where it must appear.  Its
-        hull is built, or translated from the state before it, on first read."""
-        tr = self._tracks[oid]
-        r = tr.row_of[f_idx]
-        base_r, base = tr.last if tr.last else self._anchor(tr, tr.segment[r])
-        if tr.segment[base_r] != tr.segment[r]:
-            base_r, base = self._anchor(tr, tr.segment[r])
-        if tr.pose[base_r] != tr.pose[r]:
-            base, base_r = base.moved(tr.clouds[r], Aabb(tr.lo[r], tr.hi[r])), r
-        # a state keeps the row its cloud is from: a later shift is taken
-        # from there, as its hull sits there
-        tr.last = (base_r, base)
-        return base
+            tr.last = (tr.pose[r], ObjectState(cloud, ConvexHull.deferred(cloud, geo, build), box))
+        return tr.last[1]
 
     def aabb(self, oid: str, f_idx: int) -> Aabb:
         tr = self._tracks[oid]

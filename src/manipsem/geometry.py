@@ -23,14 +23,15 @@ surface that volume, Euler and edge checks read is built from the loops on
 the first read of ``ConvexHull.faces``: the pipeline reads only vertices,
 planes and boxes.
 
-The pipeline's hulls are built on first read (``ConvexHull.deferred``),
-and the contact test and the relation matrix read a hull only where its
-box and its cloud cannot decide: a point can lie deeper than the
-tolerance inside a hull only if it lies that deep inside a box holding the
-hull, and GJK over two clouds gives the distance between their convex
-hulls.  Surface contact without interpenetration, such as a hand on an
-object or one object resting on another, builds no hull; a point deep in
-the other object's box (containment, crossing) reads that object's planes.
+Each of the pipeline's hulls is built from its own cloud on first read
+(``ConvexHull.deferred``), and the contact test and the relation matrix
+read a hull only where its box and its cloud cannot decide: a point can
+lie deeper than the tolerance inside a hull only if it lies that deep
+inside a box holding the hull, and GJK over two clouds gives the distance
+between their convex hulls.  Surface contact without interpenetration,
+such as a hand on an object or one object resting on another, builds no
+hull; a point deep in the other object's box (containment, crossing)
+reads that object's planes.
 """
 
 from __future__ import annotations
@@ -111,15 +112,14 @@ class ConvexHull:
                     per polygon facet (a box has 6 rows and 12 triangles)
     degenerate      True when this hull is an inflated-box stand-in for a flat cloud
 
-    A hull made by :meth:`deferred`, or :meth:`translated` from any hull, is
-    built on the first read of one of these, and a build error surfaces
-    there.  Until then ``box`` bounds it and :meth:`flat` says whether it
-    will be its cloud's convex hull, which is what the contact and pattern
-    tests read first.
+    A hull made by :meth:`deferred` is built on the first read of one of
+    these, and a build error surfaces there.  Until then ``box`` bounds it
+    and :meth:`flat` says whether it will be its cloud's convex hull, which
+    is what the contact and pattern tests read first.
     """
 
     __slots__ = ("_vertices", "_vertex_indices", "_face_planes", "_degenerate",
-                 "_faces", "_facets", "_source", "_box", "_root", "_cloud", "_flat")
+                 "_faces", "_facets", "_source", "_box", "_cloud", "_flat")
 
     def __init__(self, vertices: np.ndarray, vertex_indices: np.ndarray,
                  faces: np.ndarray | None, face_planes: np.ndarray,
@@ -131,13 +131,9 @@ class ConvexHull:
         self._faces = faces
         # (loops, loop ends, polygon flags, charts), see compute_convex_hull
         self._facets = None
-        # until built: the build, or (hull, shift) for a translation of a hull
+        # until built: the build, the cloud and whether the cloud is flat
         self._source = None
         self._box = None
-        # the hull this one is a translation of, in any number of steps
-        # (itself if none), and, while that one is not built, its cloud and
-        # whether the cloud is flat
-        self._root = self
         self._cloud = None
         self._flat = None
 
@@ -149,14 +145,9 @@ class ConvexHull:
         take to hold the hull and to span it; so ``build()`` must return
         ``hull_with_fallback(pts, cfg)`` or another hull of the same points
         (a ground box whose corners are ``pts``)."""
-        hull = cls._pending(build, Aabb(*_padded(pts.min(axis=0), pts.max(axis=0), cfg)))
-        hull._cloud = pts
-        return hull
-
-    @classmethod
-    def _pending(cls, source, box: Aabb) -> "ConvexHull":
         hull = cls(None, None, None, None)
-        hull._source, hull._box = source, box
+        hull._source, hull._cloud = build, pts
+        hull._box = Aabb(*_padded(pts.min(axis=0), pts.max(axis=0), cfg))
         return hull
 
     @property
@@ -186,27 +177,14 @@ class ConvexHull:
     def flat(self) -> bool:
         """``degenerate``, read without a build: whether the hull is a flat
         cloud's padded box rather than its cloud's convex hull."""
-        root = self._root
-        if root._source is None:
-            return root._degenerate
-        if root._flat is None:
-            root._flat = not _spans_volume(root._cloud)
-        return root._flat
+        if self._source is None:
+            return self._degenerate
+        if self._flat is None:
+            self._flat = not _spans_volume(self._cloud)
+        return self._flat
 
     def _build(self):
-        # back to the nearest hull built or with a build, then forward,
-        # translating once per step: a loop, as a long track chains
-        # thousands of translations
-        chain, h = [], self
-        while isinstance(h._source, tuple):
-            chain.append(h)
-            h = h._source[0]
-        if h._source is not None:
-            h._take(h._source())
-        for t in reversed(chain):
-            t._take(t._source[0]._shifted(t._source[1]))
-
-    def _take(self, other: "ConvexHull"):
+        other = self._source()
         self._vertices, self._vertex_indices = other._vertices, other._vertex_indices
         self._face_planes, self._degenerate = other._face_planes, other._degenerate
         self._faces, self._facets = other._faces, other._facets
@@ -214,24 +192,6 @@ class ConvexHull:
 
     def aabb(self) -> Aabb:
         return Aabb(self.vertices.min(axis=0), self.vertices.max(axis=0))
-
-    def translated(self, delta) -> "ConvexHull":
-        """Rigid translation, made on first read; planes shift as
-        d' = d - n . delta."""
-        delta = np.asarray(delta, dtype=np.float64)
-        box = self.box
-        moved = ConvexHull._pending((self, delta), Aabb(box.min_corner + delta,
-                                                        box.max_corner + delta))
-        moved._root = self._root
-        return moved
-
-    def _shifted(self, delta: np.ndarray) -> "ConvexHull":
-        planes = self.face_planes.copy()
-        planes[:, 3] -= planes[:, :3] @ delta
-        moved = ConvexHull(self._vertices + delta, self._vertex_indices,
-                           self._faces, planes, self._degenerate)
-        moved._facets = self._facets
-        return moved
 
 
 def as_cloud(points) -> np.ndarray:
@@ -972,17 +932,16 @@ def touch(cloud_a: np.ndarray, hull_a: ConvexHull, cloud_b: np.ndarray, hull_b: 
     """Contact test: interiors mutually free of the other's points (to depth
     tol) and surfaces within tol of each other.
 
-    Each cloud is its hull's cloud or a rigid translation of it.  The
-    interior tests classify only the points deep inside the other hull's
-    box.  GJK over the two clouds, or the vertices of a hull already
-    built, gives the surface distance.  A cloud's hull is its convex hull,
-    or a larger padded box if the cloud is flat, so the hulls lie no
-    further apart than the clouds.  Only when that distance lies within
-    :func:`_surface_band` of ``tol``, or beyond it for a flat cloud, or GJK
-    stopped on its iteration cap, is it taken again over the hulls'
-    vertices, as :func:`hull_surface_distance`.  So a pair in surface
-    contact without interpenetration is decided without building either
-    hull.
+    Each cloud is its hull's cloud.  The interior tests classify only the
+    points deep inside the other hull's box.  GJK over the two clouds, or
+    the vertices of a hull already built, gives the surface distance.  A
+    cloud's hull is its convex hull, or a larger padded box if the cloud is
+    flat, so the hulls lie no further apart than the clouds.  Only when
+    that distance lies within :func:`_surface_band` of ``tol``, or beyond
+    it for a flat cloud, or GJK stopped on its iteration cap, is it taken
+    again over the hulls' vertices, as :func:`hull_surface_distance`.  So a
+    pair in surface contact without interpenetration is decided without
+    building either hull.
     """
     if aabb_gap(compute_aabb(cloud_a), compute_aabb(cloud_b)) > tol:
         return False

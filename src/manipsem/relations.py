@@ -94,10 +94,9 @@ class WindowTooShort(ValueError):
 class ObjectState:
     """Geometry snapshot of one object in one frame: its cloud, hull and box.
 
-    The hull may be one that is built on first read
+    The hull may be one that is built from the state's cloud on first read
     (``ConvexHull.deferred``); a state's contact and pattern tests read it
-    only where its box and cloud cannot decide.  :meth:`moved` translates
-    the hull on first read too.
+    only where its box and cloud cannot decide.
     """
 
     __slots__ = ("cloud", "hull", "aabb")
@@ -111,11 +110,6 @@ class ObjectState:
         # an empty cloud raises EmptyCloud in the wrap, before the box
         hull = hull_with_fallback(pts, cfg)
         return cls(pts, hull, Aabb(pts.min(axis=0), pts.max(axis=0)))
-
-    def moved(self, cloud: np.ndarray, aabb: Aabb) -> "ObjectState":
-        """This state translated to ``cloud``: its hull is this state's hull
-        translated by the shift of the first point."""
-        return ObjectState(cloud, self.hull.translated(cloud[0] - self.cloud[0]), aabb)
 
 
 def _interval_overlap(lo_a, hi_a, lo_b, hi_b) -> float:

@@ -248,6 +248,23 @@ class TestConfigPlumbing:
         assert cli.main(["relations", nested_trace, "--set", flag]) == 7
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
+    @pytest.mark.parametrize("kv, message", [
+        ("eps_touch=nan", "eps_touch must be finite"),
+        ("eps_touch=inf", "eps_touch must be finite"),
+        ("theta_near=nan", "relation thresholds must be finite"),
+        ("delta_move=inf", "relation thresholds must be finite"),
+        ("delta_rel=-nan", "relation thresholds must be finite"),
+        ("distinguish_in_su=maybe", "distinguish_in_su: expected one of 1/true/yes/on/0/false/no/off"),
+    ])
+    def test_nonfinite_or_unknown_value_exits_7(self, nested_trace, kv, message, capsys):
+        assert cli.main(["describe", nested_trace, "--set", kv]) == 7
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("word, flag", [("ON", True), ("yes", True), ("0", False), ("off", False)])
+    def test_flag_words(self, word, flag):
+        from manipsem.config import RunConfig
+        assert RunConfig().with_overrides(distinguish_in_su=word).relation.distinguish_in_su is flag
+
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0c"])
     def test_config_lines_split_at_newline_only(self, char):
         from manipsem.config import parse_config_text

@@ -30,7 +30,9 @@ def fresh_state(obj, cfg):
 
 def assert_matches_fresh(frames, cfg):
     """Every state, box, centroid, contact set and containment label the
-    cache gives equals the one computed from scratch for that frame."""
+    cache gives equals the one computed from scratch for that frame, and
+    every hull, whether the cache built it or not, equals that frame's
+    fresh hull bit for bit."""
     cache = GeometryCache(frames, cfg)
     eps = cfg.geometry.eps_touch
     centroids = {}
@@ -40,8 +42,6 @@ def assert_matches_fresh(frames, cfg):
         for oid, want in fresh.items():
             got = cache.state(oid, f_idx)
             where = f"frame {f_idx} object {oid}"
-            assert np.allclose(got.hull.vertices, want.hull.vertices, rtol=0, atol=1e-12), where
-            assert np.allclose(got.hull.face_planes, want.hull.face_planes, rtol=0, atol=1e-12), where
             for box in (got.aabb, cache.aabb(oid, f_idx)):
                 assert np.array_equal(box.min_corner, want.aabb.min_corner), where
                 assert np.array_equal(box.max_corner, want.aabb.max_corner), where
@@ -65,6 +65,13 @@ def assert_matches_fresh(frames, cfg):
                     assert cache.matrix(a, b, f_idx) == m, f"frame {f_idx} {a} {b}"
                     assert cache.pattern(a, b, f_idx) == _pattern_label(
                         fresh[a], fresh[b], m, cfg.relation, cfg.geometry), f"frame {f_idx} {a} {b}"
+        # read after the cache's own contact and pattern tests, which build
+        # only the hulls they need
+        for oid, want in fresh.items():
+            got = cache.state(oid, f_idx).hull
+            where = f"frame {f_idx} object {oid}"
+            assert np.array_equal(got.vertices, want.hull.vertices), where
+            assert np.array_equal(got.face_planes, want.hull.face_planes), where
     return cache
 
 
@@ -80,6 +87,16 @@ def test_noisy_scenarios_match_fresh_geometry(name):
     # no cloud is a translation of the one before: nothing is re-used
     gen = generate_synthetic_trace(ScenarioSpec(name, seed=3, noise=0.01))
     assert_matches_fresh(gen.trace.frames, RunConfig().with_overrides(**NOISY))
+
+
+def test_clean_round_wraps_two_hulls(monkeypatch):
+    """Analyzing the 14 clean seed-1 traces wraps 2 hulls: boxes and clouds
+    decide every other contact and containment test."""
+    traces = [generate_synthetic_trace(ScenarioSpec(name, seed=1)).trace for name in SCENARIOS]
+    builds = counted_builds(monkeypatch)
+    for trace in traces:
+        analyze_trace(trace, RunConfig())
+    assert len(builds) == 2
 
 
 def cloud(oid, lo, hi, role="object", per_edge=3):
@@ -111,9 +128,13 @@ def test_point_count_change_rebuilds_once(monkeypatch):
     builds.clear()
     cache = GeometryCache(frames, RunConfig())
     assert builds == []             # hulls are built on first read
-    for k in range(len(frames)):
-        cache.state("cup", k).hull.face_planes
-    assert builds == [27, 57]       # one build per run of rigid steps
+    states = [cache.state("cup", k) for k in range(len(frames))]
+    for state in states:
+        state.hull.face_planes
+    assert builds == [27] * 4 + [57] * 4    # one build per pose read
+    for state in states:
+        state.hull.face_planes
+    assert len(builds) == 8         # reading a state again builds nothing
 
 
 def test_late_and_vanishing_objects():
@@ -168,22 +189,23 @@ def test_ground_box_change():
     assert cache.contacts(0) == set() and cache.contacts(3) == {frozenset(("cup", "table"))}
 
 
-def test_long_rigid_track_translates_on_read_without_recursion():
-    """3000 moved states whose hulls are first read at the end: the
-    deferred translations resolve in a loop, each hull bit-identical to
-    translating the first one frame by frame."""
+def test_long_rigid_track_builds_only_the_hull_read(monkeypatch):
+    """3000 moved states build no hull until one is read, and reading the
+    last one builds exactly its own hull, from its own cloud."""
+    builds = counted_builds(monkeypatch)
     base = box_cloud((0, 0, 0), (0.08, 0.1, 0.08), per_edge=2)
     clouds = [base + [0.001 * k, 0.0005 * k, 0.0] for k in range(3000)]
     cache = GeometryCache([Frame(k / 30.0, (ObjectInstance("cup", "cup", "object", c, None),))
                            for k, c in enumerate(clouds)], RunConfig())
     states = [cache.state("cup", k) for k in range(len(clouds))]
-    want = [ObjectState.from_cloud(clouds[0]).hull]
-    for k in range(1, len(clouds)):
-        want.append(want[-1].translated(clouds[k][0] - clouds[k - 1][0]))
-    for k in (len(clouds) - 1, 1500, 0):      # later reads find earlier hulls built
-        got = states[k].hull
-        assert np.array_equal(got.vertices, want[k].vertices), k
-        assert np.array_equal(got.face_planes, want[k].face_planes), k
+    assert builds == []
+    got = states[-1].hull
+    vertices, planes = got.vertices, got.face_planes
+    assert builds == [len(base)]
+    assert not any(s.hull.built for s in states[:-1])
+    want = ObjectState.from_cloud(clouds[-1]).hull
+    assert np.array_equal(vertices, want.vertices)
+    assert np.array_equal(planes, want.face_planes)
 
 
 EPS_TOUCH = RunConfig().geometry.eps_touch

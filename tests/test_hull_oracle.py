@@ -49,9 +49,6 @@ def assert_same_hull(pts, rng=None):
                               classify_points(want, probes, tol))
     other = rng.uniform(-0.5, 0.5, size=(12, 3)) + (hi - lo)
     assert gjk_distance(got.vertices, other) == gjk_distance(want.vertices, other)
-    # a hull translated before its triangles are read shares the loops
-    moved = compute_convex_hull(pts).translated(rng.uniform(-1, 1, size=3))
-    assert np.array_equal(moved.faces, want.faces)
 
 
 @settings(max_examples=150, deadline=None)
