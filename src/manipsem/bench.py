@@ -107,9 +107,10 @@ def evaluate_trace(trace: SceneTrace, relations, cfg: RunConfig | None = None) -
                 continue
             rep.total += 1
             sa, sb, memo = cache.state(gt.a, k), cache.state(gt.b, k), cache.pair(gt.a, gt.b, k)
+            truth = gt.label.value
             for mode in MODES:
                 pred = classify_ssr(sa, sb, cfg.relation, cfg.geometry, mode=mode, memo=memo)
-                rep.confusion[mode][(gt.label.value, pred.value)] += 1
+                rep.confusion[mode][(truth, pred.value)] += 1
                 if pred in PATTERN_LABELS:
                     rep.emitted[mode][pred.value] += 1
                 if pred is gt.label:

@@ -32,8 +32,9 @@ import numpy as np
 from .actions import AIR, GROUND, AtomicAction, Primitive, Snippet, Subject
 from .config import RunConfig, split_lines
 from .geometry import Aabb, ConvexHull, RelMatrix, aabb_gap, as_cloud, box_hull, touch
-from .relations import (FOOTPRINT_MARGIN, DsrLabel, ObjectState, SsrLabel, _pattern_label,
-                        classify_dsr, classify_ssr, footprint_overlap, pattern_matrix)
+from .relations import (FOOTPRINT_MARGIN, DsrLabel, ObjectState, SsrLabel, _above,
+                        _pattern_label, classify_dsr, classify_ssr, footprint_overlap,
+                        pattern_matrix)
 
 ROLES = ("hand_left", "hand_right", "object", "ground")
 HAND_ROLES = {"hand_left": "left", "hand_right": "right"}
@@ -362,8 +363,10 @@ class _Track:
                 self.stacks.append(_stack_run(self.objects[start:k]))
                 start = k
         self.clouds = [row for s in self.stacks for row in s]
-        rigid, moved = [], []
+        lo, hi, rigid, moved = [], [], [], []
         for s in self.stacks:
+            lo.append(s.min(axis=1))
+            hi.append(s.max(axis=1))
             steps = s[1:] - s[:-1]
             shift = steps[:, :1]
             # reductions over one flat axis: a middle-axis reduction costs
@@ -371,6 +374,8 @@ class _Track:
             spread = np.abs(steps - shift).reshape(len(steps), 3 * s.shape[1]).max(axis=1)
             rigid += [False] + (spread <= _RIGID_TOL).tolist()
             moved += [True] + (np.abs(shift[:, 0]).max(axis=1) > _RIGID_TOL).tolist()
+        # every row's box: the states' boxes and the pair gaps read them
+        self.lo, self.hi = np.concatenate(lo), np.concatenate(hi)
         self.segment = list(accumulate(not r for r in rigid))
         self.pose = list(accumulate(not r or m for r, m in zip(rigid, moved)))
         self.row_of = dict(zip(self.frames, range(len(self.frames))))
@@ -379,14 +384,6 @@ class _Track:
 
     # Per-row values below are computed on first use: a caller that only
     # asks for states of static objects never needs them.
-
-    @cached_property
-    def lo(self) -> np.ndarray:
-        return np.concatenate([s.min(axis=1) for s in self.stacks])
-
-    @cached_property
-    def hi(self) -> np.ndarray:
-        return np.concatenate([s.max(axis=1) for s in self.stacks])
 
     @cached_property
     def first(self) -> list[list[float]]:
@@ -466,9 +463,9 @@ class GeometryCache:
             obj, cloud, geo = tr.objects[r], tr.clouds[r], self.cfg.geometry
             build = (partial(box_hull, *obj.box) if obj.points is None
                      else lambda: ObjectState.from_cloud(cloud, geo).hull)
-            # the row's own extremes, as in tr.lo and tr.hi
-            box = Aabb(cloud.min(axis=0), cloud.max(axis=0))
-            tr.last = (tr.pose[r], ObjectState(cloud, ConvexHull.deferred(cloud, geo, build), box))
+            box = Aabb(tr.lo[r], tr.hi[r])
+            tr.last = (tr.pose[r],
+                       ObjectState(cloud, ConvexHull.deferred(cloud, box, geo, build), box))
         return tr.last[1]
 
     def aabb(self, oid: str, f_idx: int) -> Aabb:
@@ -504,6 +501,8 @@ class GeometryCache:
     def _pose_kept(self, a: str, b: str, then: int, now: int) -> bool:
         """True when from frame ``then`` to frame ``now`` objects a and b
         moved only rigidly, and by one common shift."""
+        if then == now:
+            return True
         ta, tb = self._tracks[a], self._tracks[b]
         a0, a1, b0, b1 = ta.row_of[then], ta.row_of[now], tb.row_of[then], tb.row_of[now]
         if ta.segment[a0] != ta.segment[a1] or tb.segment[b0] != tb.segment[b1]:
@@ -580,11 +579,6 @@ class PairMemo:
 
     def touching(self) -> bool:
         return self.cache.touching(self.a, self.b, self.f_idx)
-
-
-def touch_graph(frame: Frame, cfg: RunConfig | None = None) -> set[frozenset]:
-    """Unordered id pairs whose hulls are in contact in this frame."""
-    return GeometryCache((frame,), cfg or RunConfig()).contacts(0)
 
 
 class _Debouncer:
@@ -896,9 +890,7 @@ class Extractor:
         for p in partners:
             if p not in roles or oid not in roles:
                 continue
-            sa, sb = cache.aabb(oid, f_idx), cache.aabb(p, f_idx)
-            if sa.min_corner[1] >= sb.max_corner[1] - self.cfg.geometry.eps_touch \
-                    and sa.center()[1] > sb.center()[1]:
+            if _above(cache.aabb(oid, f_idx), cache.aabb(p, f_idx), self.cfg.geometry.eps_touch):
                 supporters.append(p)
         non_ground = [p for p in supporters if roles.get(p) != "ground"]
         if non_ground:

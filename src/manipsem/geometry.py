@@ -41,6 +41,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,12 @@ class Aabb:
     def extent(self) -> np.ndarray:
         return self.max_corner - self.min_corner
 
+    @cached_property
+    def corners(self) -> tuple[list[float], list[float]]:
+        """(min corner, max corner) as Python floats, for the few comparisons
+        made on one box, where numpy's per-call overhead would dominate."""
+        return self.min_corner.tolist(), self.max_corner.tolist()
+
     def center(self) -> np.ndarray:
         return (self.max_corner + self.min_corner) / 2.0
 
@@ -119,7 +126,7 @@ class ConvexHull:
     """
 
     __slots__ = ("_vertices", "_vertex_indices", "_face_planes", "_degenerate",
-                 "_faces", "_facets", "_source", "_box", "_cloud", "_flat")
+                 "_faces", "_facets", "_source", "_box", "_own", "_flat", "_deep")
 
     def __init__(self, vertices: np.ndarray, vertex_indices: np.ndarray,
                  faces: np.ndarray | None, face_planes: np.ndarray,
@@ -131,23 +138,26 @@ class ConvexHull:
         self._faces = faces
         # (loops, loop ends, polygon flags, charts), see compute_convex_hull
         self._facets = None
-        # until built: the build, the cloud and whether the cloud is flat
+        # until built: the build, its box and whether its cloud is flat
         self._source = None
         self._box = None
-        self._cloud = None
         self._flat = None
+        # (cloud, the cloud's box) of a deferred hull, kept once it is built
+        self._own = None
+        # (cloud, tol, answer) of the last _reaches_interior against this hull
+        self._deep = None
 
     @classmethod
-    def deferred(cls, pts: np.ndarray, cfg: GeometryConfig, build) -> "ConvexHull":
-        """The hull of the cloud ``pts``, built on first read by ``build()``.
-        Its ``box`` until then is the cloud's box padded on its flat axes,
-        which the interior and exterior tests and the cloud GJK of ``touch``
-        take to hold the hull and to span it; so ``build()`` must return
-        ``hull_with_fallback(pts, cfg)`` or another hull of the same points
-        (a ground box whose corners are ``pts``)."""
+    def deferred(cls, pts: np.ndarray, box: Aabb, cfg: GeometryConfig, build) -> "ConvexHull":
+        """The hull of the cloud ``pts``, whose box is ``box``, built on first
+        read by ``build()``.  Its ``box`` until then is ``box`` padded on its
+        flat axes, which the interior and exterior tests and the cloud GJK of
+        ``touch`` take to hold the hull and to span it; so ``build()`` must
+        return ``hull_with_fallback(pts, cfg)`` or another hull of the same
+        points (a ground box whose corners are ``pts``)."""
         hull = cls(None, None, None, None)
-        hull._source, hull._cloud = build, pts
-        hull._box = Aabb(*_padded(pts.min(axis=0), pts.max(axis=0), cfg))
+        hull._source, hull._own = build, (pts, box)
+        hull._box = _padded(box, cfg)
         return hull
 
     @property
@@ -180,7 +190,7 @@ class ConvexHull:
         if self._source is None:
             return self._degenerate
         if self._flat is None:
-            self._flat = not _spans_volume(self._cloud)
+            self._flat = not _spans_volume(self._own[0])
         return self._flat
 
     def _build(self):
@@ -188,7 +198,7 @@ class ConvexHull:
         self._vertices, self._vertex_indices = other._vertices, other._vertex_indices
         self._face_planes, self._degenerate = other._face_planes, other._degenerate
         self._faces, self._facets = other._faces, other._facets
-        self._source = self._box = self._cloud = None
+        self._source = self._box = None
 
     def aabb(self) -> Aabb:
         return Aabb(self.vertices.min(axis=0), self.vertices.max(axis=0))
@@ -216,10 +226,21 @@ def compute_aabb(pts: np.ndarray) -> Aabb:
 
 
 def aabb_gap(a: Aabb, b: Aabb) -> float:
-    """Euclidean separation between two boxes (0 when they overlap)."""
-    gaps = np.maximum(a.min_corner - b.max_corner, b.min_corner - a.max_corner)
-    gaps = np.maximum(gaps, 0.0)
-    return float(np.linalg.norm(gaps))
+    """Euclidean separation between two boxes (0 when they overlap).
+
+    The per-axis gaps are taken on the boxes' float corners.  Their squares
+    are summed by numpy's dot, as ``np.linalg.norm`` sums them: a sum in
+    Python rounds differently.  A sum with at most one nonzero term is that
+    term's square in any order, so only two or more nonzero gaps need it."""
+    (a_lo, a_hi), (b_lo, b_hi) = a.corners, b.corners
+    gaps = [max(l1 - h2, l2 - h1, 0.0) for l1, h1, l2, h2 in zip(a_lo, a_hi, b_lo, b_hi)]
+    g = max(gaps)
+    if g == 0.0:
+        return 0.0
+    if sum(x > 0.0 for x in gaps) == 1:
+        return math.sqrt(g * g)
+    v = np.array(gaps)
+    return math.sqrt(v.dot(v))
 
 
 # Float-tuple 3-vectors: the wrap's per-facet vectors and the GJK simplex are
@@ -667,14 +688,21 @@ def hull_with_fallback(pts: np.ndarray, cfg: GeometryConfig = DEFAULT_GEOMETRY) 
     try:
         return compute_convex_hull(pts)
     except DegenerateCloud:
-        return box_hull(*_padded(pts.min(axis=0), pts.max(axis=0), cfg), degenerate=True)
+        box = _padded(compute_aabb(pts), cfg)
+        return box_hull(box.min_corner, box.max_corner, degenerate=True)
 
 
-def _padded(lo: np.ndarray, hi: np.ndarray, cfg: GeometryConfig):
-    """The box (lo, hi) of a cloud with its axes thinner than eps_touch
-    inflated to eps_touch, as a flat cloud's fallback hull is."""
-    pad = np.where(hi - lo < cfg.eps_touch, cfg.eps_touch / 2.0, 0.0)
-    return lo - pad, hi + pad
+def _padded(box: Aabb, cfg: GeometryConfig) -> Aabb:
+    """A cloud's box with its axes thinner than eps_touch inflated to
+    eps_touch, as a flat cloud's fallback hull is; the box itself when no
+    axis is that thin."""
+    lo, hi = box.corners
+    eps = cfg.eps_touch
+    pad = [eps / 2.0 if h - l < eps else 0.0 for l, h in zip(lo, hi)]
+    if not any(pad):
+        return box
+    return Aabb(np.array([l - p for l, p in zip(lo, pad)]),
+                np.array([h + p for h, p in zip(hi, pad)]))
 
 
 def classify_points(hull: ConvexHull, pts: np.ndarray, tol: float = 1e-7) -> np.ndarray:
@@ -755,13 +783,19 @@ def _reaches_interior(cloud: np.ndarray, hull: ConvexHull, tol: float) -> bool:
     """Whether some point of ``cloud`` lies in the interior of ``hull`` (as
     :func:`classify_points` with ``tol`` says).  Only the points deeper than
     ``tol`` inside ``hull.box`` are classified, so a hull no point comes
-    that deep into is not read."""
+    that deep into is not read.  The hull keeps the last answer, which
+    ``touch`` asks again after a pair's :func:`relation_matrix` (the answer
+    does not depend on whether the hull is built yet)."""
+    last = hull._deep
+    if last is not None and last[0] is cloud and last[1] == tol:
+        return last[2]
     box = hull.box
     depth = np.minimum(cloud - box.min_corner, box.max_corner - cloud).min(axis=1)
     deep = depth > tol - _DEEP_MARGIN
-    if not deep.any():
-        return False
-    return bool(np.any(classify_points(hull, cloud[deep], tol) == RegionClass.INTERIOR))
+    hit = bool(deep.any()) and bool(
+        np.any(classify_points(hull, cloud[deep], tol) == RegionClass.INTERIOR))
+    hull._deep = (cloud, tol, hit)
+    return hit
 
 
 class _Side:
@@ -885,17 +919,23 @@ def gjk_distance(verts_a: np.ndarray, verts_b: np.ndarray, eps: float = 1e-12,
 
 
 def _gjk(A: np.ndarray, B: np.ndarray, eps: float = 1e-12, max_iter: int = 128):
-    """(:func:`gjk_distance`, False if it stopped on ``max_iter``)."""
-    rows_a, rows_b = A.tolist(), B.tolist()
-    v = tuple((A.mean(axis=0) - B.mean(axis=0)).tolist())
+    """(:func:`gjk_distance`, False if it stopped on ``max_iter``).
+
+    Each iteration projects both sets with one product over them stacked
+    and reads only the two support rows as floats."""
+    n = len(A)
+    # ndarray.mean's own sum and division, without its per-call overhead
+    v = tuple((np.add.reduce(A, axis=0) / n - np.add.reduce(B, axis=0) / len(B)).tolist())
     if _dot(v, v) < eps:
         return 0.0, True
+    stacked = np.concatenate((A, B))
     simplex: list[tuple[float, float, float]] = []
     witnesses: list[tuple[int, int]] = []    # vertex pair of each simplex point
     for _ in range(max_iter):
-        ia = int(np.argmin(A @ v))
-        ib = int(np.argmax(B @ v))
-        w = _sub(rows_a[ia], rows_b[ib])
+        proj = stacked @ v
+        ia = int(proj[:n].argmin())
+        ib = int(proj[n:].argmax())
+        w = _sub(A[ia].tolist(), B[ib].tolist())
         vv = _dot(v, v)
         # a support point already in the simplex cannot bring v closer; one
         # dropped earlier may re-enter
@@ -927,6 +967,12 @@ def _surface_band(tol: float) -> float:
     return 2 * _GJK_STOP * max(tol * tol, 1.0) / tol + _EPS_PLANE
 
 
+def _cloud_box(cloud: np.ndarray, hull: ConvexHull) -> Aabb:
+    """``compute_aabb(cloud)``, kept by ``hull`` if it was deferred on ``cloud``."""
+    own = hull._own
+    return own[1] if own is not None and own[0] is cloud else compute_aabb(cloud)
+
+
 def touch(cloud_a: np.ndarray, hull_a: ConvexHull, cloud_b: np.ndarray, hull_b: ConvexHull,
           tol: float) -> bool:
     """Contact test: interiors mutually free of the other's points (to depth
@@ -943,7 +989,7 @@ def touch(cloud_a: np.ndarray, hull_a: ConvexHull, cloud_b: np.ndarray, hull_b: 
     pair in surface contact without interpenetration is decided without
     building either hull.
     """
-    if aabb_gap(compute_aabb(cloud_a), compute_aabb(cloud_b)) > tol:
+    if aabb_gap(_cloud_box(cloud_a, hull_a), _cloud_box(cloud_b, hull_b)) > tol:
         return False
     if _reaches_interior(cloud_a, hull_b, tol) or _reaches_interior(cloud_b, hull_a, tol):
         return False

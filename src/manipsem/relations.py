@@ -112,25 +112,20 @@ class ObjectState:
         return cls(pts, hull, Aabb(pts.min(axis=0), pts.max(axis=0)))
 
 
-def _interval_overlap(lo_a, hi_a, lo_b, hi_b) -> float:
-    return min(hi_a, hi_b) - max(lo_a, lo_b)
-
-
 def footprint_overlap(a: Aabb, b: Aabb, margin: float) -> bool:
     """True when the x and z projections genuinely overlap (beyond margin)."""
-    return (_interval_overlap(a.min_corner[0], a.max_corner[0],
-                              b.min_corner[0], b.max_corner[0]) > margin
-            and _interval_overlap(a.min_corner[2], a.max_corner[2],
-                                  b.min_corner[2], b.max_corner[2]) > margin)
+    (ax0, _, az0), (ax1, _, az1) = a.corners
+    (bx0, _, bz0), (bx1, _, bz1) = b.corners
+    return (min(ax1, bx1) - max(ax0, bx0) > margin
+            and min(az1, bz1) - max(az0, bz0) > margin)
 
 
 def _above(a: Aabb, b: Aabb, slack: float) -> bool:
     """a sits over b: y ranges separated (up to slack) with overlapping footprints."""
-    if a.min_corner[1] < b.max_corner[1] - slack:
-        return False
-    if a.center()[1] <= b.center()[1]:
-        return False
-    return True
+    (_, a_lo, _), (_, a_hi, _) = a.corners
+    (_, b_lo, _), (_, b_hi, _) = b.corners
+    # the boxes' centres, as Aabb.center computes them
+    return a_lo >= b_hi - slack and (a_hi + a_lo) / 2.0 > (b_hi + b_lo) / 2.0
 
 
 def wall_contact_distance(inner_cloud: np.ndarray, outer_hull: ConvexHull) -> float:
@@ -186,12 +181,13 @@ def classify_ssr(a: ObjectState, b: ObjectState,
     if mode not in ("hull", "aabb"):
         raise ValueError(f"unknown mode {mode!r}")
 
+    gap = aabb_gap(a.aabb, b.aabb)
     if mode == "aabb":
         # legacy box model: no interior/boundary structure to compare
         if touching is None:
-            touching = aabb_gap(a.aabb, b.aabb) <= geo.eps_touch
+            touching = gap <= geo.eps_touch
     else:
-        if aabb_gap(a.aabb, b.aabb) <= geo.eps_touch:
+        if gap <= geo.eps_touch:
             m = memo.matrix() if memo else pattern_matrix(a, b, geo)
             label = _pattern_label(a, b, m, cfg, geo)
             if label is not None:
@@ -207,13 +203,13 @@ def classify_ssr(a: ObjectState, b: ObjectState,
             return SsrLabel.Bo
         return SsrLabel.ArT
 
-    if (a.aabb.min_corner[1] > b.aabb.max_corner[1]
-            and footprint_overlap(a.aabb, b.aabb, FOOTPRINT_MARGIN)):
+    (_, a_lo, _), (_, a_hi, _) = a.aabb.corners
+    (_, b_lo, _), (_, b_hi, _) = b.aabb.corners
+    if a_lo > b_hi and footprint_overlap(a.aabb, b.aabb, FOOTPRINT_MARGIN):
         return SsrLabel.Ab
-    if (b.aabb.min_corner[1] > a.aabb.max_corner[1]
-            and footprint_overlap(a.aabb, b.aabb, FOOTPRINT_MARGIN)):
+    if b_lo > a_hi and footprint_overlap(a.aabb, b.aabb, FOOTPRINT_MARGIN):
         return SsrLabel.Be
-    if aabb_gap(a.aabb, b.aabb) <= cfg.theta_near:
+    if gap <= cfg.theta_near:
         return SsrLabel.Ar
     return SsrLabel.NoRelation
 

@@ -3,20 +3,15 @@ before they read the boxes first: every flag at once, every point
 classified against the hull's planes, and the surface test by GJK over the
 two hulls' vertices.  Frozen as the oracle of ``test_contact_oracle.py``.
 
-Only the point classification, the box helpers and GJK are taken from the
-package: they did not change.
+Only the point classification and the cloud's box are taken from the
+package: they did not change.  The boxes' gap and GJK are the frozen ones
+of ``box_gjk_frozen.py``.
 """
 
 import numpy as np
 
-from manipsem.geometry import (
-    RegionClass,
-    aabb_gap,
-    as_cloud,
-    classify_points,
-    compute_aabb,
-    gjk_distance,
-)
+from manipsem.geometry import RegionClass, as_cloud, classify_points, compute_aabb
+from box_gjk_frozen import frozen_aabb_gap, frozen_gjk
 
 
 def frozen_region_flags(cloud, hull, tol):
@@ -44,10 +39,10 @@ def frozen_touch(cloud_a, hull_a, cloud_b, hull_b, tol):
     """``touch``: interiors mutually free of the other's points (to depth
     tol) and the hulls' vertex sets within tol of each other."""
     ca, cb = as_cloud(cloud_a), as_cloud(cloud_b)
-    if aabb_gap(compute_aabb(ca), compute_aabb(cb)) > tol:
+    if frozen_aabb_gap(compute_aabb(ca), compute_aabb(cb)) > tol:
         return False
     if np.any(classify_points(hull_b, ca, tol) == RegionClass.INTERIOR):
         return False
     if np.any(classify_points(hull_a, cb, tol) == RegionClass.INTERIOR):
         return False
-    return gjk_distance(hull_a.vertices, hull_b.vertices) <= tol
+    return frozen_gjk(hull_a.vertices, hull_b.vertices)[0] <= tol

@@ -122,8 +122,10 @@ def deferred_pair(a, b, shift):
     if shift is not None:
         delta = np.asarray(shift)
         a, b = a + delta, b + delta / 2
-    ha = ConvexHull.deferred(a, DEFAULT_GEOMETRY, lambda: ObjectState.from_cloud(a).hull)
-    hb = ConvexHull.deferred(b, DEFAULT_GEOMETRY, lambda: ObjectState.from_cloud(b).hull)
+    ha = ConvexHull.deferred(a, compute_aabb(a), DEFAULT_GEOMETRY,
+                             lambda: ObjectState.from_cloud(a).hull)
+    hb = ConvexHull.deferred(b, compute_aabb(b), DEFAULT_GEOMETRY,
+                             lambda: ObjectState.from_cloud(b).hull)
     return a, ha, b, hb
 
 
@@ -145,6 +147,9 @@ def test_flags_and_contact_equal_the_eager_oracle(pair, order, shift):
     m = relation_matrix(a, ha, b, hb, tol)
     got = {name: getattr(m, name) for name in order}
     assert (tuple(got[f] for f in FLAGS[:3]), tuple(got[f] for f in FLAGS[3:])) == want
+
+    # touch after the matrix, on its hulls, reads their kept interior answers
+    assert touch(a, ha, b, hb, tol) == frozen_touch(a, want_a, b, want_b, tol)
 
     _, ha, _, hb = deferred_pair(a0, b0, shift)
     in_band = abs(_gjk(a, b)[0] - tol) <= _surface_band(tol)

@@ -21,7 +21,6 @@ from manipsem.events import (
     idle_spans,
     load_trace,
     segment_actions,
-    touch_graph,
 )
 from manipsem.pipeline import analyze_trace, describe_document
 from manipsem.synth import SCENARIOS, ScenarioSpec, Script, generate_synthetic_trace
@@ -123,13 +122,13 @@ class TestTouchGraph:
         hand = ObjectInstance("hand", "hand", "hand_left",
                               box_cloud((0, 0.1, 0), (0.08, 0.18, 0.08)), None)
         fr = Frame(0.0, (ground, cup, hand))
-        pairs = touch_graph(fr)
+        pairs = GeometryCache((fr,), RunConfig()).contacts(0)
         assert pairs == {frozenset(("hand", "cup")), frozenset(("cup", "table"))}
 
     def test_all_far_apart(self):
         a = ObjectInstance("a", "a", "object", box_cloud((0, 0, 0), (1, 1, 1)), None)
         b = ObjectInstance("b", "b", "object", box_cloud((2, 0, 0), (3, 1, 1)), None)
-        assert touch_graph(Frame(0.0, (a, b))) == set()
+        assert GeometryCache((Frame(0.0, (a, b)),), RunConfig()).contacts(0) == set()
 
     def test_snug_cup_in_bowl(self):
         # thin-walled cup wedged into a bowl: walls in contact, so the pair
@@ -147,7 +146,7 @@ class TestTouchGraph:
                                 ((-1, -0.1, -1), (1, 0.0, 1)))
         bowl = ObjectInstance("bowl", "bowl", "object", bowl_pts, None)
         cup = ObjectInstance("cup", "cup", "object", cup_pts, None)
-        pairs = touch_graph(Frame(0.0, (ground, bowl, cup)))
+        pairs = GeometryCache((Frame(0.0, (ground, bowl, cup)),), RunConfig()).contacts(0)
         assert frozenset(("cup", "bowl")) in pairs
         assert frozenset(("bowl", "table")) in pairs
         assert frozenset(("cup", "table")) not in pairs
@@ -158,7 +157,8 @@ def assert_reuse_matches_fresh(frames, cfg=None):
     cfg = cfg or RunConfig()
     cache = GeometryCache(frames, cfg)
     for f_idx, fr in enumerate(frames):
-        assert cache.contacts(f_idx) == touch_graph(fr, cfg), f"frame {f_idx}"
+        fresh = GeometryCache((fr,), cfg).contacts(0)
+        assert cache.contacts(f_idx) == fresh, f"frame {f_idx}"
 
 
 def random_box_frames(rng, n_frames=8):

@@ -82,6 +82,10 @@ TILTED_COLUMN = [(1e-9, 0.0), (0.0, 1.0), (0.5, 0.0), (6.25e-10, 0.375)]
 # loop named it twice.
 NEAR_REPEAT_OF_EXTREME = [(0, -1), (2.5e-14, -0.75), (1, 1.07e-202), (1, 0)]
 
+# An end column whose x is one ulp below the extreme: the frozen oracle
+# leaves point 0, a corner, off its loop.
+ULP_BELOW_EXTREME = [(1 - 2**-53, 1), (0, 0), (1, 0), (1 - 2**-53, 0.625)]
+
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(lattice_points(), triangle_points()))
@@ -89,11 +93,18 @@ NEAR_REPEAT_OF_EXTREME = [(0, -1), (2.5e-14, -0.75), (1, 1.07e-202), (1, 0)]
 @example([(-x, -y) for x, y in TILTED_COLUMN])
 @example(NEAR_REPEAT_OF_EXTREME)
 @example([(-x, -y) for x, y in NEAR_REPEAT_OF_EXTREME])
+@example(ULP_BELOW_EXTREME)
+@example([(-x, -y) for x, y in ULP_BELOW_EXTREME])
 def test_chain_2d_equals_oracle_and_walks_the_boundary(xy):
     loop = _chain_2d(xy)
-    assert loop == oracle_chain_2d(np.array(xy, dtype=np.float64))
+    oracle = oracle_chain_2d(np.array(xy, dtype=np.float64))
     if len(loop) >= 3:
+        # the loop is then the whole brute-force boundary
         assert_walks_the_boundary(xy, loop)
+    # Where the oracle's loop misses a boundary point, the walk above is
+    # the check: the oracle is not the reference there.
+    if len(loop) < 3 or set(loop) <= set(oracle):
+        assert loop == oracle
 
 
 def assert_walks_the_boundary(xy, loop):

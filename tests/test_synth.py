@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from manipsem.config import RunConfig
-from manipsem.events import dumps_trace, extract_atomic_actions, touch_graph
+from manipsem.events import dumps_trace, extract_atomic_actions
 from manipsem.relations import ObjectState, SsrLabel, classify_ssr, ssr_dual
 from manipsem.synth import (
     SCENARIOS,
