@@ -119,34 +119,24 @@ def evaluate_trace(trace: SceneTrace, relations, cfg: RunConfig | None = None) -
 
 
 def compare_models(items, cfg: RunConfig | None = None, jobs: int = 1) -> AccuracyReport:
-    """Aggregate hull-vs-box accuracy over (trace, ground truth) pairs.
-
-    ``items`` holds (SceneTrace, [GroundTruthRelation]) tuples or objects
-    with .trace and .relations attributes.
-    """
-    pairs = []
-    for item in items:
-        if hasattr(item, "trace"):
-            pairs.append((item.trace, item.relations))
-        else:
-            pairs.append((item[0], item[1]))
+    """Aggregate hull-vs-box accuracy over (SceneTrace,
+    [GroundTruthRelation]) pairs."""
+    pairs = list(items)
     if not pairs:
         raise ValueError("empty corpus")
     report = AccuracyReport()
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from itertools import repeat
+        traces, rels = zip(*pairs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_eval_star, [(t, r, cfg) for t, r in pairs],
+            for part in pool.map(evaluate_trace, traces, rels, repeat(cfg),
                                  chunksize=max(1, len(pairs) // (4 * jobs))):
                 report.merge(part)
     else:
         for trace, rels in pairs:
             report.merge(evaluate_trace(trace, rels, cfg))
     return report
-
-
-def _eval_star(args):
-    return evaluate_trace(*args)
 
 
 def load_corpus_dir(path: str):

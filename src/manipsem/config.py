@@ -141,6 +141,19 @@ def split_lines(text: str):
         start = end + 1
 
 
+def read_text(source) -> str:
+    """The text of a path, or of a text or byte stream, its bytes decoded as
+    UTF-8: the reader of trace, config, template and library files.  A path is
+    read as bytes, so a lone "\\r" stays in its line as it would from a
+    stream; text mode would turn it into a line break."""
+    if hasattr(source, "read"):
+        data = source.read()
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+    return data.decode("utf-8") if isinstance(data, bytes) else data
+
+
 def parse_config_text(text: str) -> dict:
     """Parse the ``key = value`` config format. '#' starts a comment."""
     out = {}
@@ -161,6 +174,5 @@ def load_run_config(path: str | None = None) -> RunConfig:
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = cfg.with_overrides(**parse_config_text(fh.read()))
+        cfg = cfg.with_overrides(**parse_config_text(read_text(path)))
     return cfg

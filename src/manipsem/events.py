@@ -1,15 +1,21 @@
 """Scene traces, the debounced touch graph, and atomic-action extraction.
 
 A trace is a time-ordered sequence of frames, each carrying labeled object
-point clouds (plus an optional ground box).  Extraction walks the frames,
-maintains a debounced contact graph, infers grasps (hand and object moving
-together long enough become a merged entity), and emits atomic-action
-quintuples per hand:
+point clouds (plus an optional ground box).  Extraction is one walk over
+the frames.  The walk holds the trace's :class:`GeometryCache`, labels and
+ground, and while a frame is walked, that frame's index, roles and
+confirmed contacts.  It maintains a debounced contact graph, infers grasps
+(hand and object moving together long enough become a merged entity), and
+emits atomic-action quintuples per hand, each built in one place that sets
+its ground token, place and labels:
 
   * a confirmed new contact edge on the hand chain emits T;
   * a confirmed lost edge emits U;
   * sustained windows of co-motion emit Mt (or Fmt when the partner holds
     still), annotated with the most salient spatial context.
+
+A hand's contact episodes and idle spans are the runs of its per-frame
+busy flags.
 
 Trace file format: UTF-8 JSON lines, one frame per line with exactly the
 fields ``t`` (seconds) and ``objects`` (id, label, role, points[[x,y,z]..];
@@ -30,8 +36,8 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .actions import AIR, GROUND, AtomicAction, Primitive, Snippet, Subject
-from .config import RunConfig, split_lines
-from .geometry import Aabb, ConvexHull, RelMatrix, aabb_gap, as_cloud, box_hull, touch
+from .config import RunConfig, read_text, split_lines
+from .geometry import Aabb, ConvexHull, RelMatrix, as_cloud, box_hull, touch
 from .relations import (FOOTPRINT_MARGIN, DsrLabel, ObjectState, SsrLabel, _above,
                         _pattern_label, classify_dsr, classify_ssr, footprint_overlap,
                         pattern_matrix)
@@ -211,14 +217,6 @@ def _line_points(pending, lineno) -> list[np.ndarray]:
     return [rows[end - len(raw):end] for (_, raw, _), end in zip(pending, ends)]
 
 
-def _decode(data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(data.count(b"\n", 0, exc.start) + 1,
-                         f"not UTF-8: {exc.reason}") from exc
-
-
 def load_trace(source, trace_id: str | None = None) -> SceneTrace:
     """Parse a trace from a path, text, or byte stream.
 
@@ -226,19 +224,15 @@ def load_trace(source, trace_id: str | None = None) -> SceneTrace:
     checked once; every object's points are row views of it.  An error
     names its line and, for points, the first bad object on it.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-        text = _decode(data) if isinstance(data, bytes) else data
-        name = trace_id or "trace"
-    else:
-        try:
-            with open(source, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise ParseError(None, f"cannot read {source}: {exc.strerror or exc}") from exc
-        text = _decode(data)
-        name = trace_id or os.path.splitext(os.path.basename(str(source)))[0]
-    del data  # the parser reads only the text
+    try:
+        text = read_text(source)
+    except OSError as exc:
+        raise ParseError(None, f"cannot read {source}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(exc.object.count(b"\n", 0, exc.start) + 1,
+                         f"not UTF-8: {exc.reason}") from exc
+    name = trace_id or ("trace" if hasattr(source, "read")
+                        else os.path.splitext(os.path.basename(str(source)))[0])
 
     frames: list[Frame] = []
     last_box: list = [None, None]
@@ -523,18 +517,16 @@ class GeometryCache:
 
     def touching(self, a: str, b: str, f_idx: int) -> bool:
         """``geometry.touch`` of the two objects in frame ``f_idx``.  Boxes
-        further apart than ``eps_touch`` answer False before either hull is
-        read, as ``touch`` itself would; nearer ones build a hull only where
-        a point lies deep in the other's box or the clouds' distance is
-        within GJK's error of ``eps_touch``."""
+        further apart than ``eps_touch`` answer False in ``touch`` before
+        either hull is read; nearer ones build a hull only where a point
+        lies deep in the other's box or the clouds' distance is within
+        GJK's error of ``eps_touch``."""
         key = (a, b) if a < b else (b, a)
         last = self._touch.get(key)
         if last is not None and self._pose_kept(*key, last[0], f_idx):
             return last[1]
         sa, sb = self.state(key[0], f_idx), self.state(key[1], f_idx)
-        geo = self.cfg.geometry
-        hit = (aabb_gap(sa.aabb, sb.aabb) <= geo.eps_touch
-               and touch(sa.cloud, sa.hull, sb.cloud, sb.hull, geo.eps_touch))
+        hit = touch(sa.cloud, sa.hull, sb.cloud, sb.hull, self.cfg.geometry.eps_touch)
         self._touch[key] = (f_idx, hit)
         return hit
 
@@ -616,294 +608,273 @@ class ExtractionResult:
     actions: dict[str, list[AtomicAction]]
     hand_busy: dict[str, np.ndarray]
     n_frames: int
-    ground_id: str | None
     labels: dict[str, str]
 
     def for_hand(self, hand: str) -> list[AtomicAction]:
         return self.actions.get(hand, [])
 
 
-class _HandState:
-    def __init__(self, side: str):
+_NON_OBJECT_ROLES = ("hand_left", "hand_right", "ground")
+
+
+class _Hand:
+    """One hand's walk state: its id in the latest frame it appeared in, the
+    object it holds, the frames since its last action or context change, and
+    what it has emitted so far."""
+
+    def __init__(self, side: str, hid: str, f_idx: int):
         self.side = side
+        self.id = hid
         self.grasped: str | None = None
         self.quiet_frames = 0
         self.context = None
+        self.actions: list[AtomicAction] = []
+        self.busy = [False] * f_idx
+
+    def subject(self) -> Subject:
+        return Subject(self.side, self.grasped or None)
 
 
-class Extractor:
-    """Single-pass atomic-action extraction over one trace."""
+class _Walk:
+    """One pass over a trace, emitting each hand's atomic actions.
 
-    def __init__(self, cfg: RunConfig | None = None):
-        self.cfg = cfg or RunConfig()
+    The walk holds the trace's geometry, labels and ground, and the confirmed
+    contacts of every frame walked so far.  While a frame is walked it also
+    holds that frame's index, roles and confirmed contacts, which every
+    helper below reads.
+    """
 
-    def run(self, trace: SceneTrace) -> ExtractionResult:
-        cfg = self.cfg
-        window = cfg.relation.window
-        cache = GeometryCache(trace.frames, cfg)
-        deb = _Debouncer(cfg.event.debounce)
-        ground = trace.ground()
-        ground_id = ground.id if ground else None
-        labels = trace.labels()
+    def __init__(self, trace: SceneTrace, cfg: RunConfig):
+        self.cfg = cfg
+        self.window = cfg.relation.window
+        self.frames = trace.frames
+        self.cache = GeometryCache(trace.frames, cfg)
+        self.labels = trace.labels()
+        self.has_ground = trace.ground() is not None
+        self.history: list[set[frozenset]] = []
+        self.f_idx = 0
+        self.roles: dict[str, str] = {}
+        self.confirmed: set[frozenset] = set()
 
-        hands: dict[str, _HandState] = {}
-        hand_ids: dict[str, str] = {}
-        actions: dict[str, list[AtomicAction]] = {}
-        busy: dict[str, list[bool]] = {}
-        contact_hist: list[set[frozenset]] = []
+    def run(self) -> ExtractionResult:
+        deb = _Debouncer(self.cfg.event.debounce)
+        hands: dict[str, _Hand] = {}
         contact_age: dict[frozenset, int] = {}
-
-        n = len(trace.frames)
-        for f_idx, frame in enumerate(trace.frames):
-            roles = {o.id: o.role for o in frame.objects}
+        for f_idx, frame in enumerate(self.frames):
+            self.f_idx = f_idx
+            self.roles = {o.id: o.role for o in frame.objects}
             for o in frame.objects:
-                if o.role in HAND_ROLES:
-                    side = HAND_ROLES[o.role]
-                    hand_ids[side] = o.id
-                    if side not in hands:
-                        hands[side] = _HandState(side)
-                        actions[side] = []
-                        busy[side] = [False] * f_idx
+                side = HAND_ROLES.get(o.role)
+                if side in hands:
+                    hands[side].id = o.id
+                elif side is not None:
+                    hands[side] = _Hand(side, o.id, f_idx)
 
-            raw = cache.contacts(f_idx)
-            added, removed = deb.update(raw)
-            confirmed = set(deb.confirmed)
-            contact_hist.append(confirmed)
-            for pair in confirmed:
-                contact_age[pair] = contact_age.get(pair, 0) + 1
-            for pair in list(contact_age):
-                if pair not in confirmed:
-                    del contact_age[pair]
+            added, removed = deb.update(self.cache.contacts(f_idx))
+            self.confirmed = set(deb.confirmed)
+            self.history.append(self.confirmed)
+            contact_age = {pair: contact_age.get(pair, 0) + 1 for pair in self.confirmed}
 
-            for side, hs in hands.items():
-                hid = hand_ids.get(side)
-                if hid is None or hid not in roles:
-                    busy[side].append(False)
-                    continue
-                events = self._edge_events(hs, hid, added, removed)
-                if events:
-                    for kind, other, via in events:
-                        aa = self._emit_contact(kind, other, via, hs, hid, cache, roles,
-                                                labels, confirmed, f_idx)
-                        if aa is not None:
-                            actions[side].append(aa)
-                    hs.quiet_frames = 0
-                    hs.context = None
-
-                self._update_grasp(hs, hid, confirmed, contact_age, cache, roles, f_idx)
-
-                ctx = self._salient_context(hs, hid, cache, f_idx, roles, ground_id, confirmed)
-                if ctx != hs.context:
-                    hs.context = ctx
-                    hs.quiet_frames = 0
-                hs.quiet_frames += 1
-                if hs.quiet_frames >= window and f_idx >= window:
-                    aa = self._emit_motion(hs, hid, cache, roles, ground_id, labels,
-                                           contact_hist, confirmed, f_idx, window)
-                    if aa is not None:
-                        actions[side].append(aa)
-                        hs.quiet_frames = 0
-
-                busy[side].append(any(hid in p for p in confirmed))
+            for hand in hands.values():
+                present = hand.id in self.roles
+                if present:
+                    self._step(hand, added, removed, contact_age)
+                hand.busy.append(present and any(hand.id in p for p in self.confirmed))
 
         return ExtractionResult(
-            actions={s: acts for s, acts in actions.items()},
-            hand_busy={s: np.array(b, dtype=bool) for s, b in busy.items()},
-            n_frames=n,
-            ground_id=ground_id,
-            labels=labels,
+            actions={s: h.actions for s, h in hands.items()},
+            hand_busy={s: np.array(h.busy, dtype=bool) for s, h in hands.items()},
+            n_frames=len(self.frames),
+            labels=self.labels,
         )
 
-    # -- helpers ------------------------------------------------------------
+    def _step(self, hand: _Hand, added, removed, contact_age) -> None:
+        """One frame of one hand that appears in it."""
+        events = self._edge_events(hand, added, removed)
+        if events:
+            for (other, kind), via in events:
+                if other in self.roles:
+                    hand.actions.append(self._contact(hand, kind, other, via))
+            hand.quiet_frames = 0
+            hand.context = None
 
-    def _edge_events(self, hs: _HandState, hid: str, added, removed):
-        """(kind, other_id, via) events on the hand chain, ordered by id.
+        self._update_grasp(hand, contact_age)
+
+        ctx = self._salient_context(hand)
+        if ctx != hand.context:
+            hand.context = ctx
+            hand.quiet_frames = 0
+        hand.quiet_frames += 1
+        if hand.quiet_frames >= self.window and self.f_idx >= self.window:
+            aa = self._motion(hand)
+            if aa is not None:
+                hand.actions.append(aa)
+                hand.quiet_frames = 0
+
+    def _edge_events(self, hand: _Hand, added, removed):
+        """((other_id, kind), via) events on the hand chain, ordered by id.
 
         ``via`` records whether the edge met the hand itself or the carried
         object; simultaneous duplicates prefer the carried edge.
         """
-        events = []
-        g = hs.grasped
+        events: dict[tuple[str, str], str] = {}
+        hid, g = hand.id, hand.grasped
         for kind, pairs in (("T", added), ("U", removed)):
             for pair in pairs:
-                ids = set(pair)
-                if hid in ids:
-                    events.append((kind, (ids - {hid}).pop(), "hand"))
-                elif g is not None and g in ids:
-                    other = (ids - {g}).pop()
-                    if other != hid:
-                        events.append((kind, other, "carried"))
-        chosen: dict = {}
-        for kind, other, via in events:
-            key = (kind, other)
-            if key not in chosen or via == "carried":
-                chosen[key] = (kind, other, via)
-        return sorted(chosen.values(), key=lambda e: (e[1], e[0]))
+                if hid in pair:
+                    events.setdefault((_other(pair, hid), kind), "hand")
+                elif g is not None and g in pair:
+                    events[(_other(pair, g), kind)] = "carried"
+        return sorted(events.items())
 
-    def _emit_contact(self, kind, other, via, hs, hid, cache, roles,
-                      labels, confirmed, f_idx):
-        if other not in roles:
-            return None
-        grasped = hs.grasped
-        if kind == "U" and via == "hand" and grasped == other:
-            subject = Subject(hs.side, None)      # letting go of the tool itself
-            hs.grasped = None
-            actor_id = hid
+    def _contact(self, hand: _Hand, kind: str, other: str, via: str) -> AtomicAction:
+        """The T or U action of a confirmed edge change on the hand chain."""
+        if kind == "U" and via == "hand" and hand.grasped == other:
+            subject = Subject(hand.side, None)      # letting go of the tool itself
+            hand.grasped = None
+            actor = hand.id
         else:
-            subject = Subject(hs.side, grasped) if grasped else Subject(hs.side, None)
-            actor_id = grasped if (via == "carried" and grasped in roles) else hid
-        rel = classify_ssr(cache.state(actor_id, f_idx), cache.state(other, f_idx),
-                           self.cfg.relation, self.cfg.geometry, touching=(kind == "T"),
-                           memo=cache.pair(actor_id, other, f_idx))
-        obj_id = GROUND if roles.get(other) == "ground" else other
-        place = self._place_of(other, cache, f_idx, roles, confirmed)
+            subject = hand.subject()
+            actor = hand.grasped if (via == "carried" and hand.grasped in self.roles) else hand.id
         prim = Primitive.T if kind == "T" else Primitive.U
-        return AtomicAction(subject, prim, obj_id, rel, place, (f_idx, f_idx),
-                            object_label=labels.get(other, other),
-                            carried_label=labels.get(subject.carried) if subject.carried else None,
-                            place_label=_place_label(place, labels))
+        rel = self._ssr(actor, other, touching=(kind == "T"))
+        return self._action(subject, prim, other, rel, (self.f_idx, self.f_idx))
 
-    def _update_grasp(self, hs, hid, confirmed, contact_age, cache, roles, f_idx):
-        if hs.grasped is not None:
-            if frozenset((hid, hs.grasped)) not in confirmed:
-                hs.grasped = None
+    def _update_grasp(self, hand: _Hand, contact_age) -> None:
+        hid = hand.id
+        if hand.grasped is not None:
+            if frozenset((hid, hand.grasped)) not in self.confirmed:
+                hand.grasped = None
             return
-        window = self.cfg.relation.window
-        if f_idx + 1 < window + 1:
+        if self.f_idx < self.window:
             return
-        for pair in confirmed:
+        for pair in self.confirmed:
             if hid not in pair:
                 continue
-            other = (set(pair) - {hid}).pop()
-            if roles.get(other) in ("ground", "hand_left", "hand_right"):
+            other = _other(pair, hid)
+            if (self.roles.get(other) in _NON_OBJECT_ROLES
+                    or contact_age.get(pair, 0) < self.cfg.event.grasp_min_frames):
                 continue
-            if contact_age.get(pair, 0) < self.cfg.event.grasp_min_frames:
-                continue
-            ta = cache.track(hid, f_idx, window + 1)
-            tb = cache.track(other, f_idx, window + 1)
+            ta, tb = self._track(hid), self._track(other)
             if len(ta) != len(tb) or len(ta) < 2:
                 continue
             if classify_dsr(ta, tb, True, self.cfg.relation) is DsrLabel.Mt:
-                hs.grasped = other
+                hand.grasped = other
                 return
 
-    def _salient_context(self, hs, hid, cache, f_idx, roles, ground_id, confirmed):
-        """(object_id | None, relation) most relevant to the moving entity.
+    def _salient_context(self, hand: _Hand):
+        """(partners, (object_id | None, relation)): the moving entity's
+        contacts and the spatial context most relevant to it.
 
         Containment is read off the intersection pattern alone: within
         contact range, ``classify_ssr`` returns it before any label that
         depends on contact.
         """
-        rep = hs.grasped if hs.grasped in roles else hid
-        partners = frozenset(
-            (set(p) - {rep}).pop() for p in confirmed if rep in p
-        )
+        cache, f_idx, roles = self.cache, self.f_idx, self.roles
+        rep = hand.grasped if hand.grasped in roles else hand.id
+        partners = frozenset(self._partners(rep))
         rep_box = cache.aabb(rep, f_idx)
-        containment = None
         hover = None
         for oid in cache.ids[f_idx]:
-            if oid in (rep, hid, hs.grasped) or roles.get(oid) in ("hand_left", "hand_right"):
-                continue
-            if roles.get(oid) == "ground":
+            if oid in (rep, hand.id, hand.grasped) or roles.get(oid) in _NON_OBJECT_ROLES:
                 continue
             if cache.gap(rep, oid, f_idx) <= self.cfg.geometry.eps_touch:
                 rel = cache.pattern(rep, oid, f_idx)
                 if rel in (SsrLabel.In, SsrLabel.Wi, SsrLabel.Pwi, SsrLabel.Cr):
-                    containment = (oid, rel)
-                    break
+                    return (partners, (oid, rel))
             other_box = cache.aabb(oid, f_idx)
-            if hover is None and rep_box.min_corner[1] > other_box.max_corner[1]:
-                if footprint_overlap(rep_box, other_box, FOOTPRINT_MARGIN):
-                    hover = (oid, SsrLabel.Ab)
-        if containment:
-            ctx = containment
-        elif hover:
-            ctx = hover
-        elif ground_id is not None:
-            ctx = (None, SsrLabel.Ab)
-        else:
-            ctx = (None, SsrLabel.NoRelation)
-        return (partners, ctx)
+            if (hover is None and rep_box.min_corner[1] > other_box.max_corner[1]
+                    and footprint_overlap(rep_box, other_box, FOOTPRINT_MARGIN)):
+                hover = (oid, SsrLabel.Ab)
+        if hover is None:
+            hover = (None, SsrLabel.Ab if self.has_ground else SsrLabel.NoRelation)
+        return (partners, hover)
 
-    def _emit_motion(self, hs, hid, cache, roles, ground_id, labels,
-                     contact_hist, confirmed, f_idx, window):
-        grasped = hs.grasped
+    def _motion(self, hand: _Hand) -> AtomicAction | None:
+        """The Mt or Fmt action of the last ``window`` frames, if any."""
+        hid, grasped, roles, window = hand.id, hand.grasped, self.roles, self.window
         rep = grasped if grasped in roles else hid
-        span = (f_idx - window + 1, f_idx)
-        partners = sorted(
-            (set(p) - {rep}).pop() for p in confirmed
-            if rep in p and not (set(p) - {rep}) & {hid}
-        )
-        partners = [p for p in partners if roles.get(p) not in ("hand_left", "hand_right")]
-        subject = Subject(hs.side, grasped) if grasped else Subject(hs.side, None)
-
-        def track(oid):
-            return cache.track(oid, f_idx, window + 1)
-
-        def touching_flags(a, b):
-            pair = frozenset((a, b))
-            return [pair in hist for hist in contact_hist[-(window + 1):]]
-
+        span = (self.f_idx - window + 1, self.f_idx)
+        # the hand itself is among the hands left out
+        partners = [p for p in self._partners(rep) if roles.get(p) not in HAND_ROLES]
         for other in partners:
-            if cache.seen(other, f_idx) < window + 1:
+            if self.cache.seen(other, self.f_idx) < window + 1:
                 continue
-            dsr = classify_dsr(track(rep), track(other),
-                               touching_flags(rep, other), self.cfg.relation)
+            pair = frozenset((rep, other))
+            flags = [pair in confirmed for confirmed in self.history[-(window + 1):]]
+            dsr = classify_dsr(self._track(rep), self._track(other), flags, self.cfg.relation)
             if dsr in (DsrLabel.Fmt, DsrLabel.Mt):
                 prim = Primitive.Fmt if dsr is DsrLabel.Fmt else Primitive.Mt
-                rel = classify_ssr(cache.state(rep, f_idx), cache.state(other, f_idx),
-                                   self.cfg.relation, self.cfg.geometry, touching=True,
-                                   memo=cache.pair(rep, other, f_idx))
-                obj_id = GROUND if roles.get(other) == "ground" else other
-                place = self._place_of(other, cache, f_idx, roles, confirmed)
-                return AtomicAction(subject, prim, obj_id, rel, place, span,
-                                    object_label=labels.get(other, other),
-                                    carried_label=labels.get(grasped) if grasped else None,
-                                    place_label=_place_label(place, labels))
+                rel = self._ssr(rep, other, touching=True)
+                return self._action(hand.subject(), prim, other, rel, span)
         if partners:
             # while an external contact exists, motion reads off that contact;
             # falling back to carried-pair co-motion would misreport it
             return None
-        if grasped and grasped in roles and cache.seen(grasped, f_idx) >= window + 1:
-            if classify_dsr(track(hid), track(grasped), True, self.cfg.relation) is DsrLabel.Mt:
-                _, ctx = hs.context if hs.context else (None, (None, SsrLabel.Ab))
-                ctx_obj, ctx_rel = ctx
-                if ctx_obj is not None:
-                    place = self._place_of(ctx_obj, cache, f_idx, roles, confirmed)
-                    return AtomicAction(subject, Primitive.Mt, ctx_obj, ctx_rel, place, span,
-                                        object_label=labels.get(ctx_obj, ctx_obj),
-                                        carried_label=labels.get(grasped),
-                                        place_label=_place_label(place, labels))
-                rel = ctx_rel if ground_id is not None else SsrLabel.NoRelation
-                return AtomicAction(subject, Primitive.Mt, None, rel, AIR, span,
-                                    carried_label=labels.get(grasped))
+        if (grasped and grasped in roles and self.cache.seen(grasped, self.f_idx) >= window + 1
+                and classify_dsr(self._track(hid), self._track(grasped), True,
+                                 self.cfg.relation) is DsrLabel.Mt):
+            _, (ctx_obj, ctx_rel) = hand.context
+            return self._action(hand.subject(), Primitive.Mt, ctx_obj, ctx_rel, span)
         return None
 
-    def _place_of(self, oid, cache, f_idx, roles, confirmed, _depth=0, _seen=None):
+    def _partners(self, oid: str) -> list[str]:
+        """The ids ``oid`` is in confirmed contact with, in order."""
+        return sorted(_other(p, oid) for p in self.confirmed if oid in p)
+
+    def _track(self, oid: str) -> np.ndarray:
+        return self.cache.track(oid, self.f_idx, self.window + 1)
+
+    def _ssr(self, a: str, b: str, touching: bool) -> SsrLabel:
+        cache, f_idx = self.cache, self.f_idx
+        return classify_ssr(cache.state(a, f_idx), cache.state(b, f_idx),
+                            self.cfg.relation, self.cfg.geometry, touching=touching,
+                            memo=cache.pair(a, b, f_idx))
+
+    def _action(self, subject: Subject, prim: Primitive, other: str | None, rel: SsrLabel,
+                span: tuple[int, int]) -> AtomicAction:
+        """The atomic action of ``subject`` on ``other`` (an object id, or
+        None for motion through the air), with the ground's token, the
+        place from :meth:`_place_of` and the labels of object, carried
+        object and place."""
+        labels = self.labels
+        if other is None:
+            obj, place, obj_label = None, AIR, None
+        else:
+            obj = GROUND if self.roles.get(other) == "ground" else other
+            place, obj_label = self._place_of(other), labels.get(other, other)
+        return AtomicAction(subject, prim, obj, rel, place, span,
+                            object_label=obj_label,
+                            carried_label=labels.get(subject.carried) if subject.carried else None,
+                            place_label=_place_label(place, labels))
+
+    def _place_of(self, oid: str, seen: set | None = None) -> str:
+        """What supports ``oid``: the ground, an object it rests on, or
+        that of a partner it touches, followed through at most three
+        partners (``seen`` holds the objects on the way); else the air."""
+        roles = self.roles
         if roles.get(oid) == "ground":
             return GROUND
-        seen = _seen or {oid}
-        partners = sorted((set(p) - {oid}).pop() for p in confirmed if oid in p)
-        partners = [p for p in partners
-                    if roles.get(p) not in ("hand_left", "hand_right") and p not in seen]
-        supporters = []
-        for p in partners:
-            if p not in roles or oid not in roles:
-                continue
-            if _above(cache.aabb(oid, f_idx), cache.aabb(p, f_idx), self.cfg.geometry.eps_touch):
-                supporters.append(p)
-        non_ground = [p for p in supporters if roles.get(p) != "ground"]
-        if non_ground:
-            return non_ground[0]
-        if any(roles.get(p) == "ground" for p in supporters):
-            return GROUND
-        if _depth < 3:
+        seen = seen or {oid}
+        partners = [p for p in self._partners(oid)
+                    if roles.get(p) not in HAND_ROLES and p not in seen]
+        aabb, eps = self.cache.aabb, self.cfg.geometry.eps_touch
+        supporters = [p for p in partners if p in roles and oid in roles
+                      and _above(aabb(oid, self.f_idx), aabb(p, self.f_idx), eps)]
+        if supporters:
+            return next((p for p in supporters if roles[p] != "ground"), GROUND)
+        if len(seen) < 4:
             for p in partners:
-                got = self._place_of(p, cache, f_idx, roles, confirmed,
-                                     _depth + 1, seen | {p})
+                got = self._place_of(p, seen | {p})
                 if got != AIR:
                     return got
         return AIR
+
+
+def _other(pair: frozenset, oid: str) -> str:
+    """The id a contact pair holds besides ``oid``."""
+    (other,) = pair - {oid}
+    return other
 
 
 def _place_label(place: str, labels: dict[str, str]) -> str | None:
@@ -912,29 +883,33 @@ def _place_label(place: str, labels: dict[str, str]) -> str | None:
 
 
 def extract_atomic_actions(trace: SceneTrace, cfg: RunConfig | None = None) -> ExtractionResult:
-    return Extractor(cfg).run(trace)
+    return _Walk(trace, cfg or RunConfig()).run()
+
+
+def _runs(flags, value: bool):
+    """(first, last) frame of each maximal run whose flag is ``value``."""
+    start = None
+    for f, flag in enumerate(flags):
+        if flag == value:
+            if start is None:
+                start = f
+        elif start is not None:
+            yield start, f - 1
+            start = None
+    if start is not None:
+        yield start, len(flags) - 1
 
 
 def segment_actions(result: ExtractionResult, hand: str) -> list[Snippet]:
     """Contact episodes of one hand: from first confirmed touch to free again."""
     flags = result.hand_busy.get(hand)
-    if flags is None or not len(flags):
+    if flags is None:
         return []
     acts = result.for_hand(hand)
-    snippets = []
-    start = None
-    for f in range(len(flags)):
-        if flags[f] and start is None:
-            start = f
-        elif not flags[f] and start is not None:
-            snippets.append((start, f))
-            start = None
-    if start is not None:
-        snippets.append((start, len(flags) - 1))
     out = []
-    for s, e in snippets:
-        members = tuple(a for a in acts if s <= a.frame_span[0] <= e)
-        out.append(Snippet(hand, (s, e), members))
+    for s, last in _runs(flags, True):
+        e = min(last + 1, len(flags) - 1)    # an episode ends on the frame the hand is free
+        out.append(Snippet(hand, (s, e), tuple(a for a in acts if s <= a.frame_span[0] <= e)))
     return out
 
 
@@ -943,14 +918,4 @@ def idle_spans(result: ExtractionResult, hand: str) -> list[tuple[int, int]]:
     flags = result.hand_busy.get(hand)
     if flags is None:
         return [(0, result.n_frames - 1)] if result.n_frames else []
-    out = []
-    start = None
-    for f in range(len(flags)):
-        if not flags[f] and start is None:
-            start = f
-        elif flags[f] and start is not None:
-            out.append((start, f - 1))
-            start = None
-    if start is not None:
-        out.append((start, len(flags) - 1))
-    return out
+    return list(_runs(flags, False))

@@ -29,7 +29,7 @@ import importlib.resources
 from dataclasses import dataclass
 
 from .actions import AIR, GROUND, NO_OBJECT, AtomicAction, Primitive, Subject, action_tokens
-from .config import split_lines
+from .config import read_text, split_lines
 from .grammar import NoParse, PRIMITIVE_TERMINALS, RESERVED, parse
 from .relations import SsrLabel
 
@@ -212,13 +212,7 @@ def _validate_entry(entry: LibraryEntry):
 
 def load_mapping_library(source) -> MappingLibrary:
     """Load a library from a path, text, or binary stream."""
-    if hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_library_text(text)
+    return parse_library_text(read_text(source))
 
 
 @functools.cache

@@ -16,7 +16,7 @@ import importlib.resources
 from dataclasses import dataclass, field, replace
 
 from .actions import AIR, GROUND, AtomicAction, Primitive, Snippet
-from .config import split_lines
+from .config import read_text, split_lines
 from .library import MappingLibrary, RecognizedAction
 
 VOWELS = "aeiou"
@@ -68,13 +68,8 @@ def parse_template_text(text: str) -> TemplateSet:
 
 
 def load_template_set(source) -> TemplateSet:
-    if hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_template_text(text)
+    """Load templates from a path, text, or binary stream."""
+    return parse_template_text(read_text(source))
 
 
 def default_templates() -> TemplateSet:

@@ -1,4 +1,5 @@
 import importlib.resources
+import io
 import json
 import os
 
@@ -217,6 +218,18 @@ class TestConfigPlumbing:
         assert cfg.geometry.eps_touch == 0.002
         cfg2 = load_run_config().with_overrides(eps_touch="0.004")
         assert cfg2.geometry.eps_touch == 0.004
+
+    def test_config_path_and_stream_read_alike(self, tmp_path, monkeypatch):
+        # a lone "\r" is no line break, whichever way the file is read
+        from manipsem.config import RunConfig, load_run_config, parse_config_text, read_text
+        data = b"eps_touch = 0.004  # tighter\rthan the default\nwindow = 6\n"
+        path = tmp_path / "ms.cfg"
+        path.write_bytes(data)
+        monkeypatch.delenv("MANIPSEM_CONFIG", raising=False)
+        from_path = load_run_config(str(path))
+        assert from_path == RunConfig().with_overrides(
+            **parse_config_text(read_text(io.BytesIO(data))))
+        assert (from_path.geometry.eps_touch, from_path.relation.window) == (0.004, 6)
 
     def test_unknown_config_key_rejected(self):
         from manipsem.config import RunConfig

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from manipsem.library import (
     atomic_action_count,
     atomic_action_space,
     decompose,
+    load_mapping_library,
     parse_library_text,
     recognize,
 )
@@ -80,6 +82,15 @@ class TestLoading:
         with pytest.raises(PatternParseError) as info:
             parse_library_text(f"# a{char}b\naction Bad\nhands one\nH Q ?object To ?place\nend\n")
         assert info.value.lineno == 4
+
+    def test_path_and_stream_read_alike(self, tmp_path):
+        # a lone "\r" is no line break, whichever way the file is read
+        data = b"action Hold # held\rstill\nhands one\nH T ?object To ?place\nend\n"
+        path = tmp_path / "lib.txt"
+        path.write_bytes(data)
+        from_path = load_mapping_library(str(path))
+        assert from_path == load_mapping_library(io.BytesIO(data))
+        assert from_path["Hold"].steps
 
     def test_non_cfg_pattern_rejected(self):
         # a reserved grammar token in the object slot cannot derive

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from manipsem.actions import AIR, GROUND, AtomicAction, Primitive, Snippet, Subject
@@ -6,6 +8,7 @@ from manipsem.realizer import (
     LevelUnavailable,
     MissingTemplate,
     available_levels,
+    load_template_set,
     parse_template_text,
     realize_atomic,
     realize_level,
@@ -47,6 +50,15 @@ class TestRealizeAtomic:
         ts = parse_template_text("subject.left = The left hand\n")
         with pytest.raises(MissingTemplate):
             realize_atomic(aa(HAND, Primitive.T, "x", SsrLabel.To, GROUND), None, ts)
+
+    def test_template_path_and_stream_read_alike(self, tmp_path):
+        # a lone "\r" is no line break, whichever way the file is read
+        data = b"subject.left = The left hand\nidle = The hand\rrests.\n"
+        path = tmp_path / "templates.txt"
+        path.write_bytes(data)
+        from_path = load_template_set(str(path))
+        assert from_path == load_template_set(io.BytesIO(data))
+        assert from_path.get("idle") == "The hand\rrests."
 
     def test_article_progression(self, templates, lib):
         acts = decompose("Wipe", {"?tool": "sponge1", "?place": GROUND}, lib)
