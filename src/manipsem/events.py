@@ -20,7 +20,10 @@ busy flags.
 Trace file format: UTF-8 JSON lines, one frame per line with exactly the
 fields ``t`` (seconds) and ``objects`` (id, label, role, points[[x,y,z]..];
 the ground may carry ``box`` [[min],[max]] instead of points).  Units are
-meters, y up.
+meters, y up.  An object record identical, character for character, to the
+previous frame's record at the same index is decoded and checked once; its
+frames share one :class:`ObjectInstance`.  A writer that emits a static
+object's record verbatim in every frame gets this fast path.
 """
 
 from __future__ import annotations
@@ -138,25 +141,20 @@ def _points(value, oid, need, lineno) -> np.ndarray:
     return pts
 
 
-def _ground_box(raw, lineno, last: list, eager: bool) -> tuple:
-    """A ground box as ((min), (max)); a list equal to the previous box's
-    (``last`` holds [list, box] and is updated here) is not checked again."""
-    if not eager and raw == last[0]:
-        return last[1]
+def _ground_box(raw, lineno) -> tuple:
+    """A ground box as ((min), (max))."""
     corners = _coords(raw, "ground box", lineno)
     if corners.shape[0] != 2:
         raise SchemaError("ground box must be [[min x, y, z], [max x, y, z]]", lineno)
     if np.any(corners[1] <= corners[0]):
         raise SchemaError("ground box needs max > min on every axis", lineno)
-    box = (tuple(corners[0].tolist()), tuple(corners[1].tolist()))
-    last[:] = raw, box
-    return box
+    return (tuple(corners[0].tolist()), tuple(corners[1].tolist()))
 
 
 _OBJECT_FIELDS = frozenset({"id", "label", "role", "points", "box"})
 
 
-def _object_from_record(rec, lineno, eager: bool, pending: list, last_box: list):
+def _object_from_record(rec, lineno, eager: bool, pending: list):
     """(id, label, role, points, box) of one object record.  A list of
     [x, y, z] lists is left for :func:`_line_points`: ``pending`` gets
     (id, list, points needed), and ``points`` is its index there.
@@ -192,7 +190,7 @@ def _object_from_record(rec, lineno, eager: bool, pending: list, last_box: list)
             pending.append((rec["id"], points, need))
             points = len(pending) - 1
     if box is not None:
-        box = _ground_box(box, lineno, last_box, eager)
+        box = _ground_box(box, lineno)
     return rec["id"], rec["label"], role, points, box
 
 
@@ -217,12 +215,89 @@ def _line_points(pending, lineno) -> list[np.ndarray]:
     return [rows[end - len(raw):end] for (_, raw, _), end in zip(pending, ends)]
 
 
+# json.loads's own scanner, called one value at a time, and its whitespace
+_scan_value = json.decoder.JSONDecoder().scan_once
+_skip_ws = json.decoder.WHITESPACE.match
+
+
+def _scan_objects(line: str, i: int, prev: list) -> tuple[list, list, int]:
+    """The array of object records starting at ``line[i] == "["``: its
+    items, the text of each record (None for an item that is not a JSON
+    object) and the index after it.  A record that starts with the text of
+    ``prev``'s (text, instance) at its index is that record: an object ends
+    at its matching brace.  It is not decoded; its item is the instance."""
+    items: list = []
+    texts: list = []
+    i = _skip_ws(line, i + 1).end()
+    if line.startswith("]", i):
+        return items, texts, i + 1
+    while True:
+        k = len(items)
+        if not line.startswith("{", i):
+            value, end = _scan_value(line, i)
+            text = None
+        elif k < len(prev) and line.startswith(prev[k][0], i):
+            text, value = prev[k]
+            end = i + len(text)
+        else:
+            value, end = _scan_value(line, i)
+            text = line[i:end]
+        items.append(value)
+        texts.append(text)
+        i = _skip_ws(line, end).end()
+        if line.startswith("]", i):
+            return items, texts, i + 1
+        if not line.startswith(",", i):
+            raise ValueError("expected , or ]")
+        i = _skip_ws(line, i + 1).end()
+
+
+def _scan_frame(line: str, prev: list) -> tuple[dict, list | None]:
+    """The frame record of one stripped line, as ``json.loads`` reads it
+    (any key order, the last of duplicate keys kept), and the record texts
+    of its ``objects`` array; records repeated from ``prev`` are its
+    instances (:func:`_scan_objects`).  A line whose top level is not one
+    JSON object raises ValueError or StopIteration, as the scanner does."""
+    if not line.startswith("{"):
+        raise ValueError("not a JSON object")
+    rec: dict = {}
+    texts = None
+    i = _skip_ws(line, 1).end()
+    if line.startswith("}", i):
+        i += 1
+    else:
+        while True:
+            if not line.startswith('"', i):
+                raise ValueError("expected a key")
+            key, i = json.decoder.scanstring(line, i + 1)
+            i = _skip_ws(line, i).end()
+            if not line.startswith(":", i):
+                raise ValueError("expected :")
+            i = _skip_ws(line, i + 1).end()
+            if key == "objects" and line.startswith("[", i):
+                rec[key], texts, i = _scan_objects(line, i, prev)
+            else:
+                rec[key], i = _scan_value(line, i)
+            i = _skip_ws(line, i).end()
+            if line.startswith("}", i):
+                i += 1
+                break
+            if not line.startswith(",", i):
+                raise ValueError("expected , or }")
+            i = _skip_ws(line, i + 1).end()
+    if i != len(line):
+        raise ValueError("extra data")
+    return rec, texts
+
+
 def load_trace(source, trace_id: str | None = None) -> SceneTrace:
     """Parse a trace from a path, text, or byte stream.
 
     The point lists of each line are converted to one float array and
-    checked once; every object's points are row views of it.  An error
-    names its line and, for points, the first bad object on it.
+    checked once; every object's points are row views of it.  An object
+    record identical to the previous frame's record at the same index is
+    decoded once: the frame gets that record's instance.  An error names
+    its line and, for points, the first bad object on it.
     """
     try:
         text = read_text(source)
@@ -235,15 +310,22 @@ def load_trace(source, trace_id: str | None = None) -> SceneTrace:
                         else os.path.splitext(os.path.basename(str(source)))[0])
 
     frames: list[Frame] = []
-    last_box: list = [None, None]
+    # (text, instance) of each object record of the previous frame
+    prev: list = []
     for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"bad JSON: {exc.msg}") from exc
+            rec, texts = _scan_frame(line, prev)
+        except (StopIteration, ValueError, RecursionError):
+            # json.loads names the fault; a line it reads is a frame the
+            # scan above has no fast path for
+            texts = None
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(lineno, f"bad JSON: {exc.msg}") from exc
         if not isinstance(rec, dict):
             raise SchemaError("frame record must be a mapping", lineno)
         unknown = set(rec) - {"t", "objects"}
@@ -261,23 +343,27 @@ def load_trace(source, trace_id: str | None = None) -> SceneTrace:
         eager = "true" in line or "false" in line
         pending: list = []
         try:
-            objects = [_object_from_record(o, lineno, eager, pending, last_box)
+            objects = [o if type(o) is ObjectInstance
+                       else _object_from_record(o, lineno, eager, pending)
                        for o in rec["objects"]]
         except TraceError:
             # a bad point list on an earlier object is the error to report
             _check_each(pending, lineno)
             raise
-        points = _line_points(pending, lineno)
-        roles = [role for _, _, role, _, _ in objects]
+        points = _line_points(pending, lineno) if pending else []
+        objects = [o if type(o) is ObjectInstance
+                   else ObjectInstance(o[0], o[1], o[2],
+                                       points[o[3]] if type(o[3]) is int else o[3], o[4])
+                   for o in objects]
+        roles = [o.role for o in objects]
         for unique_role in ("hand_left", "hand_right", "ground"):
             if roles.count(unique_role) > 1:
                 raise SchemaError(f"duplicate {unique_role} in frame", lineno)
-        ids = [oid for oid, _, _, _, _ in objects]
+        ids = [o.id for o in objects]
         if len(set(ids)) != len(ids):
             raise SchemaError("duplicate object id in frame", lineno)
-        frames.append(Frame(float(t), tuple(
-            ObjectInstance(oid, label, role, points[p] if type(p) is int else p, box)
-            for oid, label, role, p, box in objects)))
+        frames.append(Frame(float(t), tuple(objects)))
+        prev = list(zip(texts, objects)) if texts is not None else []
 
     identity: dict[str, tuple[str, str]] = {}
     for fr in frames:

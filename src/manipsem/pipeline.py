@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .actions import Snippet
 from .config import RunConfig
-from .events import ExtractionResult, SceneTrace, extract_atomic_actions, idle_spans, segment_actions
+from .events import ExtractionResult, SceneTrace, extract_atomic_actions, segment_actions
 from .library import MappingLibrary, RecognizedAction, default_library, recognize
 from .realizer import Description, TemplateSet, available_levels, default_templates, realize_level
 
@@ -31,7 +31,6 @@ class EpisodeAnalysis:
 class HandAnalysis:
     hand: str
     episodes: list[EpisodeAnalysis]
-    idle: list[tuple[int, int]]
 
 
 @dataclass
@@ -64,7 +63,7 @@ def analyze_trace(trace: SceneTrace, cfg: RunConfig | None = None,
         for snip in segment_actions(result, hand):
             recs = recognize(list(snip.actions), lib, hand) if snip.actions else []
             episodes.append(EpisodeAnalysis(snip, recs))
-        hands[hand] = HandAnalysis(hand, episodes, idle_spans(result, hand))
+        hands[hand] = HandAnalysis(hand, episodes)
     return TraceAnalysis(trace, result, hands, lib, templates)
 
 
