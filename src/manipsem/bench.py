@@ -10,13 +10,14 @@ only where the boxes and clouds cannot decide: a scene in surface contact
 (To, ArT) wraps none, a container with an object deep in its box (In, Wi,
 Pwi) wraps the container, and a crossing pair wraps both.  A static
 object's hull is built at most once per trace, and a wrap error surfaces
-at that first read.  The
-hull classifier reads the cache's pair memos: a pair's intersection matrix
-and contact test are computed once for both orders and re-used while its
-relative pose holds.  The report
-carries per-model accuracy, confusion counts, and flags saying which
-containment-style labels each model managed to produce at all: the box
-model cannot express them.
+at that first read.  The hull classifier reads the cache's pair memos: a
+pair's intersection matrix and contact test are computed once for both
+orders and re-used while its relative pose holds.  Each ordered pair of
+states is scored once per trace: a case whose two states are those of a
+case already scored takes its labels, so a static scene's later evaluated
+frames classify nothing.  The report carries per-model accuracy,
+confusion counts, and flags saying which containment-style labels each
+model managed to produce at all: the box model cannot express them.
 """
 
 from __future__ import annotations
@@ -100,16 +101,25 @@ def evaluate_trace(trace: SceneTrace, relations, cfg: RunConfig | None = None) -
             by_frame.setdefault(gt.frame, []).append(gt)
     evaluated = sorted(by_frame)
     cache = GeometryCache([trace.frames[f] for f in evaluated], cfg)
+    # per (state a, state b): the label of each mode.  The cache shares a
+    # state only between frames whose step moved nothing, so one pair of
+    # states is one pair of clouds and boxes, and labels the same.
+    labels: dict[tuple, list[SsrLabel]] = {}
     for k, f_idx in enumerate(evaluated):
         present = cache.ids[k]
         for gt in by_frame[f_idx]:
             if gt.a not in present or gt.b not in present:
                 continue
             rep.total += 1
-            sa, sb, memo = cache.state(gt.a, k), cache.state(gt.b, k), cache.pair(gt.a, gt.b, k)
+            states = cache.state(gt.a, k), cache.state(gt.b, k)
+            preds = labels.get(states)
+            if preds is None:
+                memo = cache.pair(gt.a, gt.b, k)
+                preds = labels[states] = [
+                    classify_ssr(*states, cfg.relation, cfg.geometry, mode=mode, memo=memo)
+                    for mode in MODES]
             truth = gt.label.value
-            for mode in MODES:
-                pred = classify_ssr(sa, sb, cfg.relation, cfg.geometry, mode=mode, memo=memo)
+            for mode, pred in zip(MODES, preds):
                 rep.confusion[mode][(truth, pred.value)] += 1
                 if pred in PATTERN_LABELS:
                     rep.emitted[mode][pred.value] += 1

@@ -779,21 +779,30 @@ def _region_flags(cloud, hull, tol):
 _DEEP_MARGIN = 1e-9
 
 
-def _reaches_interior(cloud: np.ndarray, hull: ConvexHull, tol: float) -> bool:
+def _reaches_interior(cloud: np.ndarray, cloud_box: Aabb, hull: ConvexHull, tol: float) -> bool:
     """Whether some point of ``cloud`` lies in the interior of ``hull`` (as
     :func:`classify_points` with ``tol`` says).  Only the points deeper than
     ``tol`` inside ``hull.box`` are classified, so a hull no point comes
-    that deep into is not read.  The hull keeps the last answer, which
-    ``touch`` asks again after a pair's :func:`relation_matrix` (the answer
-    does not depend on whether the hull is built yet)."""
+    that deep into is not read.  When on some axis ``cloud_box``, the
+    cloud's box, reaches no deeper than that into ``hull.box``, no point
+    does, and none is visited.  The hull keeps the last answer, which
+    ``touch`` asks again after a pair's :func:`relation_matrix` (the
+    answer does not depend on whether the hull is built yet)."""
     last = hull._deep
     if last is not None and last[0] is cloud and last[1] == tol:
         return last[2]
     box = hull.box
-    depth = np.minimum(cloud - box.min_corner, box.max_corner - cloud).min(axis=1)
-    deep = depth > tol - _DEEP_MARGIN
-    hit = bool(deep.any()) and bool(
-        np.any(classify_points(hull, cloud[deep], tol) == RegionClass.INTERIOR))
+    thr = tol - _DEEP_MARGIN
+    # a point's depth on an axis is fl(p - lo) or fl(hi - p), and rounding
+    # is monotone, so the cloud's extremes give the deepest of them
+    (lo, hi), (c_lo, c_hi) = box.corners, cloud_box.corners
+    if any(c_h - l <= thr or h - c_l <= thr for l, h, c_l, c_h in zip(lo, hi, c_lo, c_hi)):
+        hit = False
+    else:
+        depth = np.minimum(cloud - box.min_corner, box.max_corner - cloud).min(axis=1)
+        deep = depth > thr
+        hit = bool(deep.any()) and bool(
+            np.any(classify_points(hull, cloud[deep], tol) == RegionClass.INTERIOR))
     hull._deep = (cloud, tol, hit)
     return hit
 
@@ -803,19 +812,22 @@ class _Side:
     whether some point lies in each, found on first read.  The interior
     flag classifies only the points deep inside the hull's box, and a point
     beyond that box by more than ``tol`` settles the exterior flag; the
-    rest classifies every point within ``tol`` of the hull's own box."""
+    rest classifies every point within ``tol`` of the hull's own box.
+    ``own`` is the cloud's own hull, which may keep the cloud's box (see
+    :func:`_cloud_box`) for the interior test."""
 
-    __slots__ = ("cloud", "hull", "tol", "flags")
+    __slots__ = ("cloud", "own", "hull", "tol", "flags")
 
-    def __init__(self, cloud: np.ndarray, hull: ConvexHull, tol: float):
-        self.cloud, self.hull, self.tol = cloud, hull, tol
+    def __init__(self, cloud: np.ndarray, own: ConvexHull, hull: ConvexHull, tol: float):
+        self.cloud, self.own, self.hull, self.tol = cloud, own, hull, tol
         self.flags = [None, None, None]
 
     def flag(self, region: RegionClass) -> bool:
         flags = self.flags
         if flags[region] is None:
             if region == RegionClass.INTERIOR:
-                flags[region] = _reaches_interior(self.cloud, self.hull, self.tol)
+                flags[region] = _reaches_interior(
+                    self.cloud, _cloud_box(self.cloud, self.own), self.hull, self.tol)
             elif (region == RegionClass.EXTERIOR
                   and not self.hull.box.contains(self.cloud, self.tol).all()):
                 flags[region] = True
@@ -837,7 +849,7 @@ def relation_matrix(cloud_a: np.ndarray, hull_a: ConvexHull,
     inside its box, and an exterior entry none when some point lies beyond
     that box by more than ``tol``, so a hull whose box decides is not built.
     """
-    return RelMatrix(_Side(cloud_a, hull_b, tol), _Side(cloud_b, hull_a, tol))
+    return RelMatrix(_Side(cloud_a, hull_a, hull_b, tol), _Side(cloud_b, hull_b, hull_a, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -989,9 +1001,11 @@ def touch(cloud_a: np.ndarray, hull_a: ConvexHull, cloud_b: np.ndarray, hull_b: 
     pair in surface contact without interpenetration is decided without
     building either hull.
     """
-    if aabb_gap(_cloud_box(cloud_a, hull_a), _cloud_box(cloud_b, hull_b)) > tol:
+    box_a, box_b = _cloud_box(cloud_a, hull_a), _cloud_box(cloud_b, hull_b)
+    if aabb_gap(box_a, box_b) > tol:
         return False
-    if _reaches_interior(cloud_a, hull_b, tol) or _reaches_interior(cloud_b, hull_a, tol):
+    if (_reaches_interior(cloud_a, box_a, hull_b, tol)
+            or _reaches_interior(cloud_b, box_b, hull_a, tol)):
         return False
     dist, converged = _gjk(hull_a.vertices if hull_a.built else cloud_a,
                            hull_b.vertices if hull_b.built else cloud_b)

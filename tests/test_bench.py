@@ -4,17 +4,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from manipsem import cli
+from manipsem import bench, cli
 from manipsem.bench import (
     AccuracyReport,
+    GroundTruthRelation,
     SPECIAL_LABELS,
     compare_models,
     evaluate_trace,
     load_corpus_dir,
     write_corpus_entry,
 )
-from manipsem.synth import make_corpus, make_relation_scene
+from manipsem.events import Frame, ObjectInstance, SceneTrace
+from manipsem.synth import SCENE_KINDS, make_corpus, make_relation_scene
+from evaluate_trace_frozen import frozen_evaluate_trace
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +81,78 @@ class TestReport:
         assert kinds == {"summary", "confusion"}
         summary = [r for r in records if r["kind"] == "summary"]
         assert {r["mode"] for r in summary} == {"hull", "aabb"}
+
+
+def shifted_scene(trace, gts, offsets):
+    """An 11-frame relation scene held over evaluated frames 0, 10, 20, ...,
+    each object's cloud shifted by ``offsets[oid][k]`` in frames 10 k to
+    10 k + 9; the ground truth of frame 10 is repeated at each 10 k."""
+    blocks = len(offsets["obj_a"])
+    frames = tuple(Frame(f / 30.0, tuple(
+        ObjectInstance(o.id, o.label, o.role, o.points + offsets[o.id][f // 10], o.box)
+        for o in trace.frames[min(f, 10)].objects)) for f in range(10 * blocks - 9))
+    rels = [g for g in gts if g.frame == 0] + [
+        GroundTruthRelation(10 * k, g.a, g.b, g.label)
+        for k in range(1, blocks) for g in gts if g.frame == 10]
+    return SceneTrace(frames, trace.trace_id, trace.fps), rels
+
+
+STEPS = [(0.0, 0.0, 0.0), (0.05, 0.0, 0.0), (0.0, -0.02, 0.03), (1e-13, 0.0, -1e-13)]
+
+
+@st.composite
+def moved_scenes(draw):
+    """A relation scene, clean or noisy, whose objects stay, move by one
+    common shift, or move apart between its evaluated frames."""
+    kind = draw(st.sampled_from(SCENE_KINDS))
+    noise = draw(st.sampled_from([0.0, 0.0, 0.01]))
+    trace, gts = make_relation_scene(kind, np.random.default_rng(draw(st.integers(0, 999))),
+                                     noise=noise)
+    offsets = {"obj_a": [np.zeros(3)], "obj_b": [np.zeros(3)]}
+    for _ in range(draw(st.integers(1, 3))):
+        step_b = np.array(draw(st.sampled_from(STEPS)))
+        step_a = step_b if draw(st.booleans()) else np.array(draw(st.sampled_from(STEPS)))
+        offsets["obj_a"].append(offsets["obj_a"][-1] + step_a)
+        offsets["obj_b"].append(offsets["obj_b"][-1] + step_b)
+    return shifted_scene(trace, gts, offsets)
+
+
+class TestLabelMemo:
+    """``evaluate_trace`` scores each pair of object states once per call;
+    its reports equal those of the frozen per-case loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 11])
+    def test_corpus_records_match_the_frozen_loop(self, seed):
+        corpus = make_corpus(90, seed=seed)
+        got, want = AccuracyReport(), AccuracyReport()
+        for trace, rels in corpus:
+            got.merge(evaluate_trace(trace, rels))
+            want.merge(frozen_evaluate_trace(trace, rels))
+        assert got.to_records() == want.to_records()
+
+    @settings(max_examples=60, deadline=None)
+    @given(moved_scenes())
+    def test_moved_and_noisy_scenes_match_the_frozen_loop(self, scene):
+        trace, rels = scene
+        got, want = evaluate_trace(trace, rels), frozen_evaluate_trace(trace, rels)
+        assert got.to_records() == want.to_records()
+        assert (got.total, got.emitted) == (want.total, want.emitted)
+
+    @pytest.mark.parametrize("noise, calls", [(0.0, 4), (0.01, 8)])
+    def test_each_pair_of_states_is_classified_once(self, monkeypatch, noise, calls):
+        """A static scene's two evaluated frames share their states, so its
+        four cases make two calls per mode; a noisy scene's do not."""
+        made = []
+
+        def counted(*args, **kw):
+            made.append(kw["mode"])
+            return classify(*args, **kw)
+
+        classify = bench.classify_ssr
+        monkeypatch.setattr(bench, "classify_ssr", counted)
+        trace, rels = make_relation_scene("To", np.random.default_rng(3), noise=noise)
+        assert evaluate_trace(trace, rels).total == 4
+        assert len(made) == calls and made.count("hull") == calls // 2
 
 
 class TestCorpusIo:

@@ -91,6 +91,19 @@ class TestDescribeCommand:
         captured = capsys.readouterr()
         assert "level 0 unavailable" in captured.err and not captured.out
 
+    def test_huge_integer_coordinate_exit_2(self, screw_trace, tmp_path, capsys):
+        """An integer past the interpreter's digit limit is a parse error of
+        its line, not a traceback."""
+        with open(screw_trace, encoding="utf-8") as fh:
+            first, rest = fh.read().split("\n", 1)
+        head, tail = first.split('"points": [[', 1)
+        huge = head + '"points": [[' + "9" * 5000 + tail[tail.index(","):]
+        path = tmp_path / "huge.jsonl"
+        path.write_text(huge + "\n" + rest, encoding="utf-8")
+        assert cli.main(["describe", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "trace parse error: line 1: bad JSON: integer exceeds the limit of" in err
+
     def test_records_format(self, screw_trace, capsys):
         assert cli.main(["describe", screw_trace, "--format", "records",
                          "--hand", "left"]) == 0

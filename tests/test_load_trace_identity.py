@@ -3,6 +3,9 @@ decoded every line whole with ``json.loads``: on traces whose object
 records repeat verbatim, repeat re-formatted, move between indices, appear
 and disappear, and on lines that are bad in every way the format can be,
 both give the same trace, arrays equal bit for bit, or the same error.
+One error differs on purpose: where the frozen loader let ``json``'s
+plain ``ValueError`` for an integer past the interpreter's digit limit
+escape, ``load_trace`` raises a ``ParseError`` naming that line.
 
 A ground box is compared by value: the frozen loader kept the previous
 box for a box list equal to the previous one, and list equality takes
@@ -15,10 +18,12 @@ changing what loads.
 
 import io
 import json
+import sys
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from manipsem.events import dumps_trace, load_trace
+from manipsem.config import split_lines
+from manipsem.events import ParseError, dumps_trace, load_trace
 from manipsem.synth import ScenarioSpec, generate_synthetic_trace
 from load_trace_frozen import frozen_load_trace
 
@@ -182,6 +187,19 @@ def outcome(load, text):
         return exc
 
 
+def digit_limit_line(text):
+    """The number of the first line of ``text`` that ``json.loads`` refuses
+    with a plain ``ValueError``: one holding an integer past the digit
+    limit."""
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        try:
+            json.loads(raw)
+        except json.JSONDecodeError:
+            continue
+        except ValueError:
+            return lineno
+
+
 def assert_same_trace(got, want):
     assert (got.trace_id, got.fps) == (want.trace_id, want.fps)
     assert len(got.frames) == len(want.frames)
@@ -212,7 +230,12 @@ def assert_same_trace(got, want):
 @example(lines_of((0, [HAND]), (1, [HAND]))[:-30] + "\n")
 def test_load_trace_matches_the_frozen_loader(text):
     got, want = outcome(load_trace, text), outcome(frozen_load_trace, text)
-    if isinstance(want, Exception):
+    if type(want) is ValueError:
+        assert type(got) is ParseError, got
+        assert got.lineno == digit_limit_line(text)
+        assert str(got).endswith(
+            f"bad JSON: integer exceeds the limit of {sys.get_int_max_str_digits()} digits")
+    elif isinstance(want, Exception):
         assert type(got) is type(want)
         assert str(got) == str(want)
     else:
