@@ -28,8 +28,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import RunConfig
-from .events import (GeometryCache, ParseError, SceneTrace, SchemaError, TraceError, dump_trace,
-                     load_trace)
+from .events import (GeometryCache, ParseError, SceneTrace, SchemaError, TraceError, decode_json,
+                     dump_trace, load_trace)
 from .relations import PATTERN_LABELS, SsrLabel, classify_ssr
 
 MODES = ("hull", "aabb")
@@ -174,11 +174,11 @@ def _load_relations(path: str) -> list[GroundTruthRelation]:
     the file."""
     try:
         with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
+            doc = decode_json(fh.read().decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(None, f"{path}: not UTF-8: {exc.reason}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(None, f"{path}: line {exc.lineno}: bad JSON: {exc.msg}") from exc
+    except ParseError as exc:
+        raise ParseError(None, f"{path}: {exc}") from exc
     rows = doc.get("relations", []) if isinstance(doc, dict) else None
     if not isinstance(rows, list):
         raise SchemaError(f"{path}: expected a mapping with a list of relations")

@@ -20,10 +20,10 @@ busy flags.
 Trace file format: UTF-8 JSON lines, one frame per line with exactly the
 fields ``t`` (seconds) and ``objects`` (id, label, role, points[[x,y,z]..];
 the ground may carry ``box`` [[min],[max]] instead of points).  Units are
-meters, y up.  An object record identical, character for character, to the
-previous frame's record at the same index is decoded and checked once; its
-frames share one :class:`ObjectInstance`.  A writer that emits a static
-object's record verbatim in every frame gets this fast path.
+meters, y up.  Each decoded record's points are checked on their own.  A
+record repeated verbatim from the previous frame's record at the same
+index is decoded and checked once; its frames share one ObjectInstance,
+the fast path of a writer that emits a static object's record every frame.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -154,11 +154,9 @@ def _ground_box(raw, lineno) -> tuple:
 _OBJECT_FIELDS = frozenset({"id", "label", "role", "points", "box"})
 
 
-def _object_from_record(rec, lineno, eager: bool, pending: list):
-    """(id, label, role, points, box) of one object record.  A list of
-    [x, y, z] lists is left for :func:`_line_points`: ``pending`` gets
-    (id, list, points needed), and ``points`` is its index there.
-    ``eager`` checks every point list here."""
+def _object_from_record(rec, lineno) -> ObjectInstance:
+    """The instance of one decoded object record, its points and box
+    converted and checked."""
     if not isinstance(rec, dict):
         raise SchemaError("object record must be a mapping", lineno)
     unknown = rec.keys() - _OBJECT_FIELDS
@@ -173,46 +171,31 @@ def _object_from_record(rec, lineno, eager: bool, pending: list):
     role = rec["role"]
     if role not in ROLES:
         raise SchemaError(f"unknown role {role!r}", lineno)
-    points = rec.get("points")
-    box = rec.get("box")
+    points, box = rec.get("points"), rec.get("box")
     if role == "ground":
         if box is None and points is None:
             raise SchemaError("ground needs box or points", lineno)
     elif points is None:
         raise SchemaError(f"object {rec['id']!r} missing points", lineno)
     if points is not None:
-        need = 1 if role == "ground" else 4
-        if (eager or type(points) is not list or len(points) < need
-                or set(map(type, points)) != {list} or set(map(len, points)) != {3}):
-            # checked alone; a ground's one [x, y, z] is valid only here
-            points = _points(points, rec["id"], need, lineno)
-        else:
-            pending.append((rec["id"], points, need))
-            points = len(pending) - 1
+        points = _points(points, rec["id"], 1 if role == "ground" else 4, lineno)
     if box is not None:
         box = _ground_box(box, lineno)
-    return rec["id"], rec["label"], role, points, box
+    return ObjectInstance(rec["id"], rec["label"], role, points, box)
 
 
-def _check_each(pending, lineno) -> list[np.ndarray]:
-    return [_points(raw, oid, need, lineno) for oid, raw, need in pending]
-
-
-def _line_points(pending, lineno) -> list[np.ndarray]:
-    """The pending point lists of one line as row views of one ``(M, 3)``
-    float array, converted and checked once.  When that check fails, each
-    list is checked alone, in order, so the first bad object names itself."""
+def decode_json(text: str, lineno: int = 1):
+    """``json.loads`` of a text that starts on line ``lineno``, each refusal
+    a ParseError.  A digit-limit or nesting fault has no position: it names
+    ``lineno`` only when the text is one line."""
     try:
-        arr = np.array(list(chain.from_iterable(chain.from_iterable(
-            raw for _, raw, _ in pending))))
-        ok = arr.dtype.kind in "iuf" and arr.ndim == 1 and bool(np.isfinite(arr).all())
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        return _check_each(pending, lineno)
-    rows = arr.astype(np.float64, copy=False).reshape(-1, 3)
-    ends = accumulate(len(raw) for _, raw, _ in pending)
-    return [rows[end - len(raw):end] for (_, raw, _), end in zip(pending, ends)]
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(lineno + exc.lineno - 1, f"bad JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # ValueError: int() past the digit limit
+        fault = ("nested too deeply" if isinstance(exc, RecursionError) else
+                 f"integer exceeds the limit of {sys.get_int_max_str_digits()} digits")
+        raise ParseError(None if "\n" in text.strip() else lineno, f"bad JSON: {fault}") from exc
 
 
 # json.loads's own scanner, called one value at a time, and its whitespace
@@ -293,11 +276,11 @@ def _scan_frame(line: str, prev: list) -> tuple[dict, list | None]:
 def load_trace(source, trace_id: str | None = None) -> SceneTrace:
     """Parse a trace from a path, text, or byte stream.
 
-    The point lists of each line are converted to one float array and
-    checked once; every object's points are row views of it.  An object
-    record identical to the previous frame's record at the same index is
-    decoded once: the frame gets that record's instance.  An error names
-    its line and, for points, the first bad object on it.
+    Each decoded object record's points are converted to their own float
+    array and checked, in the order of the line.  An object record
+    identical to the previous frame's record at the same index is decoded
+    once: the frame gets that record's instance.  An error names its line
+    and, for points, the first bad object on it.
     """
     try:
         text = read_text(source)
@@ -321,15 +304,7 @@ def load_trace(source, trace_id: str | None = None) -> SceneTrace:
         except (StopIteration, ValueError, RecursionError):
             # json.loads names the fault; a line it reads is a frame the
             # scan above has no fast path for
-            texts = None
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(lineno, f"bad JSON: {exc.msg}") from exc
-            except ValueError as exc:
-                # int() refuses a token longer than the interpreter's limit
-                raise ParseError(lineno, "bad JSON: integer exceeds the limit of "
-                                 f"{sys.get_int_max_str_digits()} digits") from exc
+            rec, texts = decode_json(line, lineno), None
         if not isinstance(rec, dict):
             raise SchemaError("frame record must be a mapping", lineno)
         unknown = set(rec) - {"t", "objects"}
@@ -342,23 +317,8 @@ def load_trace(source, trace_id: str | None = None) -> SceneTrace:
             raise SchemaError("t must be a finite number", lineno)
         if not isinstance(rec["objects"], list):
             raise SchemaError("objects must be a list", lineno)
-        # one array would read a JSON boolean as 0 or 1, where an
-        # all-boolean point list alone is refused
-        eager = "true" in line or "false" in line
-        pending: list = []
-        try:
-            objects = [o if type(o) is ObjectInstance
-                       else _object_from_record(o, lineno, eager, pending)
-                       for o in rec["objects"]]
-        except TraceError:
-            # a bad point list on an earlier object is the error to report
-            _check_each(pending, lineno)
-            raise
-        points = _line_points(pending, lineno) if pending else []
-        objects = [o if type(o) is ObjectInstance
-                   else ObjectInstance(o[0], o[1], o[2],
-                                       points[o[3]] if type(o[3]) is int else o[3], o[4])
-                   for o in objects]
+        objects = [o if type(o) is ObjectInstance else _object_from_record(o, lineno)
+                   for o in rec["objects"]]
         roles = [o.role for o in objects]
         for unique_role in ("hand_left", "hand_right", "ground"):
             if roles.count(unique_role) > 1:

@@ -104,6 +104,16 @@ class TestDescribeCommand:
         err = capsys.readouterr().err
         assert "trace parse error: line 1: bad JSON: integer exceeds the limit of" in err
 
+    def test_deeply_nested_line_exit_2(self, screw_trace, tmp_path, capsys):
+        """A line nested past the interpreter's recursion limit is a parse
+        error of its line, not a traceback."""
+        with open(screw_trace, encoding="utf-8") as fh:
+            first = fh.readline()
+        path = tmp_path / "deep.jsonl"
+        path.write_text(first + '{"t": 9, "objects": ' + "[" * 100000 + "\n", encoding="utf-8")
+        assert cli.main(["describe", str(path)]) == 2
+        assert "trace parse error: line 2: bad JSON: nested too deeply" in capsys.readouterr().err
+
     def test_records_format(self, screw_trace, capsys):
         assert cli.main(["describe", screw_trace, "--format", "records",
                          "--hand", "left"]) == 0
@@ -180,7 +190,13 @@ class TestBenchCommand:
          "relation 0: unknown label 'Nope'"),
         (b'{"relations": [{"frame": "0", "a": "x", "b": "y", "label": "To"}]}', 3,
          "relation 0: frame must be a non-negative integer"),
-    ], ids=["bad_json", "not_utf8", "missing_field", "unknown_label", "string_frame"])
+        (b'{"relations": [{"frame": ' + b"9" * 5000 + b', "a": "x", "b": "y", "label": "To"}]}',
+         2, "line 1: bad JSON: integer exceeds the limit of"),
+        (b'{"relations": [\n{"frame": ' + b"9" * 5000 + b', "a": "x", "b": "y", "label": "To"}]}',
+         2, ".gt.json: bad JSON: integer exceeds the limit of"),
+        (b"[" * 100000, 2, "line 1: bad JSON: nested too deeply"),
+    ], ids=["bad_json", "not_utf8", "missing_field", "unknown_label", "string_frame",
+            "huge_frame", "huge_frame_on_line_2", "deep_nesting"])
     def test_malformed_ground_truth_names_its_file(self, tmp_path, capsys,
                                                    content, code, message):
         assert cli.main(["generate", "--corpus-out", str(tmp_path), "--count", "2"]) == 0

@@ -283,7 +283,7 @@ def test_dense_clouds_bounded_memory():
 
 def test_load_trace_reads_the_text_line_by_line():
     """load_trace alone on the dense trace holds the text, one parsed line
-    and the arrays of the lines read so far: ~3.6x the stacked points.  A
+    and the arrays of the lines read so far: ~3.5x the stacked points.  A
     list of all the lines, as ``str.splitlines`` builds, adds ~2x; holding
     parsed numbers across lines adds ~0.6x."""
     trace = dense_trace()

@@ -3,9 +3,10 @@ decoded every line whole with ``json.loads``: on traces whose object
 records repeat verbatim, repeat re-formatted, move between indices, appear
 and disappear, and on lines that are bad in every way the format can be,
 both give the same trace, arrays equal bit for bit, or the same error.
-One error differs on purpose: where the frozen loader let ``json``'s
-plain ``ValueError`` for an integer past the interpreter's digit limit
-escape, ``load_trace`` raises a ``ParseError`` naming that line.
+Two errors differ on purpose: where the frozen loader let ``json``'s
+plain ``ValueError`` for an integer past the interpreter's digit limit, or
+its ``RecursionError`` for a line nested past the recursion limit, escape,
+``load_trace`` raises a ``ParseError`` naming that line.
 
 A ground box is compared by value: the frozen loader kept the previous
 box for a box list equal to the previous one, and list equality takes
@@ -187,16 +188,16 @@ def outcome(load, text):
         return exc
 
 
-def digit_limit_line(text):
+def escaped_line(text):
     """The number of the first line of ``text`` that ``json.loads`` refuses
-    with a plain ``ValueError``: one holding an integer past the digit
-    limit."""
+    with a plain ``ValueError`` (an integer past the digit limit) or a
+    ``RecursionError`` (nesting past the recursion limit)."""
     for lineno, raw in enumerate(split_lines(text), start=1):
         try:
             json.loads(raw)
         except json.JSONDecodeError:
             continue
-        except ValueError:
+        except (ValueError, RecursionError):
             return lineno
 
 
@@ -228,13 +229,16 @@ def assert_same_trace(got, want):
 # an int past the digit limit after a repeated record; a truncated line
 @example(lines_of((0, [HAND]), (1, [HAND, HUGE_HAND])))
 @example(lines_of((0, [HAND]), (1, [HAND]))[:-30] + "\n")
+# an objects array nested past the recursion limit after a repeated record
+@example(lines_of((0, [HAND]), (1, [HAND])) + '{"t": 2, "objects": ' + "[" * 100000 + "\n")
 def test_load_trace_matches_the_frozen_loader(text):
     got, want = outcome(load_trace, text), outcome(frozen_load_trace, text)
-    if type(want) is ValueError:
+    if type(want) in (ValueError, RecursionError):
         assert type(got) is ParseError, got
-        assert got.lineno == digit_limit_line(text)
-        assert str(got).endswith(
-            f"bad JSON: integer exceeds the limit of {sys.get_int_max_str_digits()} digits")
+        assert got.lineno == escaped_line(text)
+        assert str(got).endswith("bad JSON: nested too deeply" if type(want) is RecursionError
+                                 else "bad JSON: integer exceeds the limit of "
+                                 f"{sys.get_int_max_str_digits()} digits")
     elif isinstance(want, Exception):
         assert type(got) is type(want)
         assert str(got) == str(want)

@@ -93,10 +93,11 @@ def test_as_cloud_rejects_nonfinite():
 
 def test_as_cloud_runs_only_in_the_loader(monkeypatch, lib, templates):
     """Each cloud is checked once, by ``load_trace``: a load, analyze and
-    describe round of the 14 clean scenarios checks their 14 ground boxes
-    (each line's point lists are checked as one array, without
-    ``as_cloud``), and geometry, relations and the relation bench, which
-    take the arrays as given, check none."""
+    describe round of the 14 clean scenarios checks the points or ground
+    box of each decoded object record once (1281 records: 1267 point lists
+    and 14 boxes; a record repeated verbatim is not decoded again), and
+    geometry, relations and the relation bench, which take the arrays as
+    given, check none."""
     texts = [dumps_trace(generate_synthetic_trace(ScenarioSpec(name, seed=1), lib).trace)
              for name in SCENARIOS]
     corpus = make_corpus(90, 1)
@@ -107,12 +108,13 @@ def test_as_cloud_runs_only_in_the_loader(monkeypatch, lib, templates):
             monkeypatch.setattr(module, "as_cloud",
                                 lambda pts, check=check: calls.append(1) or check(pts))
     traces = [load_trace(io.StringIO(text)) for text in texts]
-    assert len(calls) == len(SCENARIOS) == 14
+    decoded = {id(o) for trace in traces for fr in trace.frames for o in fr.objects}
+    assert len(calls) == len(decoded) == 1281
     for trace in traces:
         describe_document(analyze_trace(trace, RunConfig(), lib, templates))
     for trace, rows in corpus:
         bench.evaluate_trace(trace, rows)
-    assert len(calls) == 14
+    assert len(calls) == 1281
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):
@@ -208,7 +210,7 @@ def test_field_mutations_load_or_raise_trace_error(text):
         pass
 
 
-# -- one array per line against per-object checks -----------------------------
+# -- the loader's point checks against a reference per-object checker ---------
 
 def _reference_coords(value, what, lineno):
     try:
@@ -258,8 +260,9 @@ def _reference_object(rec, lineno):
 
 
 def reference_objects(text):
-    """Objects per frame, each object's points converted and checked on its
-    own line, as the parser did before points were stacked."""
+    """Objects per frame, each line decoded whole and each object's points
+    converted and checked on their own: a reference written apart from the
+    loader's scan and its reuse of repeated records."""
     frames = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -323,8 +326,10 @@ def boolean_frames(kind):
 @example(boolean_frames("points"))
 @example(boolean_frames("box"))
 def test_stacked_points_match_per_object_checks(text):
-    """Points converted once per line, as one array, give the values, and
-    the first error, of checking each object's points on its own."""
+    """The loader's points, and its first error, are those of a reference
+    that decodes every line whole with ``json.loads`` and checks each
+    object's points on their own, in order; a JSON boolean is refused, not
+    read as 0 or 1."""
     want = outcome(reference_objects, text)
     if want[0] == "ok":
         try:
