@@ -17,7 +17,7 @@ first appearance in a hand's event stream.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .relations import SsrLabel
@@ -67,9 +67,6 @@ class AtomicAction:
     object_label: str | None = None
     carried_label: str | None = None
     place_label: str | None = None
-
-    def with_span(self, start: int, end: int) -> "AtomicAction":
-        return replace(self, frame_span=(start, end))
 
     def object_token(self) -> str:
         return NO_OBJECT if self.object_id is None else self.object_id

@@ -197,13 +197,16 @@ def _load_relations(path: str) -> list[GroundTruthRelation]:
     return rels
 
 
-def write_corpus_entry(dirpath: str, stem: str, trace: SceneTrace, relations,
-                       name: str | None = None) -> None:
+def write_ground_truth(path: str, relations, indent: int | None = None, **fields) -> None:
+    """Write a ``.gt.json`` file: ``fields``, then the relation rows
+    :func:`_load_relations` reads back."""
+    doc = {**fields, "relations": [{"frame": g.frame, "a": g.a, "b": g.b,
+                                    "label": g.label.value} for g in relations]}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=indent)
+
+
+def write_corpus_entry(dirpath: str, stem: str, trace: SceneTrace, relations) -> None:
     os.makedirs(dirpath, exist_ok=True)
     dump_trace(trace, os.path.join(dirpath, stem + ".jsonl"))
-    doc = {"relations": [{"frame": g.frame, "a": g.a, "b": g.b, "label": g.label.value}
-                         for g in relations]}
-    if name:
-        doc["name"] = name
-    with open(os.path.join(dirpath, stem + ".gt.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    write_ground_truth(os.path.join(dirpath, stem + ".gt.json"), relations)

@@ -30,10 +30,6 @@ class BleuScore:
             "empty_candidate": self.empty_candidate,
         }
 
-    def to_json(self) -> str:
-        import json
-        return json.dumps(self.to_record())
-
 
 def _tokens(seq) -> list[str]:
     if isinstance(seq, str):

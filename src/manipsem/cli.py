@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: relations, describe, bench, parse, generate.  Global flags
---config/--seed/--format apply to all of them; MANIPSEM_CONFIG names a
-config file when --config is absent.  Data goes to stdout, diagnostics to
+Subcommands: relations, describe, bench, parse, generate.  Each command
+takes only the flags it reads, after its name: --config and --set on
+relations, describe, bench and generate (MANIPSEM_CONFIG names a config
+file when --config is absent), --format on relations, describe, bench and
+parse, and --seed on generate.  Data goes to stdout, diagnostics to
 stderr.  Exit codes: 2 trace parse error or an unreadable or undecodable
 input file (trace, token file, or a corpus's ``.gt.json``), 3 schema or
 monotonicity error (also a malformed ``.gt.json`` relation),
@@ -111,24 +113,16 @@ def cmd_describe(args) -> int:
     trace = events.load_trace(args.trace)
     analysis = analyze_trace(trace, cfg, lib, ts)
     hands = ("left", "right") if args.hand == "both" else (args.hand,)
-    level = None if args.all_levels else args.level
-    if args.level is not None:
-        for hand in hands:
-            ha = analysis.hands.get(hand)
-            if ha and ha.episodes:
-                for ep in ha.episodes:
-                    if args.level not in ep.levels():
-                        print(f"level {args.level} unavailable for the {hand} hand; "
-                              f"available: {sorted(ep.levels())}", file=sys.stderr)
-                        return EXIT_LEVEL
+    # build everything before printing: an unavailable level leaves stdout empty
     if args.format == "records":
-        for hand in hands:
-            for k, desc in describe_hand(analysis, hand, level):
-                for text, (lo, hi) in desc.sentences:
-                    print(json.dumps({"hand": hand, "level": k,
-                                      "frames": [lo, hi], "sentence": text}))
+        lines = [json.dumps({"hand": hand, "level": k, "frames": [lo, hi], "sentence": text})
+                 for hand in hands
+                 for k, desc in describe_hand(analysis, hand, args.level)
+                 for text, (lo, hi) in desc.sentences]
     else:
-        print(describe_document(analysis, hands, level))
+        lines = [describe_document(analysis, hands, args.level)]
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -200,68 +194,64 @@ def cmd_generate(args) -> int:
     gen = synth.generate_synthetic_trace(spec, cfg=cfg)
     if args.out:
         events.dump_trace(gen.trace, args.out)
-        if args.gt_out:
-            doc = {"name": gen.name, "hand": gen.hand,
-                   "bindings": gen.bindings,
-                   "actions": [str(a) for a in gen.actions],
-                   "relations": [{"frame": g.frame, "a": g.a, "b": g.b,
-                                  "label": g.label.value} for g in gen.relations]}
-            with open(args.gt_out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1)
         print(f"trace written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(events.dumps_trace(gen.trace))
+    if args.gt_out:
+        bench_mod.write_ground_truth(args.gt_out, gen.relations, indent=1, name=gen.name,
+                                     hand=gen.hand, bindings=gen.bindings,
+                                     actions=[str(a) for a in gen.actions])
     return 0
 
 
-def _global_flags(parser, suppress: bool):
-    def dflt(v):
-        return argparse.SUPPRESS if suppress else v
-
-    parser.add_argument("--config", default=dflt(None),
+def _config_flags(parser):
+    parser.add_argument("--config",
                         help="config file (key = value); falls back to $MANIPSEM_CONFIG")
-    parser.add_argument("--seed", type=int, default=dflt(0),
-                        help="seed for generation commands")
-    parser.add_argument("--format", choices=("text", "records"), default=dflt("text"),
-                        help="output format: human text or one record per line")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE", default=dflt(None),
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config value (repeatable)")
+
+
+def _format_flag(parser):
+    parser.add_argument("--format", choices=("text", "records"), default="text",
+                        help="output format: human text or one record per line")
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="manipsem",
                                 description="Spatial-relation semantics and "
                                             "descriptions for manipulation traces")
-    _global_flags(p, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _global_flags(common, suppress=True)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("relations", help="per-frame spatial relation table",
-                        parents=[common])
+    sp = sub.add_parser("relations", help="per-frame spatial relation table")
     sp.add_argument("trace")
+    _config_flags(sp)
+    _format_flag(sp)
     sp.set_defaults(func=cmd_relations)
 
-    sp = sub.add_parser("describe", help="multi-granularity descriptions", parents=[common])
+    sp = sub.add_parser("describe", help="multi-granularity descriptions")
     sp.add_argument("trace")
-    g = sp.add_mutually_exclusive_group()
-    g.add_argument("--level", type=int)
-    g.add_argument("--all-levels", action="store_true")
+    sp.add_argument("--level", type=int, help="one granularity level (default: every level)")
     sp.add_argument("--hand", choices=("left", "right", "both"), default="both")
+    _config_flags(sp)
+    _format_flag(sp)
     sp.set_defaults(func=cmd_describe)
 
-    sp = sub.add_parser("bench", help="hull-vs-box accuracy on a labeled corpus", parents=[common])
+    sp = sub.add_parser("bench", help="hull-vs-box accuracy on a labeled corpus")
     sp.add_argument("corpus")
     sp.add_argument("--jobs", type=int, default=0, help="parallel workers")
     sp.add_argument("--out-dir")
+    _config_flags(sp)
+    _format_flag(sp)
     sp.set_defaults(func=cmd_bench)
 
-    sp = sub.add_parser("parse", help="parse an action token file", parents=[common])
+    sp = sub.add_parser("parse", help="parse an action token file")
     sp.add_argument("tokens")
+    _format_flag(sp)
     sp.set_defaults(func=cmd_parse)
 
-    sp = sub.add_parser("generate", help="generate synthetic traces or a corpus", parents=[common])
+    sp = sub.add_parser("generate", help="generate synthetic traces or a corpus")
     sp.add_argument("scenario", nargs="?", default="Screw")
+    sp.add_argument("--seed", type=int, default=0, help="generator seed")
     sp.add_argument("--noise", type=float, default=0.0)
     sp.add_argument("--frames", type=int)
     sp.add_argument("--points-per-edge", type=int, default=3)
@@ -269,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gt-out")
     sp.add_argument("--corpus-out", help="write a static relation corpus here instead")
     sp.add_argument("--count", type=int, default=500)
+    _config_flags(sp)
     sp.set_defaults(func=cmd_generate)
     return p
 

@@ -100,13 +100,6 @@ class SceneTrace:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def object_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for fr in self.frames:
-            for o in fr.objects:
-                seen.setdefault(o.id, None)
-        return list(seen)
-
     def labels(self) -> dict[str, str]:
         out: dict[str, str] = {}
         for fr in self.frames:

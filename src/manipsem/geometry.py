@@ -717,12 +717,6 @@ def classify_points(hull: ConvexHull, pts: np.ndarray, tol: float = 1e-7) -> np.
     return out
 
 
-def classify_point(hull: ConvexHull, p: np.ndarray, tol: float = 1e-7) -> RegionClass:
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    return RegionClass(int(classify_points(hull, p[None], tol)[0]))
-
-
 class RelMatrix:
     """Non-emptiness of the six intersections between two clouds.
 

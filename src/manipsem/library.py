@@ -397,7 +397,3 @@ def atomic_action_space() -> list[tuple]:
                         if all(rule(s, p, o, r, pl) for _, rule in CONSTRAINTS):
                             out.append((s, p, o, r, pl))
     return out
-
-
-def atomic_action_count() -> int:
-    return len(atomic_action_space())

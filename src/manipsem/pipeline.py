@@ -68,10 +68,11 @@ def analyze_trace(trace: SceneTrace, cfg: RunConfig | None = None,
 
 
 def describe_hand(analysis: TraceAnalysis, hand: str,
-                  level: int | str | None = None) -> list[tuple[int, Description]]:
-    """(level, description) pairs for each episode of one hand.
-
-    ``level`` may be an int, "max", or None for every available level.
+                  level: int | None = None) -> list[tuple[int, Description]]:
+    """(level, description) pairs for each episode of one hand: every
+    level the episode has when ``level`` is None, else that one level.
+    An episode without it raises :class:`~manipsem.realizer.LevelUnavailable`;
+    a hand with no episodes is idle, at level 1, whatever was asked.
     """
     out = []
     ha = analysis.hands.get(hand)
@@ -80,14 +81,7 @@ def describe_hand(analysis: TraceAnalysis, hand: str,
                                       (0, max(0, analysis.extraction.n_frames - 1))),))
         return [(1, idle)]
     for ep in ha.episodes:
-        levels = sorted(ep.levels())
-        if level is None:
-            wanted = levels
-        elif level == "max":
-            wanted = [levels[-1]]
-        else:
-            wanted = [level]
-        for k in wanted:
+        for k in (sorted(ep.levels()) if level is None else [level]):
             desc = realize_level(ep.snippet, ep.recognized, k,
                                  analysis.templates, analysis.lib,
                                  analysis.labels())
@@ -96,7 +90,7 @@ def describe_hand(analysis: TraceAnalysis, hand: str,
 
 
 def describe_document(analysis: TraceAnalysis, hands=("left", "right"),
-                      level: int | str | None = None) -> str:
+                      level: int | None = None) -> str:
     """Human-readable description document in the three-tier layout."""
     lines = []
     for hand in hands:

@@ -244,15 +244,15 @@ def available_levels(snippet: Snippet, recognized) -> set[int]:
 def realize_level(snippet: Snippet, recognized, k: int, ts: TemplateSet,
                   lib: MappingLibrary | None = None,
                   labels: dict | None = None) -> Description:
-    """Render one snippet at granularity level k (k = max for the coarsest)."""
+    """Render one snippet at granularity level k, 1 the finest.  An idle
+    snippet has level 1 only."""
     labels = labels or {}
+    tiers = _groupings(snippet, recognized)
+    levels = range(1, max(len(tiers), 1) + 1)
+    if k not in levels:
+        raise LevelUnavailable(k, levels)
     if snippet.idle:
         return Description(snippet.hand, 1, ((ts.get("idle"), snippet.frame_span),))
-    tiers = _groupings(snippet, recognized)
-    if k == "max":
-        k = len(tiers)
-    if k not in available_levels(snippet, recognized):
-        raise LevelUnavailable(k, available_levels(snippet, recognized))
     units = tiers[k - 1]
     actions = snippet.actions
     mentions = _Mentions()

@@ -723,14 +723,13 @@ SCENE_KINDS = ("Ab", "To", "Ar", "ArT", "In", "Wi", "Pwi", "Cr", "NoRelation")
 SCENE_FRAMES = 11   # static; evaluated every ten frames
 
 
-def make_relation_scene(kind: str, rng: np.random.Generator,
-                        per_edge: int = 4, noise: float = 0.0):
-    """One static two-object scene realizing ``kind`` for the ordered pair
-    (a, b); the reverse pair carries the dual label.  Returns
+def make_relation_scene(kind: str, rng: np.random.Generator):
+    """One static, noise-free two-object scene realizing ``kind`` for the
+    ordered pair (a, b); the reverse pair carries the dual label.  Returns
     (SceneTrace, [GroundTruthRelation])."""
     if kind not in SCENE_KINDS:
         raise UnknownScenario(kind)
-    sc = Script(rng, noise, per_edge)
+    sc = Script(rng, 0.0, 4)
 
     def rsize(lo=0.1, hi=0.3):
         return rng.uniform(lo, hi, 3)

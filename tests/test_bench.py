@@ -97,6 +97,19 @@ def shifted_scene(trace, gts, offsets):
     return SceneTrace(frames, trace.trace_id, trace.fps), rels
 
 
+def relation_scene(kind, rng, noise):
+    """A relation scene whose points, when ``noise`` > 0, are each jittered
+    by up to ``noise`` per axis in every frame."""
+    trace, gts = make_relation_scene(kind, rng)
+    if noise > 0:
+        frames = tuple(Frame(fr.t, tuple(
+            ObjectInstance(o.id, o.label, o.role,
+                           o.points + rng.uniform(-noise, noise, o.points.shape), o.box)
+            for o in fr.objects)) for fr in trace.frames)
+        trace = SceneTrace(frames, trace.trace_id, trace.fps)
+    return trace, gts
+
+
 STEPS = [(0.0, 0.0, 0.0), (0.05, 0.0, 0.0), (0.0, -0.02, 0.03), (1e-13, 0.0, -1e-13)]
 
 
@@ -106,8 +119,7 @@ def moved_scenes(draw):
     common shift, or move apart between its evaluated frames."""
     kind = draw(st.sampled_from(SCENE_KINDS))
     noise = draw(st.sampled_from([0.0, 0.0, 0.01]))
-    trace, gts = make_relation_scene(kind, np.random.default_rng(draw(st.integers(0, 999))),
-                                     noise=noise)
+    trace, gts = relation_scene(kind, np.random.default_rng(draw(st.integers(0, 999))), noise)
     offsets = {"obj_a": [np.zeros(3)], "obj_b": [np.zeros(3)]}
     for _ in range(draw(st.integers(1, 3))):
         step_b = np.array(draw(st.sampled_from(STEPS)))
@@ -150,7 +162,7 @@ class TestLabelMemo:
 
         classify = bench.classify_ssr
         monkeypatch.setattr(bench, "classify_ssr", counted)
-        trace, rels = make_relation_scene("To", np.random.default_rng(3), noise=noise)
+        trace, rels = relation_scene("To", np.random.default_rng(3), noise)
         assert evaluate_trace(trace, rels).total == 4
         assert len(made) == calls and made.count("hull") == calls // 2
 

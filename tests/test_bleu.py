@@ -79,7 +79,7 @@ def test_matched_extension_never_lowers_unigram_precision_product(k):
 def test_structured_record_round_trips():
     import json
     got = bleu("a b c", ["a b c"])
-    rec = json.loads(got.to_json())
+    rec = json.loads(json.dumps(got.to_record()))
     assert rec["score"] == 1.0
     assert len(rec["precisions"]) == got.max_n
     assert rec["empty_candidate"] is False

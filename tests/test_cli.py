@@ -68,7 +68,7 @@ class TestRelationsCommand:
 
 class TestDescribeCommand:
     def test_three_tier_document(self, screw_trace, capsys):
-        assert cli.main(["describe", screw_trace, "--all-levels", "--hand", "both"]) == 0
+        assert cli.main(["describe", screw_trace, "--hand", "both"]) == 0
         out = capsys.readouterr().out
         assert "Detailed sentences:" in out
         assert "Multiple sentences:" in out
@@ -90,6 +90,22 @@ class TestDescribeCommand:
         assert cli.main(["describe", screw_trace, "--level", "0"]) == 4
         captured = capsys.readouterr()
         assert "level 0 unavailable" in captured.err and not captured.out
+
+    def test_unavailable_level_records_print_nothing(self, screw_trace, tmp_path, capsys):
+        """In a right-handed screwing, the absent left hand is idle at level 1
+        whatever was asked, but the right hand lacks level 4: no record of
+        either hand is printed."""
+        with open(screw_trace, encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "right.jsonl"
+        path.write_text(text.replace('"hand_left"', '"hand_right"'), encoding="utf-8")
+        argv = ["describe", str(path), "--format", "records"]
+        assert cli.main(argv + ["--level", "1"]) == 0
+        assert {json.loads(line)["hand"] for line in capsys.readouterr().out.splitlines()} == {
+            "left", "right"}
+        assert cli.main(argv + ["--level", "4"]) == 4
+        captured = capsys.readouterr()
+        assert "level 4 unavailable" in captured.err and not captured.out
 
     def test_huge_integer_coordinate_exit_2(self, screw_trace, tmp_path, capsys):
         """An integer past the interpreter's digit limit is a parse error of
@@ -229,11 +245,37 @@ class TestGenerateCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_ground_truth_beside_a_trace_on_stdout(self, tmp_path, capsys):
+        gt = tmp_path / "hold.gt.json"
+        assert cli.main(["generate", "Hold", "--seed", "2", "--gt-out", str(gt)]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["objects"]
+        doc = json.loads(gt.read_text())
+        assert doc["name"] == "Hold" and doc["relations"]
+
     def test_stdout_emission(self, capsys):
         assert cli.main(["generate", "Hold", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         first = json.loads(out.splitlines()[0])
         assert "t" in first and "objects" in first
+
+
+class TestFlagsPerCommand:
+    """A command accepts only the flags it reads, and only after its name."""
+
+    @pytest.mark.parametrize("argv", [
+        ["describe", "s.jsonl", "--seed", "1"],
+        ["describe", "s.jsonl", "--all-levels"],
+        ["generate", "--format", "records"],
+        ["parse", "tokens.txt", "--set", "k=v"],
+        ["parse", "tokens.txt", "--config", "ms.cfg"],
+        ["--format", "records", "relations", "t"],
+    ], ids=["describe-seed", "describe-all-levels", "generate-format", "parse-set",
+            "parse-config", "flag-before-command"])
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert "usage: manipsem" in capsys.readouterr().err
 
 
 class TestConfigPlumbing:
@@ -364,7 +406,8 @@ class TestPipelineDocument:
         doc = describe_document(analysis, hands=("left", "right"))
         assert doc.count("For the left hand:") == 1
         assert doc.count("For the right hand:") == 1
-        tops = [k for k, _ in describe_hand(analysis, "left", "max")]
+        (episode,) = analysis.hands["left"].episodes
+        tops = [k for k, _ in describe_hand(analysis, "left", max(episode.levels()))]
         assert tops == [3]
 
     def test_absent_hand_reports_idle(self, nested_trace):

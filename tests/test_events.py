@@ -44,7 +44,7 @@ class TestLoadTrace:
         ])
         tr = load_trace(io.StringIO(text))
         assert len(tr) == 2
-        assert set(tr.object_ids()) == {"a", "b"}
+        assert {o.id for fr in tr.frames for o in fr.objects} == {"a", "b"}
 
     def test_byte_stream(self):
         text = frame_line(0.0, [obj("a")])
@@ -110,7 +110,7 @@ class TestLoadTrace:
     def test_thousand_frame_generated_trace(self):
         gen = generate_synthetic_trace(ScenarioSpec("Screw", seed=1, frames=1000))
         assert len(gen.trace) == 1000
-        assert len(gen.trace.object_ids()) == 4
+        assert len({o.id for fr in gen.trace.frames for o in fr.objects}) == 4
 
 
 class TestTouchGraph:

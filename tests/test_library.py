@@ -11,7 +11,6 @@ from manipsem.library import (
     STANDARD_ACTIONS,
     UnboundVariable,
     UnknownAction,
-    atomic_action_count,
     atomic_action_space,
     decompose,
     load_mapping_library,
@@ -202,7 +201,7 @@ class TestOneHanded:
 
 def test_atomic_action_space_reported():
     space = atomic_action_space()
-    count = atomic_action_count()
+    count = len(atomic_action_space())
     assert count == len(space)
     assert 0 < count < 2200  # strictly fewer than the raw product
     assert len(set(space)) == count

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -80,7 +81,7 @@ class TestRealizeAtomic:
 def make_snippet(lib, name, binds, reps=2, labels=None):
     acts = decompose(name, binds, lib, repeats=reps)
     n = len(acts)
-    acts = [a.with_span(k * 10 + 5, k * 10 + 5) for k, a in enumerate(acts)]
+    acts = [replace(a, frame_span=(k * 10 + 5, k * 10 + 5)) for k, a in enumerate(acts)]
     rec = recognize(acts, lib)
     return Snippet("left", (0, n * 10 + 9), tuple(acts)), rec
 
@@ -113,7 +114,8 @@ class TestRealizeLevel:
 
     def test_top_level_sentence(self, templates, lib):
         snip, rec = make_snippet(lib, "Screw", self.BINDS)
-        desc = realize_level(snip, rec, "max", templates, lib, self.LABELS)
+        desc = realize_level(snip, rec, max(available_levels(snip, rec)), templates, lib,
+                             self.LABELS)
         assert desc.texts() == [
             "The left hand performs screwing inside of a hard disk on the table "
             "by a screwdriver."
@@ -145,10 +147,16 @@ class TestRealizeLevel:
         assert desc.texts() == ["Idle."]
         assert desc.sentences[0][1] == (0, 99)
 
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_idle_snippet_has_level_one_only(self, templates, k):
+        with pytest.raises(LevelUnavailable) as err:
+            realize_level(Snippet("left", (0, 99), ()), [], k, templates)
+        assert err.value.available == [1]
+
     def test_unknown_spans_stay_detailed(self, templates, lib):
         acts = decompose("Hold", {"?object": "cup1", "?place": GROUND}, lib)
         stray = decompose("Retreat", {"?object": "pin1", "?place": GROUND}, lib)[1:]
-        allacts = [a.with_span(k, k) for k, a in enumerate(acts + stray)]
+        allacts = [replace(a, frame_span=(k, k)) for k, a in enumerate(acts + stray)]
         rec = recognize(allacts, lib)
         snip = Snippet("left", (0, len(allacts) - 1), tuple(allacts))
         top = realize_level(snip, rec, max(available_levels(snip, rec)),
