@@ -18,6 +18,8 @@ case already scored takes its labels, so a static scene's later evaluated
 frames classify nothing.  The report carries per-model accuracy,
 confusion counts, and flags saying which containment-style labels each
 model managed to produce at all: the box model cannot express them.
+:func:`compare_models` scores a corpus's traces one after another in the
+calling process and merges their reports in corpus order.
 """
 
 from __future__ import annotations
@@ -128,24 +130,15 @@ def evaluate_trace(trace: SceneTrace, relations, cfg: RunConfig | None = None) -
     return rep
 
 
-def compare_models(items, cfg: RunConfig | None = None, jobs: int = 1) -> AccuracyReport:
+def compare_models(items, cfg: RunConfig | None = None) -> AccuracyReport:
     """Aggregate hull-vs-box accuracy over (SceneTrace,
     [GroundTruthRelation]) pairs."""
     pairs = list(items)
     if not pairs:
         raise ValueError("empty corpus")
     report = AccuracyReport()
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from itertools import repeat
-        traces, rels = zip(*pairs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(evaluate_trace, traces, rels, repeat(cfg),
-                                 chunksize=max(1, len(pairs) // (4 * jobs))):
-                report.merge(part)
-    else:
-        for trace, rels in pairs:
-            report.merge(evaluate_trace(trace, rels, cfg))
+    for trace, rels in pairs:
+        report.merge(evaluate_trace(trace, rels, cfg))
     return report
 
 

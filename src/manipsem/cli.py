@@ -1,16 +1,17 @@
 """Command-line interface.
 
-Subcommands: relations, describe, bench, parse, generate.  Each command
-takes only the flags it reads, after its name: --config and --set on
-relations, describe, bench and generate (MANIPSEM_CONFIG names a config
+Subcommands: relations, describe, bench, parse, generate, corpus.  Each
+command takes only the flags it reads, after its name: --config and --set
+on relations, describe, bench and generate (MANIPSEM_CONFIG names a config
 file when --config is absent), --format on relations, describe, bench and
-parse, and --seed on generate.  Data goes to stdout, diagnostics to
-stderr.  Exit codes: 2 trace parse error or an unreadable or undecodable
-input file (trace, token file, or a corpus's ``.gt.json``), 3 schema or
-monotonicity error (also a malformed ``.gt.json`` relation),
-4 unavailable description level, 5 empty corpus, 6 token string rejected,
-7 bad configuration (unknown key, bad value, unreadable or malformed file,
-including the library and template files and a template they lack).
+parse, and --seed on generate and corpus.  Data goes to stdout,
+diagnostics to stderr.  Exit codes: 2 trace parse error or an unreadable
+or undecodable input file (trace, token file, or a corpus's ``.gt.json``),
+3 schema or monotonicity error (also a malformed ``.gt.json`` relation),
+4 unavailable description level, 5 missing, empty or unlabeled corpus,
+6 token string rejected, 7 bad configuration (unknown key, bad value,
+unreadable or malformed file, including the library and template files
+and a template they lack).
 """
 
 from __future__ import annotations
@@ -130,14 +131,16 @@ def cmd_bench(args) -> int:
     cfg = _build_config(args)
     try:
         corpus = bench_mod.load_corpus_dir(args.corpus)
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         print(f"corpus directory not found: {args.corpus}", file=sys.stderr)
         return EXIT_EMPTY_CORPUS
     if not corpus:
         print("corpus directory holds no traces", file=sys.stderr)
         return EXIT_EMPTY_CORPUS
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    report = bench_mod.compare_models(corpus, cfg, jobs=jobs)
+    report = bench_mod.compare_models(corpus, cfg)
+    if not report.total:
+        print("corpus holds no labeled relations", file=sys.stderr)
+        return EXIT_EMPTY_CORPUS
     out_dir = args.out_dir or args.corpus
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "bench_report.tsv"), "w", encoding="utf-8") as fh:
@@ -182,12 +185,6 @@ def cmd_parse(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _build_config(args)
-    if args.corpus_out:
-        items = synth.make_corpus(args.count, seed=args.seed)
-        for k, (trace, rels) in enumerate(items):
-            bench_mod.write_corpus_entry(args.corpus_out, f"scene_{k:04d}", trace, rels)
-        print(f"{len(items)} scenes written to {args.corpus_out}", file=sys.stderr)
-        return 0
     spec = synth.ScenarioSpec(args.scenario, seed=args.seed, noise=args.noise,
                               frames=args.frames,
                               points_per_edge=args.points_per_edge)
@@ -201,6 +198,14 @@ def cmd_generate(args) -> int:
         bench_mod.write_ground_truth(args.gt_out, gen.relations, indent=1, name=gen.name,
                                      hand=gen.hand, bindings=gen.bindings,
                                      actions=[str(a) for a in gen.actions])
+    return 0
+
+
+def cmd_corpus(args) -> int:
+    items = synth.make_corpus(args.count, seed=args.seed)
+    for k, (trace, rels) in enumerate(items):
+        bench_mod.write_corpus_entry(args.directory, f"scene_{k:04d}", trace, rels)
+    print(f"{len(items)} scenes written to {args.directory}", file=sys.stderr)
     return 0
 
 
@@ -238,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="hull-vs-box accuracy on a labeled corpus")
     sp.add_argument("corpus")
-    sp.add_argument("--jobs", type=int, default=0, help="parallel workers")
     sp.add_argument("--out-dir")
     _config_flags(sp)
     _format_flag(sp)
@@ -249,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     _format_flag(sp)
     sp.set_defaults(func=cmd_parse)
 
-    sp = sub.add_parser("generate", help="generate synthetic traces or a corpus")
+    sp = sub.add_parser("generate", help="generate one synthetic scenario trace")
     sp.add_argument("scenario", nargs="?", default="Screw")
     sp.add_argument("--seed", type=int, default=0, help="generator seed")
     sp.add_argument("--noise", type=float, default=0.0)
@@ -257,10 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points-per-edge", type=int, default=3)
     sp.add_argument("--out")
     sp.add_argument("--gt-out")
-    sp.add_argument("--corpus-out", help="write a static relation corpus here instead")
-    sp.add_argument("--count", type=int, default=500)
     _config_flags(sp)
     sp.set_defaults(func=cmd_generate)
+
+    sp = sub.add_parser("corpus", help="write a static relation corpus for bench")
+    sp.add_argument("directory")
+    sp.add_argument("--count", type=int, default=500, help="number of scenes")
+    sp.add_argument("--seed", type=int, default=0, help="generator seed")
+    sp.set_defaults(func=cmd_corpus)
     return p
 
 

@@ -1010,31 +1010,3 @@ def touch(cloud_a: np.ndarray, hull_a: ConvexHull, cloud_b: np.ndarray, hull_b: 
                       and not (hull_a.flat() or hull_b.flat())):
         return dist <= tol
     return hull_surface_distance(hull_a, hull_b) <= tol
-
-
-# ---------------------------------------------------------------------------
-# Derived quantities used by tests and reports
-# ---------------------------------------------------------------------------
-
-def hull_volume(hull: ConvexHull) -> float:
-    v = hull.vertices
-    tris = v[hull.faces]
-    return float(np.abs(np.einsum("ij,ij->i", tris[:, 0],
-                                  np.cross(tris[:, 1], tris[:, 2])).sum()) / 6.0)
-
-
-def euler_counts(hull: ConvexHull) -> tuple[int, int, int]:
-    """(V, E, F) of the triangulated surface."""
-    verts = {int(i) for tri in hull.faces for i in tri}
-    edges = set()
-    for a, b, c in hull.faces:
-        for i, j in ((a, b), (b, c), (c, a)):
-            edges.add((min(int(i), int(j)), max(int(i), int(j))))
-    return len(verts), len(edges), len(hull.faces)
-
-
-def directed_edge_multiset(hull: ConvexHull):
-    out = []
-    for a, b, c in hull.faces:
-        out.extend([(int(a), int(b)), (int(b), int(c)), (int(c), int(a))])
-    return out

@@ -399,9 +399,6 @@ def generate_synthetic_trace(spec: ScenarioSpec,
         raise UnknownScenario(spec.name)
     sc, bindings, repeats, hand = builder(spec, rng)
     trace = sc.build_trace(f"{spec.name.lower()}-{spec.seed}", spec.frames)
-    labels = {**{oid: b.label for oid, b in sc.bodies.items()}}
-    if sc.ground_id:
-        labels[sc.ground_id] = sc.ground_label
     expected = decompose(spec.name, bindings, lib, hand=hand, repeats=repeats)
     relations = script_relations(sc, cfg)
     return GeneratedTrace(trace, relations, expected, spec.name, bindings, hand)

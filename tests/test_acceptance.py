@@ -23,8 +23,6 @@ from manipsem.geometry import (
     classify_points,
     compute_aabb,
     compute_convex_hull,
-    directed_edge_multiset,
-    euler_counts,
 )
 from manipsem.grammar import parse
 from manipsem.library import decompose, default_library, recognize
@@ -38,6 +36,7 @@ from manipsem.synth import (
     generate_synthetic_trace,
     make_corpus,
 )
+from helpers import directed_edge_multiset, euler_counts
 from test_relations import catalogue
 
 EPS_GEOM = 1e-9
@@ -335,8 +334,7 @@ def test_criterion_9_performance(tmp_path, corpus_500):
     assert len(trace.frames[0].objects) == 7  # six cloud objects + ground box
 
     t0 = time.perf_counter()
-    import os
-    compare_models(corpus_500, jobs=os.cpu_count() or 1)
+    compare_models(corpus_500)
     bench_s = time.perf_counter() - t0
     ok = pipeline_s < 5.0 and bench_s < 60.0
     report(9, "throughput bounds", ok,

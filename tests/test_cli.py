@@ -182,16 +182,32 @@ class TestUnreadableInput:
 
 
 class TestBenchCommand:
-    def test_empty_dir_exit_5(self, tmp_path):
-        assert cli.main(["bench", str(tmp_path)]) == 5
+    def test_empty_dir_exit_5(self, tmp_path, capsys):
+        """A corpus path that is empty, missing or not a directory, or a
+        corpus without a labeled relation, exits 5 and writes no report."""
+        notes = tmp_path / "notes.txt"
+        notes.write_text("not a corpus\n")
+        unlabeled = tmp_path / "unlabeled"
+        assert cli.main(["corpus", str(unlabeled), "--count", "2"]) == 0
+        for gt in unlabeled.glob("*.gt.json"):
+            gt.unlink()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        missing = tmp_path / "missing"
+        for path, err in [(empty, "corpus directory holds no traces\n"),
+                          (missing, f"corpus directory not found: {missing}\n"),
+                          (notes, f"corpus directory not found: {notes}\n"),
+                          (unlabeled, "corpus holds no labeled relations\n")]:
+            capsys.readouterr()
+            assert cli.main(["bench", str(path)]) == 5
+            assert capsys.readouterr().err == err
+        assert not list(unlabeled.glob("bench_report.*"))
 
     def test_small_corpus_report(self, tmp_path, capsys):
-        assert cli.main(["generate", "--corpus-out", str(tmp_path),
-                         "--count", "18", "--seed", "3"]) == 0
+        assert cli.main(["corpus", str(tmp_path), "--count", "18", "--seed", "3"]) == 0
         capsys.readouterr()
         out_dir = str(tmp_path / "reports")
-        assert cli.main(["bench", str(tmp_path), "--jobs", "2",
-                         "--out-dir", out_dir]) == 0
+        assert cli.main(["bench", str(tmp_path), "--out-dir", out_dir]) == 0
         out = capsys.readouterr().out
         assert out.startswith("metric\thull\taabb")
         assert os.path.exists(os.path.join(out_dir, "bench_report.tsv"))
@@ -215,11 +231,11 @@ class TestBenchCommand:
             "huge_frame", "huge_frame_on_line_2", "deep_nesting"])
     def test_malformed_ground_truth_names_its_file(self, tmp_path, capsys,
                                                    content, code, message):
-        assert cli.main(["generate", "--corpus-out", str(tmp_path), "--count", "2"]) == 0
+        assert cli.main(["corpus", str(tmp_path), "--count", "2"]) == 0
         gt_path = tmp_path / "scene_0001.gt.json"
         gt_path.write_bytes(content)
         capsys.readouterr()
-        assert cli.main(["bench", str(tmp_path), "--jobs", "1"]) == code
+        assert cli.main(["bench", str(tmp_path)]) == code
         err = capsys.readouterr().err
         assert f"{gt_path}: " in err and message in err
 
@@ -269,8 +285,15 @@ class TestFlagsPerCommand:
         ["parse", "tokens.txt", "--set", "k=v"],
         ["parse", "tokens.txt", "--config", "ms.cfg"],
         ["--format", "records", "relations", "t"],
+        ["generate", "--corpus-out", "d"],
+        ["generate", "--count", "3"],
+        ["bench", "c", "--jobs", "2"],
+        ["corpus", "d", "Wipe"],
+        ["corpus", "d", "--noise", "0.5"],
+        ["corpus", "d", "--set", "k=v"],
     ], ids=["describe-seed", "describe-all-levels", "generate-format", "parse-set",
-            "parse-config", "flag-before-command"])
+            "parse-config", "flag-before-command", "generate-corpus-out", "generate-count",
+            "bench-jobs", "corpus-scenario", "corpus-noise", "corpus-set"])
     def test_unread_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(argv)

@@ -16,16 +16,14 @@ from manipsem.geometry import (
     classify_points,
     compute_aabb,
     compute_convex_hull,
-    directed_edge_multiset,
-    euler_counts,
     gjk_distance,
     hull_surface_distance,
-    hull_volume,
     hull_with_fallback,
     relation_matrix,
     touch,
 )
 from conftest import box_cloud
+from helpers import directed_edge_multiset, euler_counts, hull_volume
 
 CUBE = np.array([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float)
 

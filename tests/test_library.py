@@ -11,12 +11,12 @@ from manipsem.library import (
     STANDARD_ACTIONS,
     UnboundVariable,
     UnknownAction,
-    atomic_action_space,
     decompose,
     load_mapping_library,
     parse_library_text,
     recognize,
 )
+from helpers import atomic_action_space
 
 POOLS = {
     "?tool": ["knife", "spoon", "cup", "hammer", "saw", "screwdriver", "sponge"],
