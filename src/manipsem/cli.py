@@ -4,14 +4,17 @@ Subcommands: relations, describe, bench, parse, generate, corpus.  Each
 command takes only the flags it reads, after its name: --config and --set
 on relations, describe, bench and generate (MANIPSEM_CONFIG names a config
 file when --config is absent), --format on relations, describe, bench and
-parse, and --seed on generate and corpus.  Data goes to stdout,
-diagnostics to stderr.  Exit codes: 2 trace parse error or an unreadable
-or undecodable input file (trace, token file, or a corpus's ``.gt.json``),
-3 schema or monotonicity error (also a malformed ``.gt.json`` relation),
-4 unavailable description level, 5 missing, empty or unlabeled corpus,
-6 token string rejected, 7 bad configuration (unknown key, bad value,
-unreadable or malformed file, including the library and template files
-and a template they lack).
+parse, and --seed on generate and corpus.  corpus writes into a new or
+trace-free directory only: bench scores every ``.jsonl`` in it.  Data goes
+to stdout, diagnostics to stderr.  Exit codes: 2 usage error (a flag the
+command does not read, an unknown scenario, corpus --count below 1, or a
+corpus directory that already holds ``.jsonl`` traces; nothing is written),
+trace parse error or an unreadable or undecodable input file (trace, token
+file, or a corpus's ``.gt.json``), 3 schema or monotonicity error (also a
+malformed ``.gt.json`` relation), 4 unavailable description level,
+5 missing, empty or unlabeled corpus, 6 token string rejected, 7 bad
+configuration (unknown key, bad value, unreadable or malformed file,
+including the library and template files and a template they lack).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .realizer import LevelUnavailable, MissingTemplate, default_templates, load
 from .relations import classify_dsr, classify_ssr
 
 EXIT_PARSE = 2
+EXIT_USAGE = 2
 EXIT_SCHEMA = 3
 EXIT_LEVEL = 4
 EXIT_EMPTY_CORPUS = 5
@@ -202,6 +206,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.count < 1:
+        print(f"corpus: --count must be at least 1, got {args.count}", file=sys.stderr)
+        return EXIT_USAGE
+    # bench reads every .jsonl in the directory, so old scenes would be scored too
+    if os.path.isdir(args.directory) and any(
+            name.endswith(".jsonl") for name in os.listdir(args.directory)):
+        print(f"corpus directory already holds traces: {args.directory}", file=sys.stderr)
+        return EXIT_USAGE
     items = synth.make_corpus(args.count, seed=args.seed)
     for k, (trace, rels) in enumerate(items):
         bench_mod.write_corpus_entry(args.directory, f"scene_{k:04d}", trace, rels)

@@ -214,21 +214,23 @@ def _tiled_spans(actions, lo_frame, hi_frame, breaks):
 
 
 def _groupings(snippet: Snippet, recognized):
-    """Distinct grouping tiers, finest first; each is a list of render units."""
+    """Distinct grouping tiers, finest first; each is a list of render units
+    ``(kind, span, rec, phase)``, ``phase`` set on phase units only."""
     n = len(snippet.actions)
     if n == 0:
         return []
-    aa_tier = [("aa", (i, i), None) for i in range(n)]
+    aa_tier = [("aa", (i, i), None, None) for i in range(n)]
     tiers = [aa_tier]
     phase_tier = []
     top_tier = []
     for rec in recognized:
         if rec.name == "Unknown" or not rec.step_spans:
-            phase_tier.extend(("aa", (i, i), rec) for i in range(rec.span[0], rec.span[1] + 1))
-            top_tier.extend(("aa", (i, i), rec) for i in range(rec.span[0], rec.span[1] + 1))
+            units = [("aa", (i, i), rec, None) for i in range(rec.span[0], rec.span[1] + 1)]
+            phase_tier.extend(units)
+            top_tier.extend(units)
             continue
-        phase_tier.extend(("phase", span, rec) for _, span in phase_groups(rec))
-        top_tier.append(("action", rec.span, rec))
+        phase_tier.extend(("phase", span, rec, phase) for phase, span in phase_groups(rec))
+        top_tier.append(("action", rec.span, rec, None))
     if len(phase_tier) < len(aa_tier):
         tiers.append(phase_tier)
     if top_tier and len(top_tier) < len(tiers[-1]):
@@ -259,7 +261,7 @@ def realize_level(snippet: Snippet, recognized, k: int, ts: TemplateSet,
     texts = []
     breaks = []
     prev_aa = None
-    for kind, (lo, hi), rec in units:
+    for kind, (lo, hi), rec, phase in units:
         if kind == "aa":
             aa = actions[lo]
             texts.append(realize_atomic(aa, prev_aa, ts, mentions))
@@ -267,13 +269,12 @@ def realize_level(snippet: Snippet, recognized, k: int, ts: TemplateSet,
         else:
             slots = _binding_nps(rec, labels, ts, mentions)
             if kind == "phase":
-                groups = phase_groups(rec)
-                entry_phase = groups[[s for _, s in groups].index((lo, hi))][0]
-                template = ts.get_first(f"phase.{entry_phase}.{rec.name}",
-                                        f"phase.{entry_phase}", "phase.step")
-                if entry_phase == "work":
-                    template = ts.get_first(f"phase.work.{rec.name}", "phase.work")
-                texts.append(_fill(template, slots, f"phase.{entry_phase}"))
+                # a work phase never falls back to the generic phase.step
+                keys = (f"phase.{phase}.{rec.name}", f"phase.{phase}")
+                if phase != "work":
+                    keys += ("phase.step",)
+                template = ts.get_first(*keys)
+                texts.append(_fill(template, slots, f"phase.{phase}"))
             else:
                 template = ts.get(f"action.{rec.name}")
                 texts.append(_fill(template, slots, f"action.{rec.name}"))

@@ -302,27 +302,47 @@ def script_relations(sc: Script, cfg: RunConfig) -> list[GroundTruthRelation]:
 # Scenario scripts
 # ---------------------------------------------------------------------------
 
-def _jitter(rng, amp=0.01):
-    return rng.uniform(-amp, amp)
+def _jitter(rng):
+    return rng.uniform(-0.01, 0.01)
 
 
-def _hand_over(sc, hand_id, tool_id, clearance=0.15, grip_dx=0.0):
-    tool = sc.bodies[tool_id]
-    hand = sc.bodies[hand_id]
-    top = sc.pos[tool_id][1] + tool.size[1] / 2
-    sc.pos[hand_id] = np.array([sc.pos[tool_id][0] + grip_dx,
-                                top + clearance + hand.size[1] / 2,
-                                sc.pos[tool_id][2]])
+def _world(spec, rng, x, size=(0.1, 0.16, 0.1), oid="block1", label="box"):
+    """The table with one object resting on it near (x, 0), jittered in x
+    and z."""
+    sc = Script(rng, spec.noise, spec.points_per_edge)
+    sc.add_ground()
+    sc.add(oid, label, "object", size, (x + _jitter(rng), size[1] / 2, _jitter(rng)))
+    return sc
 
 
-def _grip(sc, hand_id, tool_id, hold=12):
-    """Descend onto the tool top, confirm contact, settle."""
-    tool = sc.bodies[tool_id]
-    hand = sc.bodies[hand_id]
-    target_y = sc.pos[tool_id][1] + tool.size[1] / 2 + hand.size[1] / 2
-    drop = sc.pos[hand_id][1] - target_y
-    sc.move({hand_id: (0.0, -drop, 0.0)}, max(2, int(round(drop / V_VERT))))
+def _add_target(sc, rng, label, size, x=0.19, y=None, open_top=False):
+    """The work target ``target1`` near (x, 0), jittered in x and z; it rests
+    on the table unless centred at height ``y``.  An open top makes it a
+    hollow container."""
+    sc.add("target1", label, "object", size,
+           (x + _jitter(rng), size[1] / 2 if y is None else y, _jitter(rng)),
+           open_top=open_top, solid=not open_top)
+
+
+def _target_top(sc):
+    return sc.pos["target1"][1] + sc.bodies["target1"].size[1] / 2
+
+
+def _add_hand(sc, center):
+    sc.add("hand_l", "left hand", "hand_left", (0.08, 0.08, 0.08), center)
+
+
+def _grasp(sc, oid, hold=12, grip_dx=0.0):
+    """Place the hand (an 8-cm cube) 15 cm over the object's top, settle,
+    descend onto the top, confirm contact and settle; returns the (hand,
+    object) pair."""
+    top = sc.pos[oid][1] + sc.bodies[oid].size[1] / 2
+    _add_hand(sc, (sc.pos[oid][0] + grip_dx, top + 0.15 + 0.04, sc.pos[oid][2]))
+    sc.hold(6)
+    drop = sc.pos["hand_l"][1] - (top + 0.04)
+    sc.move({"hand_l": (0.0, -drop, 0.0)}, max(2, int(round(drop / V_VERT))))
     sc.hold(hold)
+    return ["hand_l", oid]
 
 
 def _lift(sc, ids, height=0.15, frames=6):
@@ -333,57 +353,49 @@ def _carry(sc, ids, dx, dz=0.0, frames=11):
     sc.move({i: (dx, 0.0, dz) for i in ids}, frames)
 
 
-def _lower_to(sc, ids, primary, target_top, frames=None):
-    body = sc.bodies[primary]
-    target_y = target_top + body.size[1] / 2
-    drop = sc.pos[primary][1] - target_y
-    n = frames or max(2, int(round(drop / V_VERT)))
-    sc.move({i: (0.0, -drop, 0.0) for i in ids}, n)
+def _lower_to(sc, pair, top, frames=None):
+    """Lower the pair until the held object ``pair[1]`` rests at ``top``."""
+    drop = sc.pos[pair[1]][1] - (top + sc.bodies[pair[1]].size[1] / 2)
+    _lift(sc, pair, -drop, frames or max(2, int(round(drop / V_VERT))))
 
 
-def _release(sc, hand_id, rise=0.15, frames=6, settle=6):
-    sc.move({hand_id: (0.0, rise, 0.0)}, frames)
-    sc.hold(settle)
+def _release(sc):
+    _lift(sc, ["hand_l"], 0.15, 6)
+    sc.hold(6)
 
 
-def _scenario_world(rng, noise, per_edge):
-    sc = Script(rng, noise, per_edge)
-    sc.add_ground()
-    return sc
+def _put_down(sc, pair):
+    _lower_to(sc, pair, 0.0)                           # T ground
+    sc.hold(6)
+    _release(sc)                                       # U object
 
 
-def _tool_action_script(spec, rng, work):
-    """Shared skeleton: pick a tool up, work on a target, put it back.
+def _tool_bindings():
+    return {"?tool": "tool1", "?object": "target1", "?place": GROUND, "?target": GROUND}
 
-    ``work`` configures the target body and the work phase; it fills in the
-    repetition counts for the expected expansion.
+
+def _tool_action_script(spec, rng, tool_size, tool_label, target, engage, reach=0.0,
+                        grip_dx=0.0, lift_height=0.15, exit_rise=0.12, exit_frames=5):
+    """Shared skeleton: pick a tool up, carry it over the target, work there,
+    put it back.
+
+    ``target`` holds the keyword arguments of `_add_target`; the carry ends
+    ``reach`` metres along x from the target's centre; ``engage(sc, pair)``
+    scripts the approach, work and disengage phases.
     """
-    sc = _scenario_world(rng, spec.noise, spec.points_per_edge)
-    tool_size, tool_label = work["tool_size"], work["tool_label"]
-    tx = -0.25 + _jitter(rng)
-    tz = _jitter(rng)
-    sc.add("tool1", tool_label, "object", tool_size,
-           (tx, tool_size[1] / 2, tz))
-    work["add_target"](sc, rng)
-    sc.add("hand_l", "left hand", "hand_left", (0.08, 0.08, 0.08), (0, 0, 0))
-    _hand_over(sc, "hand_l", "tool1", grip_dx=work.get("grip_dx", 0.0))
-    sc.hold(6)
-    _grip(sc, "hand_l", "tool1")                       # T tool
-    pair = ["hand_l", "tool1"]
-    _lift(sc, pair, height=work.get("lift_height", 0.15))   # U ground (+3)
-    target_pos = work["target_pos"](sc)
-    dx = target_pos[0] - sc.pos["tool1"][0]
-    dz = target_pos[2] - sc.pos["tool1"][2]
-    _carry(sc, pair, dx, dz)                           # Mt air x1
-    work["engage"](sc, pair)                           # approach + work + disengage
-    back_x = tx - sc.pos["tool1"][0]
-    back_z = tz - sc.pos["tool1"][2]
-    _lift(sc, pair, height=work.get("exit_rise", 0.12),
-          frames=work.get("exit_frames", 5))
-    _carry(sc, pair, back_x, back_z, frames=9)         # Mt air x1
-    _lower_to(sc, pair, "tool1", 0.0)                  # T ground
-    sc.hold(6)
-    _release(sc, "hand_l")                             # U tool
+    sc = _world(spec, rng, -0.25, tool_size, "tool1", tool_label)
+    home_x, _, home_z = sc.pos["tool1"]
+    _add_target(sc, rng, **target)
+    pair = _grasp(sc, "tool1", grip_dx=grip_dx)        # T tool
+    _lift(sc, pair, lift_height)                       # U ground (+3)
+    to = sc.pos["target1"]
+    _carry(sc, pair, to[0] + reach - sc.pos["tool1"][0],
+           to[2] - sc.pos["tool1"][2])                 # Mt air x1
+    engage(sc, pair)                                   # approach + work + disengage
+    _lift(sc, pair, exit_rise, exit_frames)
+    _carry(sc, pair, home_x - sc.pos["tool1"][0], home_z - sc.pos["tool1"][2],
+           frames=9)                                   # Mt air x1
+    _put_down(sc, pair)
     return sc
 
 
@@ -397,301 +409,179 @@ def generate_synthetic_trace(spec: ScenarioSpec,
     builder = _BUILDERS.get(spec.name)
     if builder is None:
         raise UnknownScenario(spec.name)
-    sc, bindings, repeats, hand = builder(spec, rng)
+    sc, bindings, repeats = builder(spec, rng)
+    hand = "left"                                      # every script moves the left hand
     trace = sc.build_trace(f"{spec.name.lower()}-{spec.seed}", spec.frames)
     expected = decompose(spec.name, bindings, lib, hand=hand, repeats=repeats)
     relations = script_relations(sc, cfg)
     return GeneratedTrace(trace, relations, expected, spec.name, bindings, hand)
 
 
-# -- individual scenarios ----------------------------------------------------
+# -- individual scenarios: (script, bindings, repeat counts) ------------------
 
 def _scn_idle(spec, rng):
-    sc = _scenario_world(rng, spec.noise, spec.points_per_edge)
-    sc.add("block1", "box", "object", (0.1, 0.1, 0.1),
-           (0.3 + _jitter(rng), 0.05, _jitter(rng)))
-    sc.add("hand_l", "left hand", "hand_left", (0.08, 0.08, 0.08),
-           (-0.4 + _jitter(rng), 0.35, _jitter(rng)))
+    sc = _world(spec, rng, 0.3, size=(0.1, 0.1, 0.1))
+    _add_hand(sc, (-0.4 + _jitter(rng), 0.35, _jitter(rng)))
     sc.hold(20)
     sc.move({"hand_l": (0.05, 0.0, 0.0)}, 20)
     sc.hold(20)
-    return sc, {}, 1, "left"
+    return sc, {}, 1
 
 
 def _scn_approach(spec, rng):
-    sc = _scenario_world(rng, spec.noise, spec.points_per_edge)
-    size = (0.1, 0.16, 0.1)
-    bx = 0.1 + _jitter(rng)
-    sc.add("block1", "box", "object", size, (bx, 0.08, _jitter(rng)))
-    sc.add("hand_l", "left hand", "hand_left", (0.08, 0.08, 0.08),
-           (bx - 0.35, 0.12, sc.pos["block1"][2]))
+    sc = _world(spec, rng, 0.1)
+    bx, _, bz = sc.pos["block1"]
+    _add_hand(sc, (bx - 0.35, 0.12, bz))
     sc.hold(6)
-    gap = (sc.pos["block1"][0] - size[0] / 2) - (sc.pos["hand_l"][0] + 0.04)
+    gap = (bx - 0.05) - (sc.pos["hand_l"][0] + 0.04)
     sc.move({"hand_l": (gap, 0.0, 0.0)}, 10)       # side contact -> T (ArT)
     sc.hold(14)
-    return sc, {"?object": "block1", "?place": GROUND}, 1, "left"
+    return sc, {"?object": "block1", "?place": GROUND}, 1
 
 
 def _scn_retreat(spec, rng):
-    sc = _scenario_world(rng, spec.noise, spec.points_per_edge)
-    size = (0.1, 0.16, 0.1)
-    bx = 0.1 + _jitter(rng)
-    sc.add("block1", "box", "object", size, (bx, 0.08, _jitter(rng)))
-    sc.add("hand_l", "left hand", "hand_left", (0.08, 0.08, 0.08),
-           (bx - size[0] / 2 - 0.04, 0.12, sc.pos["block1"][2]))
+    sc = _world(spec, rng, 0.1)
+    bx, _, bz = sc.pos["block1"]
+    _add_hand(sc, (bx - 0.05 - 0.04, 0.12, bz))
     sc.hold(4)                                      # contact from frame 0 -> T
     sc.move({"hand_l": (-0.15, 0.0, 0.0)}, 10)      # withdraw -> U (Ar)
     sc.hold(8)
-    return sc, {"?object": "block1", "?place": GROUND}, 1, "left"
+    return sc, {"?object": "block1", "?place": GROUND}, 1
 
 
 def _scn_hold(spec, rng):
-    sc = _scenario_world(rng, spec.noise, spec.points_per_edge)
-    sc.add("block1", "box", "object", (0.1, 0.16, 0.1),
-           (0.1 + _jitter(rng), 0.08, _jitter(rng)))
-    sc.add("hand_l", "left hand", "hand_left", (0.08, 0.08, 0.08), (0, 0, 0))
-    _hand_over(sc, "hand_l", "block1")
-    sc.hold(6)
-    _grip(sc, "hand_l", "block1", hold=20)
-    return sc, {"?object": "block1", "?place": GROUND}, 1, "left"
+    sc = _world(spec, rng, 0.1)
+    _grasp(sc, "block1", hold=20)
+    return sc, {"?object": "block1", "?place": GROUND}, 1
 
 
 def _scn_lift(spec, rng):
-    sc = _scenario_world(rng, spec.noise, spec.points_per_edge)
-    sc.add("block1", "box", "object", (0.1, 0.16, 0.1),
-           (0.1 + _jitter(rng), 0.08, _jitter(rng)))
-    sc.add("hand_l", "left hand", "hand_left", (0.08, 0.08, 0.08), (0, 0, 0))
-    _hand_over(sc, "hand_l", "block1")
-    sc.hold(6)
-    _grip(sc, "hand_l", "block1")
-    _lift(sc, ["hand_l", "block1"], height=0.25, frames=10)
-    sc.move({"hand_l": (0.06, 0.0, 0.0), "block1": (0.06, 0.0, 0.0)}, 8)
-    return sc, {"?object": "block1", "?place": GROUND}, {2: 1}, "left"
+    sc = _world(spec, rng, 0.1)
+    pair = _grasp(sc, "block1")
+    _lift(sc, pair, 0.25, frames=10)
+    _carry(sc, pair, 0.06, frames=8)
+    return sc, {"?object": "block1", "?place": GROUND}, {2: 1}
 
 
 def _scn_place(spec, rng):
-    sc = _scenario_world(rng, spec.noise, spec.points_per_edge)
-    bx = -0.25 + _jitter(rng)
-    sc.add("block1", "box", "object", (0.1, 0.16, 0.1), (bx, 0.08, _jitter(rng)))
-    sc.add("hand_l", "left hand", "hand_left", (0.08, 0.08, 0.08), (0, 0, 0))
-    _hand_over(sc, "hand_l", "block1")
-    sc.hold(6)
-    _grip(sc, "hand_l", "block1")
-    pair = ["hand_l", "block1"]
+    sc = _world(spec, rng, -0.25)
+    pair = _grasp(sc, "block1")
     _lift(sc, pair)
-    _carry(sc, pair, 0.44, 0.0)
-    _lower_to(sc, pair, "block1", 0.0)
-    sc.hold(6)
-    _release(sc, "hand_l")
-    return sc, {"?object": "block1", "?place": GROUND, "?target": GROUND}, {2: 2}, "left"
+    _carry(sc, pair, 0.44)
+    _put_down(sc, pair)
+    return sc, {"?object": "block1", "?place": GROUND, "?target": GROUND}, {2: 2}
 
 
 def _scn_wipe(spec, rng):
-    sc = _scenario_world(rng, spec.noise, spec.points_per_edge)
-    sx = -0.1 + _jitter(rng)
-    sc.add("tool1", "sponge", "object", (0.08, 0.08, 0.08), (sx, 0.04, _jitter(rng)))
-    sc.add("hand_l", "left hand", "hand_left", (0.08, 0.08, 0.08), (0, 0, 0))
-    _hand_over(sc, "hand_l", "tool1")
-    sc.hold(6)
-    _grip(sc, "hand_l", "tool1")
-    sc.shake(["hand_l", "tool1"], 22, axis=0, amp=0.015)   # Fmt on ground x2
+    sc = _world(spec, rng, -0.1, (0.08, 0.08, 0.08), "tool1", "sponge")
+    pair = _grasp(sc, "tool1")
+    sc.shake(pair, 22, axis=0, amp=0.015)          # Fmt on ground x2
     sc.hold(3)
-    _release(sc, "hand_l")
-    return sc, {"?tool": "tool1", "?place": GROUND}, {1: 2}, "left"
-
-
-def _make_block_target(label, size, x=0.19):
-    def add(sc, rng):
-        x_pos = x + _jitter(rng)
-        sc.add("target1", label, "object", size,
-               (x_pos, size[1] / 2, _jitter(rng)))
-    return add
+    _release(sc)
+    return sc, {"?tool": "tool1", "?place": GROUND}, {1: 2}
 
 
 def _scn_screw(spec, rng):
-    work = {
-        "tool_size": (0.03, 0.1, 0.03), "tool_label": "screwdriver",
-        "add_target": _make_block_target("hard disk", (0.12, 0.1, 0.12)),
-        "target_pos": lambda sc: sc.pos["target1"],
-    }
-
     def engage(sc, pair):
-        top = sc.pos["target1"][1] + sc.bodies["target1"].size[1] / 2
-        _lower_to(sc, pair, "tool1", top, frames=3)    # T target (To)
-        sc.shake(pair, 22, axis=0, amp=0.01)           # Fmt x2
-        _lift(sc, pair, height=0.1, frames=4)          # U target (Ab)
+        _lower_to(sc, pair, _target_top(sc), frames=3)  # T target (To)
+        sc.shake(pair, 22, axis=0, amp=0.01)            # Fmt x2
+        _lift(sc, pair, 0.1, frames=4)                  # U target (Ab)
 
-    work["engage"] = engage
-    sc = _tool_action_script(spec, rng, work)
-    binds = {"?tool": "tool1", "?object": "target1",
-             "?place": GROUND, "?target": GROUND}
-    return sc, binds, {2: 1, 4: 2, 6: 2}, "left"
+    sc = _tool_action_script(spec, rng, (0.03, 0.1, 0.03), "screwdriver",
+                             dict(label="hard disk", size=(0.12, 0.1, 0.12)), engage)
+    return sc, _tool_bindings(), {2: 1, 4: 2, 6: 2}
 
 
 def _scn_hammer(spec, rng):
-    work = {
-        "tool_size": (0.05, 0.07, 0.05), "tool_label": "hammer",
-        "add_target": _make_block_target("nail", (0.04, 0.1, 0.04)),
-        "target_pos": lambda sc: sc.pos["target1"],
-    }
-
     def engage(sc, pair):
-        top = sc.pos["target1"][1] + sc.bodies["target1"].size[1] / 2
-        _lower_to(sc, pair, "tool1", top, frames=3)    # first strike: T
+        top = _target_top(sc)
+        _lower_to(sc, pair, top, frames=3)              # first strike: T
         for strike in range(4):
             sc.hold(3)
-            _lift(sc, pair, height=0.12, frames=4)     # U (Ab)
+            _lift(sc, pair, 0.12, frames=4)             # U (Ab)
             if strike < 3:
-                _lower_to(sc, pair, "tool1", top, frames=4)  # T again
+                _lower_to(sc, pair, top, frames=4)      # T again
         sc.hold(1)
 
-    work["engage"] = engage
-    work["exit_rise"] = 0.06
-    work["exit_frames"] = 3
-    sc = _tool_action_script(spec, rng, work)
-    binds = {"?tool": "tool1", "?object": "target1",
-             "?place": GROUND, "?target": GROUND}
-    return sc, binds, {2: 1, 11: 2}, "left"
+    sc = _tool_action_script(spec, rng, (0.05, 0.07, 0.05), "hammer",
+                             dict(label="nail", size=(0.04, 0.1, 0.04)), engage,
+                             exit_rise=0.06, exit_frames=3)
+    return sc, _tool_bindings(), {2: 1, 11: 2}
 
 
 def _scn_saw(spec, rng):
-    work = {
-        "tool_size": (0.14, 0.05, 0.05), "tool_label": "saw",
-        "grip_dx": -0.045,
-        "add_target": _make_block_target("board", (0.14, 0.16, 0.12)),
-        "target_pos": lambda sc: sc.pos["target1"] + np.array(
-            [-(sc.bodies["target1"].size[0] + sc.bodies["tool1"].size[0]) / 2, 0.0, 0.0]),
-    }
-
     def engage(sc, pair):
-        # drop to the upper part of the side face, then slide into contact
-        stroke_y = sc.pos["target1"][1] + 0.02
-        drop = sc.pos["tool1"][1] - stroke_y
-        sc.move({i: (0.0, -drop, 0.0) for i in pair}, max(2, int(round(drop / V_VERT))))
+        # drop to the upper part of the side face the carry ended against
+        drop = sc.pos["tool1"][1] - (sc.pos["target1"][1] + 0.02)
+        _lift(sc, pair, -drop, max(2, int(round(drop / V_VERT))))
         sc.hold(8)                                      # T target (ArT)
         sc.shake(pair, 16, axis=2, amp=0.015)           # Fmt (ArT) x2
-        sc.move({i: (-0.12, 0.0, 0.0) for i in pair}, 8)  # U target (Ar)
+        _carry(sc, pair, -0.12, frames=8)               # U target (Ar)
         sc.hold(2)
 
-    work["engage"] = engage
-    sc = _tool_action_script(spec, rng, work)
-    binds = {"?tool": "tool1", "?object": "target1",
-             "?place": GROUND, "?target": GROUND}
-    return sc, binds, {2: 1, 4: 2, 6: 3}, "left"
+    sc = _tool_action_script(spec, rng, (0.14, 0.05, 0.05), "saw",
+                             dict(label="board", size=(0.14, 0.16, 0.12)), engage,
+                             reach=-(0.14 + 0.14) / 2,    # side faces touching
+                             grip_dx=-0.045)
+    return sc, _tool_bindings(), {2: 1, 4: 2, 6: 3}
 
 
 def _scn_cut(spec, rng):
-    work = {
-        "tool_size": (0.02, 0.14, 0.06), "tool_label": "knife",
-        "add_target": _make_block_target("apple", (0.1, 0.14, 0.1), x=0.215),
-        "target_pos": lambda sc: sc.pos["target1"] + np.array([0.025, 0.0, 0.0]),
-    }
-
     def engage(sc, pair):
-        top = sc.pos["target1"][1] + sc.bodies["target1"].size[1] / 2
-        _lower_to(sc, pair, "tool1", top, frames=3)     # T target (To)
+        _lower_to(sc, pair, _target_top(sc), frames=3)  # T target (To)
         sc.hold(2)
-        sc.move({i: (0.0, -0.05, 0.0) for i in pair}, 2)  # plunge -> U (Pwi)
-        sc.shake(pair, 24, axis=2, amp=0.01)              # Mt (Pwi) x2
-        _lift(sc, pair, height=0.12, frames=3)
+        _lift(sc, pair, -0.05, 2)                       # plunge -> U (Pwi)
+        sc.shake(pair, 24, axis=2, amp=0.01)            # Mt (Pwi) x2
+        _lift(sc, pair, 0.12, frames=3)
 
-    work["engage"] = engage
-    work["exit_rise"] = 0.04
-    work["exit_frames"] = 2
-    sc = _tool_action_script(spec, rng, work)
-    binds = {"?tool": "tool1", "?object": "target1",
-             "?place": GROUND, "?target": GROUND}
-    return sc, binds, {2: 1, 5: 2, 6: 1}, "left"
+    sc = _tool_action_script(spec, rng, (0.02, 0.14, 0.06), "knife",
+                             dict(label="apple", size=(0.1, 0.14, 0.1), x=0.215), engage,
+                             reach=0.025, exit_rise=0.04, exit_frames=2)
+    return sc, _tool_bindings(), {2: 1, 5: 2, 6: 1}
 
 
 def _scn_stir(spec, rng):
-    work = {
-        "tool_size": (0.03, 0.08, 0.03), "tool_label": "spoon",
-        "add_target": lambda sc, rng_: sc.add(
-            "target1", "bowl", "object", (0.2, 0.22, 0.2),
-            (0.19 + _jitter(rng_), 0.11, _jitter(rng_)),
-            open_top=True, solid=False),
-        "target_pos": lambda sc: sc.pos["target1"],
-        "lift_height": 0.32,
-    }
-
     def engage(sc, pair):
-        rim = sc.pos["target1"][1] + sc.bodies["target1"].size[1] / 2
-        inner_y = rim - 0.03 - sc.bodies["tool1"].size[1] / 2
-        drop = sc.pos["tool1"][1] - inner_y
-        sc.move({i: (0.0, -drop, 0.0) for i in pair}, 3)  # sink inside (Wi)
-        sc.orbit(pair, 24)                                 # Mt (Wi) x2
-        rise = rim + 0.08 - sc.pos["tool1"][1]
-        sc.move({i: (0.0, rise, 0.0) for i in pair}, 2)
+        rim = _target_top(sc)
+        drop = sc.pos["tool1"][1] - (rim - 0.03 - sc.bodies["tool1"].size[1] / 2)
+        _lift(sc, pair, -drop, 3)                       # sink inside (Wi)
+        sc.orbit(pair, 24)                              # Mt (Wi) x2
+        _lift(sc, pair, rim + 0.08 - sc.pos["tool1"][1], 2)
 
-    work["engage"] = engage
-    work["exit_rise"] = 0.06
-    work["exit_frames"] = 3
-    sc = _tool_action_script(spec, rng, work)
-    binds = {"?tool": "tool1", "?object": "target1",
-             "?place": GROUND, "?target": GROUND}
-    return sc, binds, {2: 1, 3: 2, 4: 2}, "left"
+    sc = _tool_action_script(spec, rng, (0.03, 0.08, 0.03), "spoon",
+                             dict(label="bowl", size=(0.2, 0.22, 0.2), open_top=True), engage,
+                             lift_height=0.32, exit_rise=0.06, exit_frames=3)
+    return sc, _tool_bindings(), {2: 1, 3: 2, 4: 2}
 
 
 def _scn_pour(spec, rng):
-    work = {
-        "tool_size": (0.06, 0.1, 0.06), "tool_label": "cup",
-        "add_target": lambda sc, rng_: sc.add(
-            "target1", "bowl", "object", (0.2, 0.16, 0.2),
-            (0.19 + _jitter(rng_), 0.08, _jitter(rng_)),
-            open_top=True, solid=False),
-        "target_pos": lambda sc: sc.pos["target1"] + np.array([0.0, 0.0, 0.0]),
-        "lift_height": 0.3,
-    }
-
     def engage(sc, pair):
-        rim = sc.pos["target1"][1] + sc.bodies["target1"].size[1] / 2
-        hover_y = rim + 0.08 + sc.bodies["tool1"].size[1] / 2
-        dy = hover_y - sc.pos["tool1"][1]
-        sc.move({i: (0.0, dy, 0.0) for i in pair}, 2)
-        sc.orbit(pair, 14)                                 # Mt (Ab target) x2
-        sc.move({i: (0.0, 0.05, 0.0) for i in pair}, 2)
+        hover_y = _target_top(sc) + 0.08 + sc.bodies["tool1"].size[1] / 2
+        _lift(sc, pair, hover_y - sc.pos["tool1"][1], 2)
+        sc.orbit(pair, 14)                              # Mt (Ab target) x2
+        _lift(sc, pair, 0.05, 2)
 
-    work["engage"] = engage
-    work["exit_rise"] = 0.05
-    work["exit_frames"] = 2
-    sc = _tool_action_script(spec, rng, work)
-    binds = {"?tool": "tool1", "?object": "target1",
-             "?place": GROUND, "?target": GROUND}
-    return sc, binds, {2: 1, 3: 2, 4: 2}, "left"
+    sc = _tool_action_script(spec, rng, (0.06, 0.1, 0.06), "cup",
+                             dict(label="bowl", size=(0.2, 0.16, 0.2), open_top=True), engage,
+                             lift_height=0.3, exit_rise=0.05, exit_frames=2)
+    return sc, _tool_bindings(), {2: 1, 3: 2, 4: 2}
 
 
 def _scn_drink(spec, rng):
-    work = {
-        "tool_size": (0.08, 0.1, 0.06), "tool_label": "cup",
-        "grip_dx": -0.05,
-        "add_target": lambda sc, rng_: sc.add(
-            "target1", "mouth", "object", (0.06, 0.06, 0.06),
-            (0.3 + _jitter(rng_), 0.42, _jitter(rng_))),
-        "target_pos": lambda sc: sc.pos["target1"] + np.array(
-            [-(sc.bodies["target1"].size[0] + sc.bodies["tool1"].size[0]) / 2 - 0.12,
-             0.0, 0.0]),
-    }
-
     def engage(sc, pair):
         # rise to mouth height well to the side, then slide into side contact
-        dy = sc.pos["target1"][1] - sc.pos["tool1"][1]
-        sc.move({i: (0.0, dy, 0.0) for i in pair}, 8)
-        gap = (sc.pos["target1"][0]
-               - (sc.bodies["target1"].size[0] + sc.bodies["tool1"].size[0]) / 2
-               - sc.pos["tool1"][0])
-        sc.move({i: (gap, 0.0, 0.0) for i in pair}, 4)   # T mouth (ArT, Air)
+        _lift(sc, pair, sc.pos["target1"][1] - sc.pos["tool1"][1], 8)
+        _carry(sc, pair, sc.pos["target1"][0] - (0.06 + 0.08) / 2 - sc.pos["tool1"][0],
+               frames=4)                                # T mouth (ArT, Air)
         sc.hold(4)
-        sc.move({i: (-0.15, 0.0, 0.0) for i in pair}, 10)  # U mouth (Ar, Air)
-        dy_down = sc.pos["tool1"][1] - 0.25
-        sc.move({i: (0.0, -dy_down, 0.0) for i in pair}, 6)
+        _carry(sc, pair, -0.15, frames=10)              # U mouth (Ar, Air)
+        _lift(sc, pair, -(sc.pos["tool1"][1] - 0.25), 6)
 
-    work["engage"] = engage
-    work["exit_rise"] = 0.0
-    work["exit_frames"] = 2
-    sc = _tool_action_script(spec, rng, work)
-    binds = {"?tool": "tool1", "?object": "target1", "?place": GROUND}
-    return sc, binds, {2: 2, 5: 3}, "left"
+    sc = _tool_action_script(spec, rng, (0.08, 0.1, 0.06), "cup",
+                             dict(label="mouth", size=(0.06, 0.06, 0.06), x=0.3, y=0.42),
+                             engage, reach=-(0.06 + 0.08) / 2 - 0.12,  # 12 cm off contact
+                             grip_dx=-0.05, exit_rise=0.0, exit_frames=2)
+    return sc, {"?tool": "tool1", "?object": "target1", "?place": GROUND}, {2: 2, 5: 3}
 
 
 _BUILDERS = {
@@ -718,6 +608,10 @@ _BUILDERS = {
 
 SCENE_KINDS = ("Ab", "To", "Ar", "ArT", "In", "Wi", "Pwi", "Cr", "NoRelation")
 SCENE_FRAMES = 11   # static; evaluated every ten frames
+# range of the gap drawn between the two boxes (for In/Wi, between a and
+# b's nearest wall); the other kinds draw no gap
+_GAPS = {"Ab": (0.05, 0.25), "Ar": (0.02, 0.12), "NoRelation": (0.3, 0.8),
+         "In": (0.0008, 0.004), "Wi": (0.03, 0.06)}
 
 
 def make_relation_scene(kind: str, rng: np.random.Generator):
@@ -731,66 +625,39 @@ def make_relation_scene(kind: str, rng: np.random.Generator):
     def rsize(lo=0.1, hi=0.3):
         return rng.uniform(lo, hi, 3)
 
-    if kind == "Ab":
+    def gap():
+        return rng.uniform(*_GAPS[kind]) if kind in _GAPS else 0.0
+
+    names = ("box a", "box b")
+    if kind in ("Ab", "To"):                  # a stacked over b
         sb = rsize()
         sa = sb * rng.uniform(0.4, 0.9)
-        gap = rng.uniform(0.05, 0.25)
-        sc.add("obj_a", "box a", "object", sa, (0, sb[1] + gap + sa[1] / 2, 0))
-        sc.add("obj_b", "box b", "object", sb, (0, sb[1] / 2, 0))
-        label = SsrLabel.Ab
-    elif kind == "To":
-        sb = rsize()
-        sa = sb * rng.uniform(0.4, 0.9)
-        sc.add("obj_a", "box a", "object", sa, (0, sb[1] + sa[1] / 2, 0))
-        sc.add("obj_b", "box b", "object", sb, (0, sb[1] / 2, 0))
-        label = SsrLabel.To
-    elif kind == "Ar":
+        ca, cb = (0, sb[1] + gap() + sa[1] / 2, 0), (0, sb[1] / 2, 0)
+    elif kind in ("Ar", "ArT", "NoRelation"):  # side by side along x
         sa, sb = rsize(), rsize()
-        gap = rng.uniform(0.02, 0.12)
-        sc.add("obj_a", "box a", "object", sa, (-(sa[0] / 2 + gap / 2), sa[1] / 2, 0))
-        sc.add("obj_b", "box b", "object", sb, (sb[0] / 2 + gap / 2, sb[1] / 2, 0))
-        label = SsrLabel.Ar
-    elif kind == "ArT":
-        sa, sb = rsize(), rsize()
-        sc.add("obj_a", "box a", "object", sa, (-sa[0] / 2, sa[1] / 2, 0))
-        sc.add("obj_b", "box b", "object", sb, (sb[0] / 2, sb[1] / 2, 0))
-        label = SsrLabel.ArT
-    elif kind in ("In", "Wi"):
+        g = gap()
+        ca, cb = (-(sa[0] / 2 + g / 2), sa[1] / 2, 0), (sb[0] / 2 + g / 2, sb[1] / 2, 0)
+    elif kind in ("In", "Wi"):                # a inside hollow b, near one wall
         sb = rng.uniform(0.24, 0.4, 3)
         sa = sb * rng.uniform(0.25, 0.4)
-        if kind == "In":
-            wall = rng.uniform(0.0008, 0.004)
-        else:
-            wall = rng.uniform(0.03, 0.06)
-        off_x = sb[0] / 2 - sa[0] / 2 - wall
-        sc.add("obj_a", "box a", "object", sa,
-               (off_x, sb[1] / 2 + rng.uniform(-0.02, 0.02), 0))
-        sc.add("obj_b", "box b", "object", sb, (0, sb[1] / 2, 0), solid=False)
-        label = SsrLabel.In if kind == "In" else SsrLabel.Wi
-    elif kind == "Pwi":
+        ca = (sb[0] / 2 - sa[0] / 2 - gap(), sb[1] / 2 + rng.uniform(-0.02, 0.02), 0)
+        cb = (0, sb[1] / 2, 0)
+    elif kind == "Pwi":                       # a rod poking out of an open box
         sb = rng.uniform(0.24, 0.4, 3)
         sa = np.array([sb[0] * 0.22, sb[1] * 1.6, sb[2] * 0.22])
-        sc.add("obj_a", "rod", "object", sa, (0, sb[1] * 0.4 + sa[1] / 2, 0))
-        sc.add("obj_b", "open box", "object", sb, (0, sb[1] / 2, 0),
-               open_top=True, solid=False)
-        label = SsrLabel.Pwi
-    elif kind == "Cr":
+        ca, cb = (0, sb[1] * 0.4 + sa[1] / 2, 0), (0, sb[1] / 2, 0)
+        names = ("rod", "open box")
+    else:                                     # Cr: overlapping along x
         sa, sb = rsize(0.14, 0.3), rsize(0.14, 0.3)
         overlap = rng.uniform(0.45, 0.75) * min(sa[0], sb[0])
-        sc.add("obj_a", "box a", "object", sa,
-               (-(sa[0] / 2) + overlap / 2, max(sa[1], sb[1]) / 2, 0))
-        sc.add("obj_b", "box b", "object", sb,
-               (sb[0] / 2 - overlap / 2, max(sa[1], sb[1]) / 2, 0))
-        label = SsrLabel.Cr
-    else:
-        sa, sb = rsize(), rsize()
-        gap = rng.uniform(0.3, 0.8)
-        sc.add("obj_a", "box a", "object", sa, (-(sa[0] / 2 + gap / 2), sa[1] / 2, 0))
-        sc.add("obj_b", "box b", "object", sb, (sb[0] / 2 + gap / 2, sb[1] / 2, 0))
-        label = SsrLabel.NoRelation
-
+        y = max(sa[1], sb[1]) / 2
+        ca, cb = (-(sa[0] / 2) + overlap / 2, y, 0), (sb[0] / 2 - overlap / 2, y, 0)
+    sc.add("obj_a", names[0], "object", sa, ca)
+    sc.add("obj_b", names[1], "object", sb, cb, open_top=kind == "Pwi",
+           solid=kind not in ("In", "Wi", "Pwi"))
     sc.hold(SCENE_FRAMES)
     trace = sc.build_trace(f"scene-{kind.lower()}")
+    label = SsrLabel(kind)
     gts = []
     for f_idx in range(0, SCENE_FRAMES, EVAL_STRIDE):
         gts.append(GroundTruthRelation(f_idx, "obj_a", "obj_b", label))

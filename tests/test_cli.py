@@ -240,6 +240,33 @@ class TestBenchCommand:
         assert f"{gt_path}: " in err and message in err
 
 
+class TestCorpusCommand:
+    def test_directory_holding_traces_is_refused(self, tmp_path, capsys):
+        """bench scores every trace in a directory, so a second corpus
+        written over a first would be scored mixed with it."""
+        corp = tmp_path / "st"
+        assert cli.main(["corpus", str(corp), "--count", "9", "--seed", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in corp.iterdir()}
+        capsys.readouterr()
+        assert cli.main(["corpus", str(corp), "--count", "3", "--seed", "2"]) == 2
+        assert capsys.readouterr().err == f"corpus directory already holds traces: {corp}\n"
+        assert {p.name: p.read_bytes() for p in corp.iterdir()} == before
+
+    def test_bench_reports_alone_do_not_block(self, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        assert cli.main(["corpus", str(tmp_path / "a"), "--count", "9", "--seed", "1"]) == 0
+        assert cli.main(["bench", str(tmp_path / "a"), "--out-dir", str(reports)]) == 0
+        assert cli.main(["corpus", str(reports), "--count", "3", "--seed", "2"]) == 0
+        assert len(list(reports.glob("*.jsonl"))) == 3
+
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    def test_count_below_one_is_a_usage_error(self, tmp_path, capsys, count):
+        corp = tmp_path / "neg"
+        assert cli.main(["corpus", str(corp), "--count", count]) == 2
+        assert capsys.readouterr().err == f"corpus: --count must be at least 1, got {count}\n"
+        assert not corp.exists()
+
+
 class TestGenerateCommand:
     def test_round_trip_through_cli(self, tmp_path, capsys):
         out = tmp_path / "wipe.jsonl"
