@@ -7,14 +7,17 @@ file when --config is absent), --format on relations, describe, bench and
 parse, and --seed on generate and corpus.  corpus writes into a new or
 trace-free directory only: bench scores every ``.jsonl`` in it.  Data goes
 to stdout, diagnostics to stderr.  Exit codes: 2 usage error (a flag the
-command does not read, an unknown scenario, corpus --count below 1, or a
-corpus directory that already holds ``.jsonl`` traces; nothing is written),
-trace parse error or an unreadable or undecodable input file (trace, token
-file, or a corpus's ``.gt.json``), 3 schema or monotonicity error (also a
-malformed ``.gt.json`` relation), 4 unavailable description level,
-5 missing, empty or unlabeled corpus, 6 token string rejected, 7 bad
-configuration (unknown key, bad value, unreadable or malformed file,
-including the library and template files and a template they lack).
+command does not read, an unknown scenario, corpus --count below 1, a
+corpus directory that already holds ``.jsonl`` traces, a corpus path or
+bench --out-dir that exists and is not a directory, or a generate --out or
+--gt-out that cannot be written; corpus and bench refuse before any work,
+and corpus writes nothing), trace parse error or an unreadable or
+undecodable input file (trace, token file, or a corpus's ``.gt.json``),
+3 schema or monotonicity error (also a malformed ``.gt.json`` relation),
+4 unavailable description level, 5 missing, empty or unlabeled corpus,
+6 token string rejected, 7 bad configuration (unknown key, bad value,
+unreadable or malformed file, including the library and template files
+and a template they lack).
 """
 
 from __future__ import annotations
@@ -73,6 +76,15 @@ def _resources(cfg: RunConfig):
     except (ValueError, OSError) as exc:
         raise ConfigError(f"template_path: {exc}") from exc
     return lib, ts
+
+
+def _not_a_directory(path) -> bool:
+    """Whether ``path`` exists and is not a directory, said on stderr: a
+    command that writes into ``path`` refuses it before any work."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        print(f"not a directory: {path}", file=sys.stderr)
+        return True
+    return False
 
 
 def cmd_relations(args) -> int:
@@ -141,11 +153,13 @@ def cmd_bench(args) -> int:
     if not corpus:
         print("corpus directory holds no traces", file=sys.stderr)
         return EXIT_EMPTY_CORPUS
+    out_dir = args.out_dir or args.corpus
+    if _not_a_directory(out_dir):
+        return EXIT_USAGE
     report = bench_mod.compare_models(corpus, cfg)
     if not report.total:
         print("corpus holds no labeled relations", file=sys.stderr)
         return EXIT_EMPTY_CORPUS
-    out_dir = args.out_dir or args.corpus
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "bench_report.tsv"), "w", encoding="utf-8") as fh:
         fh.write(report.to_table())
@@ -193,21 +207,28 @@ def cmd_generate(args) -> int:
                               frames=args.frames,
                               points_per_edge=args.points_per_edge)
     gen = synth.generate_synthetic_trace(spec, cfg=cfg)
+    try:
+        if args.out:
+            events.dump_trace(gen.trace, args.out)
+        if args.gt_out:
+            bench_mod.write_ground_truth(args.gt_out, gen.relations, indent=1, name=gen.name,
+                                         hand=gen.hand, bindings=gen.bindings,
+                                         actions=[str(a) for a in gen.actions])
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     if args.out:
-        events.dump_trace(gen.trace, args.out)
         print(f"trace written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(events.dumps_trace(gen.trace))
-    if args.gt_out:
-        bench_mod.write_ground_truth(args.gt_out, gen.relations, indent=1, name=gen.name,
-                                     hand=gen.hand, bindings=gen.bindings,
-                                     actions=[str(a) for a in gen.actions])
     return 0
 
 
 def cmd_corpus(args) -> int:
     if args.count < 1:
         print(f"corpus: --count must be at least 1, got {args.count}", file=sys.stderr)
+        return EXIT_USAGE
+    if _not_a_directory(args.directory):
         return EXIT_USAGE
     # bench reads every .jsonl in the directory, so old scenes would be scored too
     if os.path.isdir(args.directory) and any(
@@ -305,7 +326,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except synth.UnknownScenario as exc:
         print(f"unknown scenario: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -85,9 +85,6 @@ class Aabb:
     def contains(self, pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
         return np.all((pts >= self.min_corner - tol) & (pts <= self.max_corner + tol), axis=-1)
 
-    def extent(self) -> np.ndarray:
-        return self.max_corner - self.min_corner
-
     @cached_property
     def corners(self) -> tuple[list[float], list[float]]:
         """(min corner, max corner) as Python floats, for the few comparisons
@@ -126,7 +123,7 @@ class ConvexHull:
     """
 
     __slots__ = ("_vertices", "_vertex_indices", "_face_planes", "_degenerate",
-                 "_faces", "_facets", "_source", "_box", "_own", "_flat", "_deep")
+                 "_faces", "_facets", "_source", "_box", "_own", "_flat")
 
     def __init__(self, vertices: np.ndarray, vertex_indices: np.ndarray,
                  faces: np.ndarray | None, face_planes: np.ndarray,
@@ -144,8 +141,6 @@ class ConvexHull:
         self._flat = None
         # (cloud, the cloud's box) of a deferred hull, kept once it is built
         self._own = None
-        # (cloud, tol, answer) of the last _reaches_interior against this hull
-        self._deep = None
 
     @classmethod
     def deferred(cls, pts: np.ndarray, box: Aabb, cfg: GeometryConfig, build) -> "ConvexHull":
@@ -230,15 +225,12 @@ def aabb_gap(a: Aabb, b: Aabb) -> float:
 
     The per-axis gaps are taken on the boxes' float corners.  Their squares
     are summed by numpy's dot, as ``np.linalg.norm`` sums them: a sum in
-    Python rounds differently.  A sum with at most one nonzero term is that
-    term's square in any order, so only two or more nonzero gaps need it."""
+    Python rounds differently."""
     (a_lo, a_hi), (b_lo, b_hi) = a.corners, b.corners
     gaps = [max(l1 - h2, l2 - h1, 0.0) for l1, h1, l2, h2 in zip(a_lo, a_hi, b_lo, b_hi)]
     g = max(gaps)
     if g == 0.0:
         return 0.0
-    if sum(x > 0.0 for x in gaps) == 1:
-        return math.sqrt(g * g)
     v = np.array(gaps)
     return math.sqrt(v.dot(v))
 
@@ -779,26 +771,18 @@ def _reaches_interior(cloud: np.ndarray, cloud_box: Aabb, hull: ConvexHull, tol:
     ``tol`` inside ``hull.box`` are classified, so a hull no point comes
     that deep into is not read.  When on some axis ``cloud_box``, the
     cloud's box, reaches no deeper than that into ``hull.box``, no point
-    does, and none is visited.  The hull keeps the last answer, which
-    ``touch`` asks again after a pair's :func:`relation_matrix` (the
-    answer does not depend on whether the hull is built yet)."""
-    last = hull._deep
-    if last is not None and last[0] is cloud and last[1] == tol:
-        return last[2]
+    does, and none is visited."""
     box = hull.box
     thr = tol - _DEEP_MARGIN
     # a point's depth on an axis is fl(p - lo) or fl(hi - p), and rounding
     # is monotone, so the cloud's extremes give the deepest of them
     (lo, hi), (c_lo, c_hi) = box.corners, cloud_box.corners
     if any(c_h - l <= thr or h - c_l <= thr for l, h, c_l, c_h in zip(lo, hi, c_lo, c_hi)):
-        hit = False
-    else:
-        depth = np.minimum(cloud - box.min_corner, box.max_corner - cloud).min(axis=1)
-        deep = depth > thr
-        hit = bool(deep.any()) and bool(
-            np.any(classify_points(hull, cloud[deep], tol) == RegionClass.INTERIOR))
-    hull._deep = (cloud, tol, hit)
-    return hit
+        return False
+    depth = np.minimum(cloud - box.min_corner, box.max_corner - cloud).min(axis=1)
+    deep = depth > thr
+    return bool(deep.any()) and bool(
+        np.any(classify_points(hull, cloud[deep], tol) == RegionClass.INTERIOR))
 
 
 class _Side:

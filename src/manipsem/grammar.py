@@ -97,17 +97,6 @@ class ParseTree:
             out.extend(ch.leaves())
         return out
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + max(ch.depth() for ch in self.children)
-
-    def size(self) -> int:
-        """Interior node count."""
-        if self.is_leaf:
-            return 0
-        return 1 + sum(ch.size() for ch in self.children)
-
     def render(self, indent: str = "  ") -> str:
         lines: list[str] = []
 

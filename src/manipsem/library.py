@@ -296,10 +296,12 @@ def _match_entry(entry: LibraryEntry, actions, start: int):
             return None
         begin = pos
         pos += 1
-        if step.repeat:
-            while pos < len(actions) and _match_step(step, actions[pos], dict(bindings)):
-                _match_step(step, actions[pos], bindings)
-                pos += 1
+        while step.repeat and pos < len(actions):
+            trial = dict(bindings)
+            if not _match_step(step, actions[pos], trial):
+                break
+            bindings = trial
+            pos += 1
         spans.append((begin, pos - 1))
     return pos, bindings, tuple(spans)
 

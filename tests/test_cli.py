@@ -203,6 +203,19 @@ class TestBenchCommand:
             assert capsys.readouterr().err == err
         assert not list(unlabeled.glob("bench_report.*"))
 
+    def test_out_dir_on_a_regular_file_is_a_usage_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        """A report directory that is a file is refused before scoring."""
+        assert cli.main(["corpus", str(tmp_path / "c"), "--count", "2"]) == 0
+        notes = tmp_path / "notes.txt"
+        notes.write_text("keep\n")
+        capsys.readouterr()
+        monkeypatch.setattr(cli.bench_mod, "compare_models",
+                            lambda *a, **k: pytest.fail("the corpus was scored"))
+        assert cli.main(["bench", str(tmp_path / "c"), "--out-dir", str(notes)]) == 2
+        assert capsys.readouterr() == ("", f"not a directory: {notes}\n")
+        assert notes.read_text() == "keep\n"
+
     def test_small_corpus_report(self, tmp_path, capsys):
         assert cli.main(["corpus", str(tmp_path), "--count", "18", "--seed", "3"]) == 0
         capsys.readouterr()
@@ -266,6 +279,15 @@ class TestCorpusCommand:
         assert capsys.readouterr().err == f"corpus: --count must be at least 1, got {count}\n"
         assert not corp.exists()
 
+    def test_regular_file_is_refused_before_building(self, tmp_path, capsys, monkeypatch):
+        afile = tmp_path / "afile"
+        afile.write_text("x\n")
+        monkeypatch.setattr(cli.synth, "make_corpus",
+                            lambda *a, **k: pytest.fail("scenes were built"))
+        assert cli.main(["corpus", str(afile), "--count", "1"]) == 2
+        assert capsys.readouterr().err == f"not a directory: {afile}\n"
+        assert afile.read_text() == "x\n"
+
 
 class TestGenerateCommand:
     def test_round_trip_through_cli(self, tmp_path, capsys):
@@ -294,6 +316,18 @@ class TestGenerateCommand:
         assert json.loads(capsys.readouterr().out.splitlines()[0])["objects"]
         doc = json.loads(gt.read_text())
         assert doc["name"] == "Hold" and doc["relations"]
+
+    @pytest.mark.parametrize("flag, path, reason", [
+        ("--out", "d", "Is a directory"),
+        ("--gt-out", "d", "Is a directory"),
+        ("--out", "missing/x.jsonl", "No such file or directory"),
+    ])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, flag, path, reason):
+        (tmp_path / "d").mkdir()
+        target = tmp_path / path
+        assert cli.main(["generate", "Screw", flag, str(target)]) == 2
+        assert capsys.readouterr() == ("", f"cannot write {target}: {reason}\n")
+        assert os.listdir(tmp_path / "d") == []
 
     def test_stdout_emission(self, capsys):
         assert cli.main(["generate", "Hold", "--seed", "2"]) == 0

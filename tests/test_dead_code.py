@@ -1,14 +1,17 @@
 """Dead-code guard over the package source, using the standard ``ast`` only.
 
 References are every ``Name``, ``Attribute``, import alias and identifier
-string constant in ``src/``, ``tests/``, ``perfbench/`` and ``scripts/``
-(perfbench names the functions it wraps as strings).  Two rules:
+string constant in the program's callers: ``src/``, ``perfbench/`` and
+``scripts/`` (perfbench names the functions it wraps as strings).  A use in
+``tests/`` alone does not count.  Two rules:
 
 1. every non-dunder function, method and class defined in ``src/manipsem``
    is referenced somewhere;
-2. every parameter of an underscore-prefixed function in ``src/manipsem``
-   is read in its body somewhere other than a call to that same function
-   (a parameter that is only passed back to itself carries nothing).
+2. every parameter of a function in ``src/manipsem`` is read in its body
+   somewhere other than a call to that same function (a parameter that is
+   only passed back to itself carries nothing).
+
+Each rule has a short allowlist, and each entry says why it stays.
 """
 
 import ast
@@ -16,7 +19,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "manipsem"
-SCANNED = ("src", "tests", "perfbench", "scripts")
+SCANNED = ("src", "perfbench", "scripts")
+
+# rule 1: definitions with no caller in the program yet
+UNREFERENCED_ALLOWED = {
+    # the planned ``eval`` command scores each description level with them
+    "bleu": "src/manipsem/bleu.py",
+    "to_record": "src/manipsem/bleu.py",
+    # tests/test_extraction_pins.py digests it; ``--explain`` can call it
+    "idle_spans": "src/manipsem/events.py",
+}
+# rule 2: parameters that no body reads
+UNREAD_ALLOWED = {
+    # perfbench/workloads.py passes it positionally
+    ("realize_level", "lib"),
+}
 
 
 def _parse_all(directory):
@@ -79,20 +96,21 @@ def test_every_package_definition_is_referenced():
     names = _referenced_names()
     unused = sorted(f"{path}:{node.lineno} {node.name}"
                     for path, node in _package_definitions()
-                    if not _is_dunder(node.name) and node.name not in names)
+                    if not _is_dunder(node.name) and node.name not in names
+                    and UNREFERENCED_ALLOWED.get(node.name) != path.as_posix())
     assert unused == []
 
 
-def test_private_function_parameters_are_read():
+def test_function_parameters_are_read():
     unread = []
     for path, node in _package_definitions():
-        if isinstance(node, ast.ClassDef) or not node.name.startswith("_") \
-                or _is_dunder(node.name):
+        if isinstance(node, ast.ClassDef) or _is_dunder(node.name):
             continue
         args = node.args
         params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
                                   args.vararg, args.kwarg) if a is not None]
         reads = _reads_outside_self_calls(node)
         unread.extend(f"{path}:{node.lineno} {node.name}({p})"
-                      for p in params if p not in ("self", "cls") and p not in reads)
+                      for p in params if p not in ("self", "cls") and p not in reads
+                      and (node.name, p) not in UNREAD_ALLOWED)
     assert sorted(unread) == []

@@ -382,7 +382,8 @@ class TestDegenerateFallback:
         pts = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], dtype=float)
         h = hull_with_fallback(pts)
         assert h.degenerate
-        ext = h.aabb().extent()
+        box = h.aabb()
+        ext = box.max_corner - box.min_corner
         assert ext[2] == pytest.approx(5e-3, abs=1e-12)
         assert ext[0] == pytest.approx(1.0, abs=1e-12)
 
