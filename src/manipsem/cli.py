@@ -7,7 +7,8 @@ file when --config is absent), --format on relations, describe, bench and
 parse, and --seed on generate and corpus.  corpus writes into a new or
 trace-free directory only: bench scores every ``.jsonl`` in it.  Data goes
 to stdout, diagnostics to stderr.  Exit codes: 2 usage error (a flag the
-command does not read, an unknown scenario, corpus --count below 1, a
+command does not read, an unknown scenario, a generate --noise that is not
+a finite number >= 0 or --points-per-edge below 2, corpus --count below 1, a
 corpus directory that already holds ``.jsonl`` traces, a corpus path or
 bench --out-dir that exists and is not a directory, or a generate --out or
 --gt-out that cannot be written; corpus and bench refuse before any work,
@@ -326,6 +327,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except synth.UnknownScenario as exc:
         print(f"unknown scenario: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except synth.InvalidSpec as exc:
+        field, reason = exc.args
+        print(f"generate: --{field.replace('_', '-')} {reason}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -38,6 +38,11 @@ class UnknownScenario(ValueError):
     pass
 
 
+class InvalidSpec(ValueError):
+    """A ScenarioSpec field the generator cannot honour: args are the field's
+    name and what is wrong with its value."""
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str
@@ -49,6 +54,11 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.name not in SCENARIOS:
             raise UnknownScenario(self.name)
+        if not 0.0 <= self.noise < math.inf:
+            raise InvalidSpec("noise", f"must be a finite number >= 0, got {self.noise}")
+        # a box face needs two points per edge: fewer leave a cloud of < 4 points
+        if self.points_per_edge < 2:
+            raise InvalidSpec("points_per_edge", f"must be at least 2, got {self.points_per_edge}")
 
 
 @dataclass

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from manipsem import bench, cli
 from manipsem.bench import (
@@ -16,9 +16,10 @@ from manipsem.bench import (
     load_corpus_dir,
     write_corpus_entry,
 )
+from manipsem.config import RunConfig
 from manipsem.events import Frame, ObjectInstance, SceneTrace
 from manipsem.synth import SCENE_KINDS, make_corpus, make_relation_scene
-from evaluate_trace_frozen import frozen_evaluate_trace
+from test_geometry_cache import oracle_report
 
 
 @pytest.fixture(scope="module")
@@ -124,22 +125,26 @@ def moved_scenes(draw):
 
 class TestLabelMemo:
     """``evaluate_trace`` scores each pair of object states once per call;
-    its reports equal those of the frozen per-case loop."""
+    its reports equal those of every case scored on fresh states."""
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 11])
-    def test_corpus_records_match_the_frozen_loop(self, seed):
+    def test_corpus_records_match_fresh_states(self, seed):
         corpus = make_corpus(90, seed=seed)
         got, want = AccuracyReport(), AccuracyReport()
         for trace, rels in corpus:
             got.merge(evaluate_trace(trace, rels))
-            want.merge(frozen_evaluate_trace(trace, rels))
+            want.merge(oracle_report(trace, rels, RunConfig()))
         assert got.to_records() == want.to_records()
 
     @settings(max_examples=60, deadline=None)
     @given(moved_scenes())
-    def test_moved_and_noisy_scenes_match_the_frozen_loop(self, scene):
+    # the upper object lifted off the lower one, which stays: a new pair
+    # of states that shares its first
+    @example(shifted_scene(*relation_scene("To", np.random.default_rng(0), 0.0), {
+        "obj_a": [np.zeros(3), np.zeros(3)], "obj_b": [np.zeros(3), np.array([0.0, 0.05, 0.0])]}))
+    def test_moved_and_noisy_scenes_match_fresh_states(self, scene):
         trace, rels = scene
-        got, want = evaluate_trace(trace, rels), frozen_evaluate_trace(trace, rels)
+        got, want = evaluate_trace(trace, rels), oracle_report(trace, rels, RunConfig())
         assert got.to_records() == want.to_records()
         assert (got.total, got.emitted) == (want.total, want.emitted)
 

@@ -1,15 +1,24 @@
-"""The box tests and the GJK support loop on Python floats against their
-frozen numpy forms (``box_gjk_frozen.py``): on random, grid-snapped
-(steps of the tolerance and half of it), box-lattice, coincident and tied
-inputs, every result equals the frozen one bit for bit."""
+"""The box tests and the GJK support loop against their definitions, on
+random, grid-snapped (steps of the tolerance and half of it), box-lattice,
+coincident and tied inputs.
+
+The box gap is the norm of the per-axis gaps, bit for bit; the vertical
+and footprint tests are their comparisons written out.  GJK converges
+within its iteration cap, and its distance lies between the widest gap a
+brute-force search over support directions finds and the least distance
+between two points; so it is non-zero where that gap exceeds GJK's zero
+threshold (distances below 1e-6 read 0).  Where a point of one cloud lies
+deep inside the other's hull, it is zero.
+"""
+
+import functools
+import itertools
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from manipsem.geometry import DEFAULT_GEOMETRY, Aabb, _gjk, aabb_gap, compute_aabb
 from manipsem.relations import FOOTPRINT_MARGIN, _above, footprint_overlap
-from box_gjk_frozen import (frozen_above, frozen_aabb_gap, frozen_footprint_overlap,
-                            frozen_gjk)
 from conftest import box_cloud
 from test_contact_oracle import pairs
 
@@ -98,15 +107,24 @@ DIAGONAL = (box((-1.0, -1.0, 0.0), (0.0, 0.0, 1.0)),
             box((0.14415961271963373, 0.9486494471372439, 0.0), (2.0, 2.0, 1.0)))
 
 
+def overlap(a, b, axis):
+    """The length of the two boxes' common interval on ``axis``."""
+    return (min(a.max_corner[axis], b.max_corner[axis])
+            - max(a.min_corner[axis], b.min_corner[axis]))
+
+
 @settings(max_examples=500, deadline=None)
 @given(boxes, slacks)
 @example(DIAGONAL, 0.0)
-def test_box_tests_equal_the_frozen_numpy_forms(pair, slack):
+def test_box_tests_equal_their_definitions(pair, slack):
     a, b = pair
     for x, y in ((a, b), (b, a)):
-        assert bits(aabb_gap(x, y)) == bits(frozen_aabb_gap(x, y))
-        assert _above(x, y, slack) == frozen_above(x, y, slack)
-        assert footprint_overlap(x, y, slack) == frozen_footprint_overlap(x, y, slack)
+        gaps = np.maximum(np.maximum(x.min_corner - y.max_corner, y.min_corner - x.max_corner), 0)
+        assert bits(aabb_gap(x, y)) == bits(np.linalg.norm(gaps))
+        assert _above(x, y, slack) == (x.min_corner[1] >= y.max_corner[1] - slack
+                                       and x.center()[1] > y.center()[1])
+        assert footprint_overlap(x, y, slack) == (overlap(x, y, 0) > slack
+                                                  and overlap(x, y, 2) > slack)
 
 
 @st.composite
@@ -134,11 +152,57 @@ def tied_clouds(draw):
 clouds = st.one_of(pairs.map(lambda p: p[:2]), coincident_clouds(), tied_clouds())
 
 
+def unit_rows(v):
+    norm = np.linalg.norm(v, axis=1)
+    return v[norm > 1e-12] / norm[norm > 1e-12, None]
+
+
+@functools.lru_cache(maxsize=None)
+def triples(n):
+    return np.array(list(itertools.combinations(range(n), 3))).reshape(-1, 3).T
+
+
+def triple_normals(pts):
+    """The unit normal of every plane through three points of ``pts``."""
+    i, j, k = triples(len(pts))
+    return unit_rows(np.cross(pts[j] - pts[i], pts[k] - pts[i]))
+
+
+def separation(a, b, normals):
+    """The widest gap between the projections of ``a`` and ``b`` on the
+    coordinate axes, every difference of a point of one and a point of the
+    other, and ``normals``, both ways: a lower bound on the distance
+    between their hulls."""
+    dirs = np.vstack([np.eye(3), unit_rows((a[:, None] - b[None]).reshape(-1, 3)), normals])
+    dirs = np.vstack([dirs, -dirs])
+    return float(((a @ dirs.T).min(axis=0) - (b @ dirs.T).max(axis=0)).max())
+
+
+def holds_a_point_of(a, normals, b, depth=1e-4):
+    """Whether a point of ``b`` lies ``depth`` deep inside ``a``'s extent
+    along each of ``normals``, those of every plane through three points of
+    ``a``: then it is inside ``a``'s hull, the meet of those extents.  A
+    flat ``a`` has no inside."""
+    off = a @ normals.T
+    lo, hi = off.min(axis=0), off.max(axis=0)
+    if np.all(hi - lo <= 2 * depth):
+        return False
+    proj = b @ normals.T
+    return bool(np.any(np.all((proj >= lo + depth) & (proj <= hi - depth), axis=1)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(clouds)
-def test_gjk_equals_the_frozen_support_loop(pair):
+def test_gjk_lies_within_brute_force_bounds(pair):
     a, b = pair
+    na, nb = triple_normals(a), triple_normals(b)
+    nearest = float(np.sqrt(((a[:, None] - b[None]) ** 2).sum(axis=2)).min())
+    apart = separation(a, b, np.vstack([na, nb]))
+    inside = holds_a_point_of(a, na, b) or holds_a_point_of(b, nb, a)
     for x, y in ((a, b), (b, a)):
         dist, converged = _gjk(x, y)
-        want, want_converged = frozen_gjk(x, y)
-        assert (bits(dist), converged) == (bits(want), want_converged)
+        assert converged
+        assert dist <= nearest + 1e-9
+        assert dist >= apart - 1e-9 or (dist == 0.0 and apart <= 1e-6)
+        if inside:
+            assert dist == 0.0

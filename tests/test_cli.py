@@ -329,6 +329,22 @@ class TestGenerateCommand:
         assert capsys.readouterr() == ("", f"cannot write {target}: {reason}\n")
         assert os.listdir(tmp_path / "d") == []
 
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--noise", "inf", "must be a finite number >= 0, got inf"),
+        ("--noise", "nan", "must be a finite number >= 0, got nan"),
+        ("--noise", "-0.5", "must be a finite number >= 0, got -0.5"),
+        ("--points-per-edge", "0", "must be at least 2, got 0"),
+        ("--points-per-edge", "1", "must be at least 2, got 1"),
+    ])
+    def test_unhonourable_flag_is_a_usage_error(self, tmp_path, capsys, flag, value, reason):
+        """A noise or lattice the generator cannot honour is refused before
+        anything is written, not turned into a clean or unreadable trace."""
+        out, gt = tmp_path / "s.jsonl", tmp_path / "s.gt.json"
+        assert cli.main(["generate", "Screw", flag, value,
+                         "--out", str(out), "--gt-out", str(gt)]) == 2
+        assert capsys.readouterr() == ("", f"generate: {flag} {reason}\n")
+        assert os.listdir(tmp_path) == []
+
     def test_stdout_emission(self, capsys):
         assert cli.main(["generate", "Hold", "--seed", "2"]) == 0
         out = capsys.readouterr().out

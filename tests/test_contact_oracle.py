@@ -1,26 +1,36 @@
 """Contact and intersection flags read from boxes and clouds first, against
-the frozen eager computation (``contact_flags_frozen.py``): on random,
-grid-snapped, flat and box-lattice pairs, some at exactly the tolerance
-and a few ulps either side, every ``RelMatrix`` flag and every contact
-decision of hulls built on first read equals the one from hulls built
-up front."""
+their definitions on hulls built up front: on random, grid-snapped, flat
+and box-lattice pairs, some at exactly the tolerance and a few ulps either
+side, every ``RelMatrix`` flag and every contact decision of hulls built
+on first read equals the one from ``classify_points`` over every point of
+each cloud and GJK over the two hulls' vertices.
+
+Each pair is compared with its oracle at the same coordinates, never with
+the answer for the same relative pose elsewhere: where a point lies
+exactly ``eps_touch`` deep, the answer depends on how the position rounds
+(the strict xfail at the end pins that fault), so the strategies keep
+translated copies of one pose out of every comparison.
+"""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from manipsem.geometry import (
     ConvexHull,
     DEFAULT_GEOMETRY,
+    RegionClass,
     _gjk,
     _surface_band,
     aabb_gap,
+    classify_points,
     compute_aabb,
+    hull_surface_distance,
     relation_matrix,
     touch,
 )
 from manipsem.relations import ObjectState
 from conftest import box_cloud
-from contact_flags_frozen import frozen_relation_rows, frozen_touch
 
 TOL = DEFAULT_GEOMETRY.eps_touch
 NOISY_TOL = 0.03
@@ -115,6 +125,28 @@ BAND_PAIR = (box_cloud((-0.1, 0, 0), (0.0, 0.1, 0.1)),
              box_cloud((TOL, 0.02, 0.0), (TOL + 0.1, 0.1, 0.1)), TOL)
 
 
+def regions(cloud, hull, tol):
+    """(interior, boundary, exterior): whether some point of ``cloud`` lies
+    in each region of ``hull``, by ``classify_points`` over every point;
+    a point beyond the hull's box by more than ``tol`` is exterior."""
+    cls = classify_points(hull, cloud, tol)
+    cls[~hull.aabb().contains(cloud, tol)] = RegionClass.EXTERIOR
+    return tuple(bool(np.any(cls == r)) for r in RegionClass)
+
+
+def oracle_rows(a, hull_a, b, hull_b, tol):
+    """The two rows of ``relation_matrix``: A against B's hull, B against A's."""
+    return regions(a, hull_b, tol), regions(b, hull_a, tol)
+
+
+def oracle_touch(a, hull_a, b, hull_b, tol):
+    """``touch``: boxes within tol, no point of either cloud in the other's
+    interior, and the hulls' vertex sets within tol of each other."""
+    return (aabb_gap(compute_aabb(a), compute_aabb(b)) <= tol
+            and not regions(a, hull_b, tol)[0] and not regions(b, hull_a, tol)[0]
+            and hull_surface_distance(hull_a, hull_b) <= tol)
+
+
 def deferred_pair(a, b, shift):
     """Clouds a, b and their hulls built on first read; with a shift, the
     clouds are first moved by it (b by half of it) and the hulls deferred
@@ -135,13 +167,14 @@ def deferred_pair(a, b, shift):
 @example(BAND_PAIR, FLAGS, (0.3, -0.2, 0.1))
 def test_flags_and_contact_equal_the_eager_oracle(pair, order, shift):
     """Every flag, read in any order, and the contact decision equal the
-    oracle's, on hulls built on first read, of clouds as given and moved.
+    oracle's, on hulls built on first read, of clouds as given and moved
+    (the oracle reads the moved clouds).
     Where the contact test reaches the surface test and the clouds'
     distance lies in the band, both hulls are built."""
     a0, b0, tol = pair
     a, _, b, _ = deferred_pair(a0, b0, shift)
     want_a, want_b = ObjectState.from_cloud(a).hull, ObjectState.from_cloud(b).hull
-    want = frozen_relation_rows(a, want_a, b, want_b, tol)
+    want = oracle_rows(a, want_a, b, want_b, tol)
 
     _, ha, _, hb = deferred_pair(a0, b0, shift)
     m = relation_matrix(a, ha, b, hb, tol)
@@ -149,11 +182,11 @@ def test_flags_and_contact_equal_the_eager_oracle(pair, order, shift):
     assert (tuple(got[f] for f in FLAGS[:3]), tuple(got[f] for f in FLAGS[3:])) == want
 
     # touch after the matrix, on its hulls, reads their kept interior answers
-    assert touch(a, ha, b, hb, tol) == frozen_touch(a, want_a, b, want_b, tol)
+    assert touch(a, ha, b, hb, tol) == oracle_touch(a, want_a, b, want_b, tol)
 
     _, ha, _, hb = deferred_pair(a0, b0, shift)
     in_band = abs(_gjk(a, b)[0] - tol) <= _surface_band(tol)
-    assert touch(a, ha, b, hb, tol) == frozen_touch(a, want_a, b, want_b, tol)
+    assert touch(a, ha, b, hb, tol) == oracle_touch(a, want_a, b, want_b, tol)
     surface_tested = (aabb_gap(compute_aabb(a), compute_aabb(b)) <= tol
                       and not want[0][0] and not want[1][0])
     if surface_tested and in_band:
@@ -167,6 +200,23 @@ def test_built_hulls_give_the_eager_flags(pair):
     a, b, tol = pair
     ha, hb = ObjectState.from_cloud(a).hull, ObjectState.from_cloud(b).hull
     m = relation_matrix(a, ha, b, hb, tol)
-    assert m.rows() == frozen_relation_rows(a, ha, b, hb, tol)
-    assert m.swapped().rows() == frozen_relation_rows(b, hb, a, ha, tol)
-    assert touch(a, ha, b, hb, tol) == frozen_touch(a, ha, b, hb, tol)
+    assert m.rows() == oracle_rows(a, ha, b, hb, tol)
+    assert m.swapped().rows() == oracle_rows(b, hb, a, ha, tol)
+    assert touch(a, ha, b, hb, tol) == oracle_touch(a, ha, b, hb, tol)
+
+
+@pytest.mark.xfail(strict=True, reason="touch compares a point's depth with eps_touch in "
+                   "absolute coordinates, so a point exactly eps_touch deep is decided by "
+                   "the rounding of the pair's position")
+def test_touch_is_translation_invariant_at_the_tolerance():
+    """Two lattices, B's bottom face exactly ``eps_touch`` deep in A, moved
+    together to 400 positions: one relative pose, so one answer."""
+    a = box_cloud((0, 0, 0), (0.17, 0.17, 0.17), center=False)
+    b = box_cloud((0.05, 0.17 - TOL, 0.05), (0.12, 0.30, 0.12), center=False)
+    rng = np.random.default_rng(0)
+    answers = set()
+    for _ in range(400):
+        offset = rng.uniform(-2, 2, 3)
+        sa, sb = ObjectState.from_cloud(a + offset), ObjectState.from_cloud(b + offset)
+        answers.add(touch(sa.cloud, sa.hull, sb.cloud, sb.hull, TOL))
+    assert len(answers) == 1

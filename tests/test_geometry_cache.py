@@ -44,10 +44,13 @@ def fresh_state(obj, cfg):
 def oracle_report(trace, rows, cfg):
     """``evaluate_trace`` with states built from scratch on every frame."""
     rep = AccuracyReport()
+    fresh = {}
     for gt in rows:
         if gt.frame >= len(trace.frames):
             continue
-        states = {o.id: fresh_state(o, cfg) for o in trace.frames[gt.frame].objects}
+        if gt.frame not in fresh:
+            fresh[gt.frame] = {o.id: fresh_state(o, cfg) for o in trace.frames[gt.frame].objects}
+        states = fresh[gt.frame]
         if gt.a not in states or gt.b not in states:
             continue
         rep.total += 1

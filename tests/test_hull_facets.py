@@ -1,7 +1,8 @@
 """Polygon facets of the hull wrap: the single-pass 2-D boundary loop of
-one facet against the two-pass chain it replaced and against a brute-force
-boundary, and the one plane row per facet against a hull whose planes are
-expanded to one row per triangle."""
+one facet against a brute-force boundary, and the one plane row per facet
+against a hull whose planes are expanded to one row per triangle."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from manipsem.geometry import (
 )
 from manipsem.relations import wall_contact_distance
 from conftest import box_cloud
-from hull_wrap_frozen import oracle_chain_2d
 
 
 def _cross(o, a, b):
@@ -82,8 +82,8 @@ TILTED_COLUMN = [(1e-9, 0.0), (0.0, 1.0), (0.5, 0.0), (6.25e-10, 0.375)]
 # loop named it twice.
 NEAR_REPEAT_OF_EXTREME = [(0, -1), (2.5e-14, -0.75), (1, 1.07e-202), (1, 0)]
 
-# An end column whose x is one ulp below the extreme: the frozen oracle
-# leaves point 0, a corner, off its loop.
+# An end column whose x is one ulp below the extreme: a two-pass chain left
+# point 0, a corner, off its loop.
 ULP_BELOW_EXTREME = [(1 - 2**-53, 1), (0, 0), (1, 0), (1 - 2**-53, 0.625)]
 
 
@@ -97,34 +97,24 @@ ULP_BELOW_EXTREME = [(1 - 2**-53, 1), (0, 0), (1, 0), (1 - 2**-53, 0.625)]
 @example([(-x, -y) for x, y in ULP_BELOW_EXTREME])
 def test_chain_2d_equals_oracle_and_walks_the_boundary(xy):
     loop = _chain_2d(xy)
-    oracle = oracle_chain_2d(np.array(xy, dtype=np.float64))
     if len(loop) >= 3:
         # the loop is then the whole brute-force boundary
         assert_walks_the_boundary(xy, loop)
-    # Where the oracle's loop misses a boundary point, the walk above is
-    # the check: the oracle is not the reference there.
-    if len(loop) < 3 or set(loop) <= set(oracle):
-        assert loop == oracle
+    else:
+        # a collinear set: its two ends alone
+        assert all(abs(_cross(a, b, c)) <= _EPS_LINE for a, b, c in itertools.combinations(xy, 3))
+        assert {xy[i] for i in loop} == {min(xy), max(xy)}
 
 
 def assert_walks_the_boundary(xy, loop):
-    """``loop`` visits each point of the polygon's boundary once, CCW."""
+    """``loop`` visits each point of the polygon's boundary once, CCW, from
+    the lexicographically smallest."""
     assert len(set(loop)) == len(loop)
+    assert xy[loop[0]] == min(xy[i] for i in loop)
     assert set(loop) == brute_force_boundary(xy)
     for k, i in enumerate(loop):
         j = loop[(k + 1) % len(loop)]
         assert min(_cross(xy[i], xy[j], p) for p in xy) >= -_EPS_LINE
-
-
-def distinct_cycle(xy, loop):
-    """The loop's coordinates with repeats in a row merged, from the
-    smallest: the same polygon walk whichever copy of a point is named."""
-    pts = [xy[i] for i in loop]
-    pts = [p for k, p in enumerate(pts) if p != pts[k - 1]] or pts[:1]
-    if not pts:
-        return pts
-    k = pts.index(min(pts))
-    return pts[k:] + pts[:k]
 
 
 @st.composite
@@ -152,8 +142,6 @@ def column_lattices(draw):
 @given(column_lattices())
 def test_chain_2d_end_columns_repeats_and_near_edge_points(xy):
     loop = _chain_2d(xy)
-    want = oracle_chain_2d(np.array(xy))
-    assert distinct_cycle(xy, loop) == distinct_cycle(xy, want)
     distinct = list(dict.fromkeys(xy))
     assert_walks_the_boundary(distinct, [distinct.index(xy[i]) for i in loop])
 
@@ -162,9 +150,7 @@ def test_chain_2d_end_columns_repeats_and_near_edge_points(xy):
 @given(st.one_of(lattice_points(), column_lattices()), st.floats(0.0, 6.3))
 def test_chain_2d_columns_a_few_ulps_apart(xy, angle):
     """Points rotated and rotated back, as a facet chart computes them: a
-    column's x values differ in the last bits and sort in any y order.  The
-    two-pass oracle can drop boundary points of such an end column, so the
-    loop is checked against the brute-force boundary."""
+    column's x values differ in the last bits and sort in any y order."""
     turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     coords = (np.array(list(dict.fromkeys(xy))) @ turn) @ turn.T
     pts = [tuple(p) for p in coords.tolist()]

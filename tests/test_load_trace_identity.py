@@ -1,16 +1,9 @@
-"""``load_trace`` against its frozen form (``load_trace_frozen.py``), which
-decoded every line whole with ``json.loads``: on traces whose object
+"""``load_trace`` against a plain loader: ``json.loads`` of each line and
+the per-record rules of the README's trace format.  On traces whose object
 records repeat verbatim, repeat re-formatted, move between indices, appear
 and disappear, and on lines that are bad in every way the format can be,
-both give the same trace, arrays equal bit for bit, or the same error.
-Two errors differ on purpose: where the frozen loader let ``json``'s
-plain ``ValueError`` for an integer past the interpreter's digit limit, or
-its ``RecursionError`` for a line nested past the recursion limit, escape,
-``load_trace`` raises a ``ParseError`` naming that line.
-
-A ground box is compared by value: the frozen loader kept the previous
-box for a box list equal to the previous one, and list equality takes
-``0`` and ``-0.0`` for the same number.
+both give the same trace by value (point arrays bit for bit), or an error
+of the same type on the same line.
 
 The reuse itself is pinned on a clean trace: a static object's record is
 decoded once, and re-formatting every other line turns that off without
@@ -19,14 +12,86 @@ changing what loads.
 
 import io
 import json
+import random
 import sys
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from manipsem.config import split_lines
-from manipsem.events import ParseError, dumps_trace, load_trace
+from manipsem.events import (ROLES, Frame, MonotonicityError, ObjectInstance, ParseError,
+                             SceneTrace, SchemaError, dumps_trace, load_trace)
 from manipsem.synth import ScenarioSpec, generate_synthetic_trace
-from load_trace_frozen import frozen_load_trace
+
+
+def oracle_cloud(value, need, lineno):
+    """A point list as float rows: [x, y, z] lists of numbers as numpy reads
+    them (a single [x, y, z] is one row), every coordinate finite, at least
+    ``need`` rows."""
+    try:
+        arr = np.array(value)
+    except ValueError as exc:       # ragged
+        raise SchemaError("ragged point list", lineno) from exc
+    if arr.dtype.kind not in "iuf" or arr.shape[-1:] != (3,) or arr.ndim > 2:
+        raise SchemaError("not a list of [x, y, z] numbers", lineno)
+    rows = arr.astype(np.float64).reshape(-1, 3)
+    if not np.isfinite(rows).all() or len(rows) < need:
+        raise SchemaError("non-finite coordinate or too few points", lineno)
+    return rows
+
+
+def oracle_object(rec, lineno):
+    if not (isinstance(rec, dict) and {"id", "label", "role"} <= rec.keys()
+            <= {"id", "label", "role", "points", "box"}
+            and isinstance(rec["id"], str) and isinstance(rec["label"], str)
+            and rec["role"] in ROLES):
+        raise SchemaError("bad object record", lineno)
+    role, points, box = rec["role"], rec.get("points"), rec.get("box")
+    if points is None and (role != "ground" or box is None):
+        raise SchemaError("object without points", lineno)
+    if points is not None:
+        points = oracle_cloud(points, 1 if role == "ground" else 4, lineno)
+    if box is not None:
+        corners = oracle_cloud(box, 2, lineno)
+        if len(corners) != 2 or not (corners[1] > corners[0]).all():
+            raise SchemaError("bad ground box", lineno)
+        box = (tuple(corners[0].tolist()), tuple(corners[1].tolist()))
+    return ObjectInstance(rec["id"], rec["label"], role, points, box)
+
+
+def oracle_load(stream, trace_id):
+    """The trace of ``stream`` read line by line, every record decoded and
+    checked on its own."""
+    frames = []
+    for lineno, raw in enumerate(split_lines(stream.read()), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except (ValueError, RecursionError) as exc:   # also the digit limit
+            raise ParseError(lineno, "bad JSON") from exc
+        if not (isinstance(rec, dict) and rec.keys() == {"t", "objects"}
+                and type(rec["t"]) in (int, float) and abs(rec["t"]) <= sys.float_info.max
+                and isinstance(rec["objects"], list)):
+            raise SchemaError("bad frame record", lineno)
+        objects = [oracle_object(o, lineno) for o in rec["objects"]]
+        roles = [o.role for o in objects]
+        if any(roles.count(r) > 1 for r in ("hand_left", "hand_right", "ground")):
+            raise SchemaError("duplicate hand or ground", lineno)
+        if len({o.id for o in objects}) != len(objects):
+            raise SchemaError("duplicate object id", lineno)
+        frames.append(Frame(float(rec["t"]), tuple(objects)))
+    bound = {}
+    for o in (o for fr in frames for o in fr.objects):
+        if bound.setdefault(o.id, (o.label, o.role)) != (o.label, o.role):
+            raise SchemaError("label or role re-bound")
+    times = [fr.t for fr in frames]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise MonotonicityError("timestamps not increasing")
+    fps = float(1.0 / np.median(np.diff(times))) if len(times) > 1 else 30.0
+    return SceneTrace(tuple(frames), trace_id, fps)
+
 
 OBJECTS = [("h", "left hand", "hand_left"), ("c", "cup", "object"),
            ("d", "disk", "object"), ("g", "table", "ground")]
@@ -57,26 +122,30 @@ def rare(draw, one_in):
     return draw(st.integers(0, one_in - 1)) == one_in // 2
 
 
-@st.composite
-def token(draw):
-    if rare(draw, 150):
-        return draw(st.sampled_from(SPECIAL_TOKENS))
-    if draw(st.booleans()):
-        return repr(draw(st.floats(-2.0, 2.0)))
-    return str(draw(st.integers(-3, 3)))
+def tokens(seed, n):
+    """``n`` coordinate tokens from ``seed``: about one in 150 a special
+    token, the rest half floats in [-2, 2] and half ints in [-3, 3].  One
+    draw per record keeps the strategy cheap; the record's structure still
+    shrinks."""
+    rng = random.Random(seed)
+    return [rng.choice(SPECIAL_TOKENS) if rng.randrange(150) == 75
+            else repr(rng.uniform(-2.0, 2.0)) if rng.random() < 0.5
+            else str(rng.randint(-3, 3)) for _ in range(n)]
 
 
 @st.composite
 def record(draw, oid, label, role):
     """One object record as ordered (key, value text) pairs."""
     rec = [("id", json.dumps(oid)), ("label", json.dumps(label)), ("role", json.dumps(role))]
+    seed = draw(st.integers(0, 2 ** 32 - 1))
     if role == "ground" and draw(st.booleans()):
         lo = [draw(st.sampled_from(["-1", "-1.0", "-0.5"])) for _ in range(3)]
-        hi = [draw(st.sampled_from(["0", "-0.0", "0.0", "1", draw(token())])) for _ in range(3)]
+        hi = [draw(st.sampled_from(["0", "-0.0", "0.0", "1", t])) for t in tokens(seed, 3)]
         rec.append(("box", f"[[{', '.join(lo)}], [{', '.join(hi)}]]"))
     else:
         n = draw(st.integers(1 if role == "ground" else 4, 5))
-        rows = [f"[{', '.join(draw(token()) for _ in range(3))}]" for _ in range(n)]
+        coords = tokens(seed, 3 * n)
+        rows = [f"[{', '.join(coords[3 * k:3 * k + 3])}]" for k in range(n)]
         rec.append(("points", f"[{', '.join(rows)}]"))
     return rec
 
@@ -188,19 +257,6 @@ def outcome(load, text):
         return exc
 
 
-def escaped_line(text):
-    """The number of the first line of ``text`` that ``json.loads`` refuses
-    with a plain ``ValueError`` (an integer past the digit limit) or a
-    ``RecursionError`` (nesting past the recursion limit)."""
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        try:
-            json.loads(raw)
-        except json.JSONDecodeError:
-            continue
-        except (ValueError, RecursionError):
-            return lineno
-
-
 def assert_same_trace(got, want):
     assert (got.trace_id, got.fps) == (want.trace_id, want.fps)
     assert len(got.frames) == len(want.frames)
@@ -231,17 +287,11 @@ def assert_same_trace(got, want):
 @example(lines_of((0, [HAND]), (1, [HAND]))[:-30] + "\n")
 # an objects array nested past the recursion limit after a repeated record
 @example(lines_of((0, [HAND]), (1, [HAND])) + '{"t": 2, "objects": ' + "[" * 100000 + "\n")
-def test_load_trace_matches_the_frozen_loader(text):
-    got, want = outcome(load_trace, text), outcome(frozen_load_trace, text)
-    if type(want) in (ValueError, RecursionError):
-        assert type(got) is ParseError, got
-        assert got.lineno == escaped_line(text)
-        assert str(got).endswith("bad JSON: nested too deeply" if type(want) is RecursionError
-                                 else "bad JSON: integer exceeds the limit of "
-                                 f"{sys.get_int_max_str_digits()} digits")
-    elif isinstance(want, Exception):
-        assert type(got) is type(want)
-        assert str(got) == str(want)
+def test_load_trace_matches_the_plain_loader(text):
+    got, want = outcome(load_trace, text), outcome(oracle_load, text)
+    if isinstance(want, Exception):
+        assert type(got) is type(want), got
+        assert getattr(got, "lineno", None) == getattr(want, "lineno", None)
     else:
         assert not isinstance(got, Exception), got
         assert_same_trace(got, want)

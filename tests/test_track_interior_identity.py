@@ -1,17 +1,18 @@
-"""Two fast paths against their frozen forms (``track_interior_frozen.py``).
+"""Two fast paths against plain definitions.
 
-``events._Track`` tells a run of equal rows by one comparison and reduces
-each row's box over a contiguous axis; on tracks of static runs, rigid
-shifts, jitter below and above ``_RIGID_TOL``, moves, point-count changes,
-box grounds and signed zeros it gives the frozen segments, poses, clouds,
-first points and centroids bit for bit, and the same boxes by value: min
-and max may meet 0.0 and -0.0 in another order.
+``events._Track`` stacks runs of rows, tells a run of equal rows by one
+comparison and reduces each row's box over a contiguous axis; on tracks of
+static runs, rigid shifts, jitter below and above ``_RIGID_TOL``, moves,
+point-count changes, box grounds and signed zeros it gives each row's
+cloud, first point and centroid (``mean``) bit for bit, its box (``min``
+and ``max``) by value, and the segments and poses of a test of each step
+on its own.
 
 ``geometry._reaches_interior`` settles from the cloud's box when that box
 reaches no deeper than the threshold into the hull's box; with the cloud's
 box at, one ulp inside and one ulp outside the threshold, against deferred
-and built hulls, its answer is the frozen full pass's, and the box path
-leaves a deferred hull unbuilt.
+and built hulls, its answer is that of ``classify_points`` over every point,
+and the box path leaves a deferred hull unbuilt.
 """
 
 import itertools
@@ -21,11 +22,10 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from manipsem.config import GeometryConfig
-from manipsem.events import _Track, ObjectInstance
-from manipsem.geometry import (_DEEP_MARGIN, ConvexHull, _reaches_interior, box_hull,
-                               compute_aabb, hull_with_fallback)
+from manipsem.events import _RIGID_TOL, _Track, ObjectInstance
+from manipsem.geometry import (_DEEP_MARGIN, ConvexHull, RegionClass, _reaches_interior,
+                               box_hull, classify_points, compute_aabb, hull_with_fallback)
 from conftest import box_cloud
-from track_interior_frozen import FrozenTrack, frozen_reaches_interior
 
 COORDS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.25]),
                    st.floats(-2.0, 2.0, allow_subnormal=False))
@@ -125,6 +125,18 @@ CUBE = box_cloud((0, -0.5, 0), (1, 0.5, 1))
 TWIST = np.array([[1.0], [-1.0]] * (len(CUBE) // 2) + [[0.0]] * (len(CUBE) % 2))
 
 
+def step_flags(prev, obj):
+    """(rigid, moved) of the step from object ``prev`` to ``obj``: rigid when
+    both are clouds or both boxes, of one point count, and every point moved
+    by the first point's shift to ``_RIGID_TOL``; moved when that shift
+    exceeds it."""
+    a, b = prev.cloud(), obj.cloud()
+    if (prev.points is None) != (obj.points is None) or len(a) != len(b):
+        return False, True
+    shift = b[0] - a[0]
+    return bool(np.abs(b - a - shift).max() <= _RIGID_TOL), bool(np.abs(shift).max() > _RIGID_TOL)
+
+
 @settings(max_examples=300, deadline=None)
 @given(tracks())
 # per-point steps spreading 1.1e-12 and 0.9e-12 about the first point's,
@@ -132,16 +144,23 @@ TWIST = np.array([[1.0], [-1.0]] * (len(CUBE) // 2) + [[0.0]] * (len(CUBE) % 2))
 @example(rows(CUBE, CUBE + 0.55e-12 * TWIST, CUBE + 0.55e-12 * TWIST + 0.45e-12 * TWIST))
 @example(rows(CUBE, flip_zeros(CUBE), CUBE))
 @example(rows(((0.0, -1.0, 0.0), (1.0, 0.0, 1.0)), ((1e-13, -1.0, 0.0), (1.0, 1e-13, 1.0)), CUBE))
-def test_track_matches_the_frozen_track(track):
-    got, want = _Track(*track), FrozenTrack(*track)
-    assert got.segment == want.segment
-    assert got.pose == want.pose
-    assert [bits(c) for c in got.clouds] == [bits(c) for c in want.clouds]
-    for mine, theirs in ((got.lo, want.lo), (got.hi, want.hi)):
-        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
-    assert [[x.hex() for x in p] for p in got.first] == [[x.hex() for x in p]
-                                                         for p in want.first]
-    assert bits(got.centroids) == bits(want.centroids)
+def test_track_rows_and_steps_match_their_definitions(track):
+    appearances, _ = track
+    got = _Track(*track)
+    objects = [o for _, o in appearances]
+    clouds = [o.cloud() for o in objects]
+    assert [bits(c) for c in got.clouds] == [bits(c) for c in clouds]
+    assert np.array_equal(got.lo, [c.min(axis=0) for c in clouds])
+    assert np.array_equal(got.hi, [c.max(axis=0) for c in clouds])
+    assert bits(got.centroids) == bits(np.array([c.mean(axis=0) for c in clouds]))
+    assert [[x.hex() for x in p] for p in got.first] == [[x.hex() for x in c[0].tolist()]
+                                                         for c in clouds]
+    segment, pose = [1], [1]
+    for prev, obj in zip(objects, objects[1:]):
+        rigid, moved = step_flags(prev, obj)
+        segment.append(segment[-1] + (not rigid))
+        pose.append(pose[-1] + (not rigid or moved))
+    assert (got.segment, got.pose) == (segment, pose)
 
 
 def test_static_run_takes_the_one_comparison_path():
@@ -203,7 +222,8 @@ def test_reaches_interior_matches_the_full_pass():
         cloud = np.array(list(itertools.product(*zip(c_lo, c_hi))))
         where = (axis, low_face, ulps, tol, built, reach_to)
         got = _reaches_interior(cloud, compute_aabb(cloud), hull, tol)
-        assert got == frozen_reaches_interior(cloud, oracle, tol), where
+        assert got == bool(np.any(classify_points(oracle, cloud, tol) == RegionClass.INTERIOR)), \
+            where
         assert got == (reach_to != "edge"), where
         if reach_to == "edge":
             reach = edge - lo[axis] if low_face else hi[axis] - edge
