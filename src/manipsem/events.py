@@ -21,9 +21,10 @@ Trace file format: UTF-8 JSON lines, one frame per line with exactly the
 fields ``t`` (seconds) and ``objects`` (id, label, role, points[[x,y,z]..];
 the ground may carry ``box`` [[min],[max]] instead of points).  Units are
 meters, y up.  Each decoded record's points are checked on their own.  A
-record repeated verbatim from the previous frame's record at the same
-index is decoded and checked once; its frames share one ObjectInstance,
-the fast path of a writer that emits a static object's record every frame.
+line in the layout :func:`dump_trace` writes is scanned, and a record in
+it repeated verbatim from the previous frame's record at the same index is
+decoded and checked once: its frames share one ObjectInstance.  A line in
+any other layout is decoded whole, each of its records on its own.
 """
 
 from __future__ import annotations
@@ -115,28 +116,34 @@ class SceneTrace:
         return None
 
 
-def _coords(value, what, lineno) -> np.ndarray:
+def _coords(value, what, lineno, text) -> np.ndarray:
     """``value`` as an (N, 3) array of finite floats; strings, nulls,
-    mappings and ragged lists are refused."""
+    booleans, mappings, ragged lists and flat triples are refused.  A
+    boolean among numbers, which numpy reads as 0 or 1, is looked for when
+    ``text``, the JSON ``value`` was decoded from, holds true or false."""
     try:
         arr = np.asarray(value)
         if arr.dtype.kind not in "iuf":
             raise ValueError("expected a list of [x, y, z] numbers")
-        return as_cloud(arr)
+        pts = as_cloud(arr)
+        if ("true" in text or "false" in text) and any(
+                type(v) is bool for row in value for v in row):
+            raise ValueError("expected a list of [x, y, z] numbers, not booleans")
+        return pts
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what}: {exc}", lineno) from exc
 
 
-def _points(value, oid, need, lineno) -> np.ndarray:
-    pts = _coords(value, f"object {oid!r} points", lineno)
+def _points(value, oid, need, lineno, text) -> np.ndarray:
+    pts = _coords(value, f"object {oid!r} points", lineno, text)
     if pts.shape[0] < need:
         raise SchemaError(f"object {oid!r} has < {need} points", lineno)
     return pts
 
 
-def _ground_box(raw, lineno) -> tuple:
+def _ground_box(raw, lineno, text) -> tuple:
     """A ground box as ((min), (max))."""
-    corners = _coords(raw, "ground box", lineno)
+    corners = _coords(raw, "ground box", lineno, text)
     if corners.shape[0] != 2:
         raise SchemaError("ground box must be [[min x, y, z], [max x, y, z]]", lineno)
     if np.any(corners[1] <= corners[0]):
@@ -147,9 +154,9 @@ def _ground_box(raw, lineno) -> tuple:
 _OBJECT_FIELDS = frozenset({"id", "label", "role", "points", "box"})
 
 
-def _object_from_record(rec, lineno) -> ObjectInstance:
+def _object_from_record(rec, lineno, text) -> ObjectInstance:
     """The instance of one decoded object record, its points and box
-    converted and checked."""
+    converted and checked; ``text`` holds the JSON it was decoded from."""
     if not isinstance(rec, dict):
         raise SchemaError("object record must be a mapping", lineno)
     unknown = rec.keys() - _OBJECT_FIELDS
@@ -171,9 +178,9 @@ def _object_from_record(rec, lineno) -> ObjectInstance:
     elif points is None:
         raise SchemaError(f"object {rec['id']!r} missing points", lineno)
     if points is not None:
-        points = _points(points, rec["id"], 1 if role == "ground" else 4, lineno)
+        points = _points(points, rec["id"], 1 if role == "ground" else 4, lineno, text)
     if box is not None:
-        box = _ground_box(box, lineno)
+        box = _ground_box(box, lineno, text)
     return ObjectInstance(rec["id"], rec["label"], role, points, box)
 
 
@@ -191,88 +198,79 @@ def decode_json(text: str, lineno: int = 1):
         raise ParseError(None if "\n" in text.strip() else lineno, f"bad JSON: {fault}") from exc
 
 
-# json.loads's own scanner, called one value at a time, and its whitespace
+def dump_trace(trace: SceneTrace, target) -> None:
+    """Serialize a trace to the JSON-lines format (round-trips load_trace),
+    each frame as ``json.dumps`` writes it with its default separators:
+    ``{"t": <t>, "objects": [<record>, ...]}``, the layout _scan_frame reads."""
+    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
+    fh = open(target, "w", encoding="utf-8") if own else target
+    try:
+        for fr in trace.frames:
+            objs = []
+            for o in fr.objects:
+                rec = {"id": o.id, "label": o.label, "role": o.role}
+                if o.points is not None:
+                    rec["points"] = o.points.tolist()
+                if o.box is not None:
+                    rec["box"] = [list(o.box[0]), list(o.box[1])]
+                objs.append(rec)
+            fh.write(json.dumps({"t": fr.t, "objects": objs}) + "\n")
+    finally:
+        if own:
+            fh.close()
+
+
+def dumps_trace(trace: SceneTrace) -> str:
+    buf = io.StringIO()
+    dump_trace(trace, buf)
+    return buf.getvalue()
+
+
+# json.loads's own scanner, called one value at a time
 _scan_value = json.decoder.JSONDecoder().scan_once
-_skip_ws = json.decoder.WHITESPACE.match
 
 
-def _scan_objects(line: str, i: int, prev: list) -> tuple[list, list, int]:
-    """The array of object records starting at ``line[i] == "["``: its
-    items, the text of each record (None for an item that is not a JSON
-    object) and the index after it.  A record that starts with the text of
-    ``prev``'s (text, instance) at its index is that record: an object ends
-    at its matching brace.  It is not decoded; its item is the instance."""
-    items: list = []
-    texts: list = []
-    i = _skip_ws(line, i + 1).end()
-    if line.startswith("]", i):
-        return items, texts, i + 1
+def _scan_frame(line: str, prev: list) -> tuple:
+    """``t`` and the (text, value) of each object record of a stripped line
+    in dump_trace's layout, as ``json.loads`` reads them.  A record that
+    starts with the text of ``prev``'s (text, instance) at its index is that
+    record (an object ends at its matching brace), and its value is the
+    instance.  Any other line raises ValueError or StopIteration."""
+    if not line.startswith('{"t": '):
+        raise ValueError("not dump_trace's layout")
+    t, i = _scan_value(line, 6)
+    if not line.startswith(', "objects": [', i):
+        raise ValueError("not dump_trace's layout")
+    i += 14
+    records: list = []
+    if line.startswith("]}", i) and i + 2 == len(line):
+        return t, records
     while True:
-        k = len(items)
-        if not line.startswith("{", i):
-            value, end = _scan_value(line, i)
-            text = None
-        elif k < len(prev) and line.startswith(prev[k][0], i):
-            text, value = prev[k]
-            end = i + len(text)
+        k = len(records)
+        if k < len(prev) and line.startswith(prev[k][0], i):
+            records.append(prev[k])
+            i += len(prev[k][0])
         else:
             value, end = _scan_value(line, i)
-            text = line[i:end]
-        items.append(value)
-        texts.append(text)
-        i = _skip_ws(line, end).end()
-        if line.startswith("]", i):
-            return items, texts, i + 1
-        if not line.startswith(",", i):
-            raise ValueError("expected , or ]")
-        i = _skip_ws(line, i + 1).end()
-
-
-def _scan_frame(line: str, prev: list) -> tuple[dict, list | None]:
-    """The frame record of one stripped line, as ``json.loads`` reads it
-    (any key order, the last of duplicate keys kept), and the record texts
-    of its ``objects`` array; records repeated from ``prev`` are its
-    instances (:func:`_scan_objects`).  A line whose top level is not one
-    JSON object raises ValueError or StopIteration, as the scanner does."""
-    if not line.startswith("{"):
-        raise ValueError("not a JSON object")
-    rec: dict = {}
-    texts = None
-    i = _skip_ws(line, 1).end()
-    if line.startswith("}", i):
-        i += 1
-    else:
-        while True:
-            if not line.startswith('"', i):
-                raise ValueError("expected a key")
-            key, i = json.decoder.scanstring(line, i + 1)
-            i = _skip_ws(line, i).end()
-            if not line.startswith(":", i):
-                raise ValueError("expected :")
-            i = _skip_ws(line, i + 1).end()
-            if key == "objects" and line.startswith("[", i):
-                rec[key], texts, i = _scan_objects(line, i, prev)
-            else:
-                rec[key], i = _scan_value(line, i)
-            i = _skip_ws(line, i).end()
-            if line.startswith("}", i):
-                i += 1
-                break
-            if not line.startswith(",", i):
-                raise ValueError("expected , or }")
-            i = _skip_ws(line, i + 1).end()
-    if i != len(line):
-        raise ValueError("extra data")
-    return rec, texts
+            records.append((line[i:end], value))
+            i = end
+        if line.startswith(", ", i):
+            i += 2
+        elif line.startswith("]}", i) and i + 2 == len(line):
+            return t, records
+        else:
+            raise ValueError("not dump_trace's layout")
 
 
 def load_trace(source, trace_id: str | None = None) -> SceneTrace:
     """Parse a trace from a path, text, or byte stream.
 
-    Each decoded object record's points are converted to their own float
-    array and checked, in the order of the line.  An object record
-    identical to the previous frame's record at the same index is decoded
-    once: the frame gets that record's instance.  An error names its line
+    A line in dump_trace's layout is read by :func:`_scan_frame`: an object
+    record identical to the previous frame's record at the same index is
+    decoded once, and the frame gets that record's instance.  Any other
+    line is decoded whole by ``json.loads``, and each of its records on its
+    own.  Each decoded record's points are converted to their own float
+    array and checked, in the order of the line.  An error names its line
     and, for points, the first bad object on it.
     """
     try:
@@ -293,25 +291,28 @@ def load_trace(source, trace_id: str | None = None) -> SceneTrace:
         if not line:
             continue
         try:
-            rec, texts = _scan_frame(line, prev)
+            t, records = _scan_frame(line, prev)
+            reuse = True
         except (StopIteration, ValueError, RecursionError):
-            # json.loads names the fault; a line it reads is a frame the
-            # scan above has no fast path for
-            rec, texts = decode_json(line, lineno), None
-        if not isinstance(rec, dict):
-            raise SchemaError("frame record must be a mapping", lineno)
-        unknown = set(rec) - {"t", "objects"}
-        if unknown:
-            raise SchemaError(f"unknown frame field(s) {sorted(unknown)}", lineno)
-        if "t" not in rec or "objects" not in rec:
-            raise SchemaError("frame needs fields t and objects", lineno)
-        t = rec["t"]
+            # json.loads reads the line or names its fault
+            rec, reuse = decode_json(line, lineno), False
+            if not isinstance(rec, dict):
+                raise SchemaError("frame record must be a mapping", lineno)
+            unknown = set(rec) - {"t", "objects"}
+            if unknown:
+                raise SchemaError(f"unknown frame field(s) {sorted(unknown)}", lineno)
+            if "t" not in rec or "objects" not in rec:
+                raise SchemaError("frame needs fields t and objects", lineno)
+            t, records = rec["t"], rec["objects"]
         if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
             raise SchemaError("t must be a finite number", lineno)
-        if not isinstance(rec["objects"], list):
-            raise SchemaError("objects must be a list", lineno)
-        objects = [o if type(o) is ObjectInstance else _object_from_record(o, lineno)
-                   for o in rec["objects"]]
+        if not reuse:
+            if not isinstance(records, list):
+                raise SchemaError("objects must be a list", lineno)
+            records = [(line, value) for value in records]
+        objects = [value if type(value) is ObjectInstance
+                   else _object_from_record(value, lineno, rec_text)
+                   for rec_text, value in records]
         roles = [o.role for o in objects]
         for unique_role in ("hand_left", "hand_right", "ground"):
             if roles.count(unique_role) > 1:
@@ -320,7 +321,7 @@ def load_trace(source, trace_id: str | None = None) -> SceneTrace:
         if len(set(ids)) != len(ids):
             raise SchemaError("duplicate object id in frame", lineno)
         frames.append(Frame(float(t), tuple(objects)))
-        prev = list(zip(texts, objects)) if texts is not None else []
+        prev = [(rec_text, o) for (rec_text, _), o in zip(records, objects)] if reuse else []
 
     identity: dict[str, tuple[str, str]] = {}
     for fr in frames:
@@ -337,32 +338,6 @@ def load_trace(source, trace_id: str | None = None) -> SceneTrace:
         dts = np.diff(times)
         fps = float(1.0 / np.median(dts))
     return SceneTrace(tuple(frames), name, fps)
-
-
-def dump_trace(trace: SceneTrace, target) -> None:
-    """Serialize a trace to the JSON-lines format (round-trips load_trace)."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", encoding="utf-8") if own else target
-    try:
-        for fr in trace.frames:
-            objs = []
-            for o in fr.objects:
-                rec = {"id": o.id, "label": o.label, "role": o.role}
-                if o.points is not None:
-                    rec["points"] = [[float(v) for v in p] for p in o.points]
-                if o.box is not None:
-                    rec["box"] = [list(o.box[0]), list(o.box[1])]
-                objs.append(rec)
-            fh.write(json.dumps({"t": fr.t, "objects": objs}) + "\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def dumps_trace(trace: SceneTrace) -> str:
-    buf = io.StringIO()
-    dump_trace(trace, buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -205,8 +205,6 @@ def as_cloud(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         return pts.reshape(0, 3)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):

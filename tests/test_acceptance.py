@@ -36,12 +36,10 @@ from manipsem.synth import (
     generate_synthetic_trace,
     make_corpus,
 )
-from helpers import directed_edge_multiset, euler_counts
+from helpers import NOISY_OVERRIDES, directed_edge_multiset, euler_counts
 from test_relations import catalogue
 
 EPS_GEOM = 1e-9
-NOISY_OVERRIDES = dict(eps_touch=0.03, delta_move=0.005, delta_rel=0.01,
-                       distinguish_in_su="false")
 
 
 def report(num: int, label: str, ok: bool, detail: str = ""):

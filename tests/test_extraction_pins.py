@@ -13,9 +13,8 @@ from manipsem.config import RunConfig
 from manipsem.events import idle_spans, segment_actions
 from manipsem.pipeline import analyze_trace, describe_document
 from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace
+from helpers import NOISY_OVERRIDES
 
-NOISY_OVERRIDES = dict(eps_touch=0.03, delta_move=0.005, delta_rel=0.01,
-                       distinguish_in_su="false")
 CASES = [(name, noise, seed) for name in SCENARIOS for noise in (0.0, 0.01) for seed in (1, 2, 3)]
 
 

@@ -16,8 +16,8 @@ from manipsem.pipeline import analyze_trace
 from manipsem.relations import ObjectState, _pattern_label, pattern_matrix
 from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace
 from conftest import box_cloud, counted_builds
+from helpers import NOISY_OVERRIDES
 
-NOISY = dict(eps_touch=0.03, delta_move=0.005, delta_rel=0.01, distinguish_in_su="false")
 GROUND = ObjectInstance("table", "table", "ground", None, ((-1, -0.1, -1), (1, 0.0, 1)))
 
 
@@ -86,7 +86,7 @@ def test_scenarios_match_fresh_geometry(name):
 def test_noisy_scenarios_match_fresh_geometry(name):
     # no cloud is a translation of the one before: nothing is re-used
     gen = generate_synthetic_trace(ScenarioSpec(name, seed=3, noise=0.01))
-    assert_matches_fresh(gen.trace.frames, RunConfig().with_overrides(**NOISY))
+    assert_matches_fresh(gen.trace.frames, RunConfig().with_overrides(**NOISY_OVERRIDES))
 
 
 def test_clean_round_wraps_two_hulls(monkeypatch):

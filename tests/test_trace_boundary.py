@@ -5,17 +5,17 @@ import io
 import json
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from manipsem import bench, cli
 from manipsem.config import RunConfig
-from manipsem.events import ROLES, ParseError, SchemaError, TraceError, dumps_trace, load_trace
+from manipsem.events import ParseError, TraceError, dumps_trace, load_trace
 from manipsem.geometry import as_cloud
 from manipsem.pipeline import analyze_trace, describe_document
 from manipsem.synth import SCENARIOS, ScenarioSpec, generate_synthetic_trace, make_corpus
 from conftest import box_cloud
+from helpers import assert_same_trace, load_outcome, oracle_load
 
 NAN, INF = float("nan"), float("inf")
 
@@ -68,6 +68,8 @@ MALFORMED = {
     "points_strings": with_object(1, "points", [["0", "0", "0"]] * 4),
     "points_nan": with_coordinate(NAN),
     "points_inf": with_coordinate(INF),
+    "points_bool_among_numbers": with_coordinate(True),
+    "ground_points_flat_triple": with_object(0, "points", [1, 2, 3]),
     "id_not_string": with_object(1, "id", 7),
     "label_not_string": with_object(1, "label", ["cup"]),
 }
@@ -210,104 +212,6 @@ def test_field_mutations_load_or_raise_trace_error(text):
         pass
 
 
-# -- the loader's point checks against a reference per-object checker ---------
-
-def _reference_coords(value, what, lineno):
-    try:
-        arr = np.asarray(value)
-        if arr.dtype.kind not in "iuf":
-            raise ValueError("expected a list of [x, y, z] numbers")
-        return as_cloud(arr)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what}: {exc}", lineno) from exc
-
-
-def _reference_object(rec, lineno):
-    if not isinstance(rec, dict):
-        raise SchemaError("object record must be a mapping", lineno)
-    unknown = set(rec) - {"id", "label", "role", "points", "box"}
-    if unknown:
-        raise SchemaError(f"unknown object field(s) {sorted(unknown)}", lineno)
-    for key in ("id", "label", "role"):
-        if key not in rec:
-            raise SchemaError(f"object missing field {key!r}", lineno)
-    for key in ("id", "label"):
-        if not isinstance(rec[key], str):
-            raise SchemaError(f"object {key} must be a string", lineno)
-    role = rec["role"]
-    if role not in ROLES:
-        raise SchemaError(f"unknown role {role!r}", lineno)
-    points, box = rec.get("points"), rec.get("box")
-    if role == "ground":
-        if box is None and points is None:
-            raise SchemaError("ground needs box or points", lineno)
-    elif points is None:
-        raise SchemaError(f"object {rec['id']!r} missing points", lineno)
-    pts = None
-    if points is not None:
-        pts = _reference_coords(points, f"object {rec['id']!r} points", lineno)
-        need = 1 if role == "ground" else 4
-        if pts.shape[0] < need:
-            raise SchemaError(f"object {rec['id']!r} has < {need} points", lineno)
-    if box is not None:
-        corners = _reference_coords(box, "ground box", lineno)
-        if corners.shape[0] != 2:
-            raise SchemaError("ground box must be [[min x, y, z], [max x, y, z]]", lineno)
-        if np.any(corners[1] <= corners[0]):
-            raise SchemaError("ground box needs max > min on every axis", lineno)
-        box = (tuple(corners[0].tolist()), tuple(corners[1].tolist()))
-    return rec["id"], role, None if pts is None else pts.tolist(), box
-
-
-def reference_objects(text):
-    """Objects per frame, each line decoded whole and each object's points
-    converted and checked on their own: a reference written apart from the
-    loader's scan and its reuse of repeated records."""
-    frames = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"bad JSON: {exc.msg}") from exc
-        if not isinstance(rec, dict):
-            raise SchemaError("frame record must be a mapping", lineno)
-        unknown = set(rec) - {"t", "objects"}
-        if unknown:
-            raise SchemaError(f"unknown frame field(s) {sorted(unknown)}", lineno)
-        if "t" not in rec or "objects" not in rec:
-            raise SchemaError("frame needs fields t and objects", lineno)
-        t = rec["t"]
-        if type(t) not in (int, float) or not abs(t) <= sys.float_info.max:
-            raise SchemaError("t must be a finite number", lineno)
-        if not isinstance(rec["objects"], list):
-            raise SchemaError("objects must be a list", lineno)
-        objects = [_reference_object(o, lineno) for o in rec["objects"]]
-        roles = [role for _, role, _, _ in objects]
-        for unique_role in ("hand_left", "hand_right", "ground"):
-            if roles.count(unique_role) > 1:
-                raise SchemaError(f"duplicate {unique_role} in frame", lineno)
-        if len({oid for oid, _, _, _ in objects}) != len(objects):
-            raise SchemaError("duplicate object id in frame", lineno)
-        frames.append(objects)
-    return frames
-
-
-def outcome(parse, text):
-    try:
-        return ("ok", parse(text))
-    except TraceError as exc:
-        return (type(exc).__name__, str(exc))
-
-
-def loaded_objects(text):
-    trace = load_trace(io.StringIO(text))
-    return [[(o.id, o.role, None if o.points is None else o.points.tolist(), o.box)
-             for o in fr.objects] for fr in trace.frames]
-
-
 def boolean_frames(kind):
     """A frame whose cup points, or whose ground box, are JSON booleans
     between frames where they are numbers."""
@@ -326,15 +230,17 @@ def boolean_frames(kind):
 @example(boolean_frames("points"))
 @example(boolean_frames("box"))
 def test_stacked_points_match_per_object_checks(text):
-    """The loader's points, and its first error, are those of a reference
-    that decodes every line whole with ``json.loads`` and checks each
-    object's points on their own, in order; a JSON boolean is refused, not
-    read as 0 or 1."""
-    want = outcome(reference_objects, text)
-    if want[0] == "ok":
-        try:
-            load_trace(io.StringIO(text))
-        except TraceError as exc:      # label/role re-binding or timestamps
-            assert not isinstance(exc, ParseError) and "points" not in str(exc)
-            return
-    assert repr(outcome(loaded_objects, text)) == repr(want)
+    """The loader's trace, or its first error, is that of the plain loader
+    (``helpers.oracle_load``), which checks each object's points on their
+    own, in order: a points error names the first bad object on its line,
+    and a JSON boolean is refused, not read as 0 or 1."""
+    got, want = load_outcome(load_trace, text), load_outcome(oracle_load, text)
+    if not isinstance(want, Exception):
+        assert not isinstance(got, Exception), got
+        assert_same_trace(got, want)
+        return
+    assert type(got) is type(want), got
+    assert getattr(got, "lineno", None) == getattr(want, "lineno", None), got
+    bad_object, points_error, _ = str(want).partition(" points: ")
+    if points_error:
+        assert str(got).startswith(bad_object + " "), (got, want)
