@@ -18,7 +18,8 @@ undecodable input file (trace, token file, or a corpus's ``.gt.json``),
 4 unavailable description level, 5 missing, empty or unlabeled corpus,
 6 token string rejected, 7 bad configuration (unknown key, bad value,
 unreadable or malformed file, including the library and template files
-and a template they lack).
+and a template they lack).  A reader that closes stdout early (``| head``)
+ends the command quietly with exit 1.
 """
 
 from __future__ import annotations
@@ -309,7 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): stop quietly, and point
+        # stdout at devnull so that the interpreter's flush at exit does
+        # not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except events.ParseError as exc:
         print(f"trace parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -30,8 +30,12 @@ lie deeper than the tolerance inside a hull only if it lies that deep
 inside a box holding the hull, and GJK over two clouds gives the distance
 between their convex hulls.  Surface contact without interpenetration,
 such as a hand on an object or one object resting on another, builds no
-hull; a point deep in the other object's box (containment, crossing)
-reads that object's planes.
+hull.  A point deep in the other object's box is first offered an inner
+certificate: when that object's cloud has points far enough from it in all
+eight octants, the point lies inside the hull, which stays unbuilt, so
+crossing and partial containment build none either; otherwise the point
+reads that object's planes, as full containment does for its exterior
+test and wall distance.
 """
 
 from __future__ import annotations
@@ -769,7 +773,25 @@ def _reaches_interior(cloud: np.ndarray, cloud_box: Aabb, hull: ConvexHull, tol:
     ``tol`` inside ``hull.box`` are classified, so a hull no point comes
     that deep into is not read.  When on some axis ``cloud_box``, the
     cloud's box, reaches no deeper than that into ``hull.box``, no point
-    does, and none is visited."""
+    does, and none is visited.
+
+    A hull not yet built is first offered an inner certificate, the dual of
+    the box test: with ``p`` the point deepest in its box and ``s = tol +
+    2 * _EPS_PLANE``, if its own cloud holds, in each of the 8 octants
+    around ``p``, a point at least ``s`` from ``p`` on all three axes, the
+    cube ``p ± s`` lies in that cloud's convex hull.  By induction over the
+    axes: pairing the points of octants that differ only in their x sign,
+    each pair's segment meets the plane x = c_x of any point c of the cube,
+    and that meeting point keeps the pair's signs on the other axes; the
+    four such points, paired by their y signs, give two with y = c_y, and
+    those, paired by z, give c.  Every plane row of the wrapped hull, a
+    unit normal n, supports its cloud to within ``_EPS_PLANE``, so it
+    supports the cube too, and the cube holds ``p + s * n``: ``p`` lies
+    ``s - _EPS_PLANE = tol + _EPS_PLANE`` or more inside every row, which
+    ``classify_points`` reads as interior.  A flat cloud's padded box and a
+    ground box hold their cloud's convex hull as well.  So the answer is
+    True without a build, in O(N) time and memory; where the certificate
+    fails, the hull is built and read as before."""
     box = hull.box
     thr = tol - _DEEP_MARGIN
     # a point's depth on an axis is fl(p - lo) or fl(hi - p), and rounding
@@ -779,8 +801,25 @@ def _reaches_interior(cloud: np.ndarray, cloud_box: Aabb, hull: ConvexHull, tol:
         return False
     depth = np.minimum(cloud - box.min_corner, box.max_corner - cloud).min(axis=1)
     deep = depth > thr
-    return bool(deep.any()) and bool(
-        np.any(classify_points(hull, cloud[deep], tol) == RegionClass.INTERIOR))
+    if not deep.any():
+        return False
+    if not hull.built and _holds_cube(hull._own[0], cloud[depth.argmax()],
+                                      tol + 2 * _EPS_PLANE):
+        return True
+    return bool(np.any(classify_points(hull, cloud[deep], tol) == RegionClass.INTERIOR))
+
+
+# an octant's number: bit 2 set for x above p, bit 1 for y, bit 0 for z
+_OCTANT_BITS = np.array([4, 2, 1])
+
+
+def _holds_cube(pts: np.ndarray, p: np.ndarray, s: float) -> bool:
+    """Whether ``pts`` has, in each of the 8 octants around ``p``, a point
+    at least ``s`` from ``p`` on every axis (see :func:`_reaches_interior`)."""
+    rel = pts - p
+    above = rel >= s
+    far = (above | (rel <= -s)).all(axis=1)
+    return bool(np.bincount(above[far] @ _OCTANT_BITS, minlength=8).all())
 
 
 class _Side:

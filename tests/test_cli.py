@@ -2,6 +2,9 @@ import importlib.resources
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -64,6 +67,27 @@ class TestRelationsCommand:
         rec = {"id": "a", "label": "a", "role": "paw", "points": [[0, 0, 0]] * 4}
         p.write_text(json.dumps({"t": 0.0, "objects": [rec]}) + "\n")
         assert cli.main(["relations", str(p)]) == 3
+
+
+class TestClosedStdout:
+    def test_reader_closing_after_one_line_ends_quietly(self, tmp_path):
+        """``manipsem relations <trace> --format records | head -n 1`` on
+        records far longer than a pipe holds: exit 1, stderr empty."""
+        path = tmp_path / "long.jsonl"
+        dump_trace(generate_synthetic_trace(ScenarioSpec("Screw", seed=7, frames=300)).trace,
+                   str(path))
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-m", "manipsem.cli", "relations", str(path),
+                                 "--format", "records"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
+        assert json.loads(first)["frame"] == 0
 
 
 class TestDescribeCommand:

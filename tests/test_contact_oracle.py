@@ -5,6 +5,12 @@ side, every ``RelMatrix`` flag and every contact decision of hulls built
 on first read equals the one from ``classify_points`` over every point of
 each cloud and GJK over the two hulls' vertices.
 
+The interior test's inner certificate is checked against its definition
+too: it answers exactly where the cloud's point deepest in the other hull's
+box has, in each octant around it, a point of that hull's cloud at least
+``tol + 2 * _EPS_PLANE`` away on every axis; it then leaves the hull
+unbuilt, and ``classify_points`` over the hull built up front agrees.
+
 Each pair is compared with its oracle at the same coordinates, never with
 the answer for the same relative pose elsewhere: where a point lies
 exactly ``eps_touch`` deep, the answer depends on how the position rounds
@@ -20,7 +26,9 @@ from manipsem.geometry import (
     ConvexHull,
     DEFAULT_GEOMETRY,
     RegionClass,
+    _EPS_PLANE,
     _gjk,
+    _reaches_interior,
     _surface_band,
     aabb_gap,
     classify_points,
@@ -191,6 +199,43 @@ def test_flags_and_contact_equal_the_eager_oracle(pair, order, shift):
                       and not want[0][0] and not want[1][0])
     if surface_tested and in_band:
         assert ha.built and hb.built
+
+
+def certified(cloud, hull, tol):
+    """The inner certificate by its definition, over Python floats: the
+    point of ``cloud`` deepest in ``hull.box`` (the first of the deepest)
+    has, in each of the 8 octants around it, a point of the hull's own
+    cloud at least ``tol + 2 * _EPS_PLANE`` from it on every axis."""
+    lo, hi = hull.box.corners
+    depths = [min(min(x - l, h - x) for x, l, h in zip(q, lo, hi)) for q in cloud.tolist()]
+    p = cloud.tolist()[depths.index(max(depths))]
+    s = tol + 2 * _EPS_PLANE
+    octants = set()
+    for q in hull._own[0].tolist():
+        rel = [x - y for x, y in zip(q, p)]
+        if all(abs(r) >= s for r in rel):
+            octants.add(tuple(r > 0 for r in rel))
+    return len(octants) == 8
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs, st.sampled_from([None, (0.3, -0.2, 0.1)]))
+@example((box_cloud((0, 0, 0), (0.2, 0.2, 0.2)), box_cloud((0.05, 0.05, 0.05), (0.1, 0.1, 0.1)),
+          TOL), None)
+def test_interior_test_equals_the_eager_oracle(pair, shift):
+    """``_reaches_interior`` on a hull built on first read equals
+    ``classify_points`` over every point against the hull built up front;
+    where the inner certificate holds, it answers without a build, and
+    every other yes comes from the built hull."""
+    a0, b0, tol = pair
+    a, ha, b, hb = deferred_pair(a0, b0, shift)
+    for cloud, hull in ((a, hb), (b, ha)):
+        eager = ObjectState.from_cloud(hull._own[0]).hull
+        want = bool(np.any(classify_points(eager, cloud, tol) == RegionClass.INTERIOR))
+        proof = certified(cloud, hull, tol)
+        got = _reaches_interior(cloud, compute_aabb(cloud), hull, tol)
+        assert got == want
+        assert proof == (got and not hull.built)
 
 
 @settings(max_examples=200, deadline=None)

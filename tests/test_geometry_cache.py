@@ -81,16 +81,18 @@ def test_evaluate_trace_matches_fresh_states(name, monkeypatch):
     assert len(builds) < clouds        # states were re-used, not rebuilt per frame
 
 
-WRAPS_PER_SCENE = dict(Ab=0, Ar=0, NoRelation=0, To=0, ArT=0, In=1, Wi=1, Pwi=1, Cr=2)
+WRAPS_PER_SCENE = dict(Ab=0, Ar=0, NoRelation=0, To=0, ArT=0, In=1, Wi=1, Pwi=0, Cr=0)
 
 
 @pytest.mark.parametrize("kind", SCENE_KINDS)
 def test_scenes_out_of_touch_range_wrap_no_hull(kind, monkeypatch):
     """A hull is wrapped only where the boxes and clouds cannot decide: the
     Ab, Ar and NoRelation scenes, whose boxes lie further apart, and the To
-    and ArT scenes, in surface contact, wrap none; In, Wi and Pwi wrap the
-    container, whose planes classify the points deep in its box; Cr wraps
-    both.  The report is the fresh-state one either way."""
+    and ArT scenes, in surface contact, wrap none; in the Pwi and Cr scenes
+    a point deep in the other object's box is proven interior from that
+    object's cloud, so they wrap none either; In and Wi wrap the container,
+    whose planes their exterior flag and wall distance read.  The report is
+    the fresh-state one either way."""
     cfg = RunConfig()
     builds = counted_builds(monkeypatch)
     for seed in range(3):

@@ -89,14 +89,15 @@ def test_noisy_scenarios_match_fresh_geometry(name):
     assert_matches_fresh(gen.trace.frames, RunConfig().with_overrides(**NOISY_OVERRIDES))
 
 
-def test_clean_round_wraps_two_hulls(monkeypatch):
-    """Analyzing the 14 clean seed-1 traces wraps 2 hulls: boxes and clouds
-    decide every other contact and containment test."""
+def test_clean_round_wraps_one_hull(monkeypatch):
+    """Analyzing the 14 clean seed-1 traces wraps 1 hull: boxes and clouds
+    decide every other contact and containment test, and a point they prove
+    interior needs no wrap."""
     traces = [generate_synthetic_trace(ScenarioSpec(name, seed=1)).trace for name in SCENARIOS]
     builds = counted_builds(monkeypatch)
     for trace in traces:
         analyze_trace(trace, RunConfig())
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 def cloud(oid, lo, hi, role="object", per_edge=3):

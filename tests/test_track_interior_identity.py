@@ -12,7 +12,12 @@ on its own.
 reaches no deeper than the threshold into the hull's box; with the cloud's
 box at, one ulp inside and one ulp outside the threshold, against deferred
 and built hulls, its answer is that of ``classify_points`` over every point,
-and the box path leaves a deferred hull unbuilt.
+and the box path leaves a deferred hull unbuilt.  Its inner certificate
+answers exactly where an octant point lies ``tol + 2 * _EPS_PLANE`` or more
+from the deepest point on every axis: with one octant point one ulp short
+of that margin, at it and one ulp past it, the certificate refuses, then
+accepts without a build, and the answer is that of ``classify_points``
+over the hull built up front each time.
 """
 
 import itertools
@@ -23,8 +28,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from manipsem.config import GeometryConfig
 from manipsem.events import _RIGID_TOL, _Track, ObjectInstance
-from manipsem.geometry import (_DEEP_MARGIN, ConvexHull, RegionClass, _reaches_interior,
-                               box_hull, classify_points, compute_aabb, hull_with_fallback)
+from manipsem.geometry import (_DEEP_MARGIN, _EPS_PLANE, ConvexHull, RegionClass,
+                               _reaches_interior, box_hull, classify_points, compute_aabb,
+                               hull_with_fallback)
 from conftest import box_cloud
 
 COORDS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.25]),
@@ -232,3 +238,28 @@ def test_reaches_interior_matches_the_full_pass():
                 assert hull.built == built, where
     # the cloud's box was at, inside and outside the threshold
     assert reaches == {-1, 0, 1}
+
+
+def test_inner_certificate_answers_exactly_from_its_margin():
+    """A hull's cloud of one point in each octant around the origin, 0.05
+    from it on every axis, but one octant's point ``s`` - 1 ulp, ``s`` or
+    ``s`` + 1 ulp from it on one axis, where ``s = tol + 2 * _EPS_PLANE``;
+    the cloud tested is the origin, the deepest point in the hull's box.
+    The certificate refuses short of ``s`` and the hull is built; from ``s``
+    on it answers and the hull stays unbuilt; and the answer is that of
+    ``classify_points`` over the hull built up front either way."""
+    origin = np.zeros((1, 3))
+    corners = list(itertools.product((-1.0, 1.0), repeat=3))
+    for tol, k, axis, ulps in itertools.product((1e-7, 0.01, 0.03), range(8), range(3),
+                                                (-1, 0, 1)):
+        s = tol + 2 * _EPS_PLANE
+        pts = 0.05 * np.array(corners)
+        edge = math.nextafter(s, math.copysign(math.inf, ulps)) if ulps else s
+        pts[k, axis] = corners[k][axis] * edge
+        hull = ConvexHull.deferred(pts, compute_aabb(pts), GEO,
+                                   lambda: hull_with_fallback(pts, GEO))
+        where = (tol, k, axis, ulps)
+        got = _reaches_interior(origin, compute_aabb(origin), hull, tol)
+        want = classify_points(hull_with_fallback(pts, GEO), origin, tol)[0]
+        assert got == (want == RegionClass.INTERIOR), where
+        assert hull.built == (ulps < 0), where
