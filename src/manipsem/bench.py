@@ -6,11 +6,14 @@ ground truth.  Object states come from one
 :class:`~manipsem.events.GeometryCache` over a trace's evaluated frames,
 the same geometry path extraction uses.  A hull is built on its first
 read, and only a pair whose boxes lie within ``eps_touch`` reads one, and
-only where the boxes and clouds cannot decide: a scene in surface contact
-(To, ArT) wraps none, a container with an object deep in its box (In, Wi,
-Pwi) wraps the container, and a crossing pair wraps both.  A static
-object's hull is built at most once per trace, and a wrap error surfaces
-at that first read.  The hull classifier reads the cache's pair memos: a
+only where the boxes and clouds cannot decide.  No scene of the corpus
+wraps a hull: a scene in surface contact (To, ArT) is settled by boxes and
+GJK over the clouds, a crossing or a partial containment (Cr, Pwi) by a
+point the other object's cloud surrounds, and a containment (In, Wi) by
+the container's cloud surrounding the corners of the inner object's box
+and by that box's gap to the container's box.  A static object's hull is
+built at most once per trace, and a wrap error surfaces at that first
+read.  The hull classifier reads the cache's pair memos: a
 pair's intersection matrix and contact test are computed once for both
 orders and re-used while its relative pose holds.  Each ordered pair of
 states is scored once per trace: a case whose two states are those of a

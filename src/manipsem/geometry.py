@@ -34,8 +34,11 @@ hull.  A point deep in the other object's box is first offered an inner
 certificate: when that object's cloud has points far enough from it in all
 eight octants, the point lies inside the hull, which stays unbuilt, so
 crossing and partial containment build none either; otherwise the point
-reads that object's planes, as full containment does for its exterior
-test and wall distance.
+reads that object's planes.  Full containment is settled the same way:
+no point of a cloud is exterior when the container's cloud surrounds every
+corner of the cloud's box, and the wall test (:func:`touches_wall`) reads
+the gap between the two boxes or cubes around those corners, so a hull is
+built only where these fail.
 """
 
 from __future__ import annotations
@@ -803,33 +806,87 @@ def _reaches_interior(cloud: np.ndarray, cloud_box: Aabb, hull: ConvexHull, tol:
     deep = depth > thr
     if not deep.any():
         return False
-    if not hull.built and _holds_cube(hull._own[0], cloud[depth.argmax()],
-                                      tol + 2 * _EPS_PLANE):
+    if _holds_cubes(hull, cloud[depth.argmax()][None], tol + 2 * _EPS_PLANE):
         return True
     return bool(np.any(classify_points(hull, cloud[deep], tol) == RegionClass.INTERIOR))
 
 
-# an octant's number: bit 2 set for x above p, bit 1 for y, bit 0 for z
+# an octant's number: bit 2 set for x above its centre, bit 1 for y, bit 0
+# for z; a box's corner is numbered by the octant it lies in from the centre
 _OCTANT_BITS = np.array([4, 2, 1])
+_CORNER_HIGH = (np.arange(8)[:, None] & _OCTANT_BITS) > 0
 
 
-def _holds_cube(pts: np.ndarray, p: np.ndarray, s: float) -> bool:
-    """Whether ``pts`` has, in each of the 8 octants around ``p``, a point
-    at least ``s`` from ``p`` on every axis (see :func:`_reaches_interior`)."""
-    rel = pts - p
+def _holds_cubes(hull: ConvexHull, centres: np.ndarray, s: float) -> bool:
+    """Whether ``hull`` is not built yet and its own cloud has, in each of
+    the 8 octants around each row of ``centres``, a point at least ``s``
+    from that centre on every axis: the cube of half-side ``s`` around
+    each centre then lies in the cloud's convex hull (see
+    :func:`_reaches_interior`).  At ``s = 0`` a point level with a centre
+    on an axis counts on its high side.  One ``(len(centres), N, 3)``
+    pass."""
+    if hull.built:
+        return False
+    rel = hull._own[0] - centres[:, None]
     above = rel >= s
-    far = (above | (rel <= -s)).all(axis=1)
-    return bool(np.bincount(above[far] @ _OCTANT_BITS, minlength=8).all())
+    far = (above | (rel <= -s)).all(axis=2)
+    octant = above @ _OCTANT_BITS + 8 * np.arange(len(centres))[:, None]
+    return bool(np.bincount(octant[far], minlength=8 * len(centres)).all())
+
+
+def _corners(box: Aabb) -> np.ndarray:
+    """The 8 corners of ``box``, as rows."""
+    return np.where(_CORNER_HIGH, box.max_corner, box.min_corner)
+
+
+def wall_contact_distance(inner_cloud: np.ndarray, outer_hull: ConvexHull) -> float:
+    """Nearest approach of contained points to the container's face planes."""
+    d = np.abs(inner_cloud @ outer_hull.face_planes[:, :3].T + outer_hull.face_planes[:, 3])
+    return float(d.min())
+
+
+def touches_wall(cloud: np.ndarray, own: ConvexHull, hull: ConvexHull, tol: float) -> bool:
+    """``wall_contact_distance(cloud, hull) <= tol`` for a cloud no point of
+    which is exterior to ``hull`` (its :func:`relation_matrix` exterior flag
+    with ``tol`` is False), so that every plane row reads at most ``tol`` at
+    every point: the answer is whether some row reads at least ``-tol`` at
+    some point.  ``own`` is the cloud's own hull (see :func:`_cloud_box`).
+
+    Two certificates answer without a build, each the dual of one of
+    :func:`_reaches_interior`'s.  Yes, when the cloud's box comes within
+    ``tol - _DEEP_MARGIN`` of a face of ``hull.box``: the point at that
+    extreme is then no deeper than ``tol - _DEEP_MARGIN`` inside a box
+    holding the hull, so, by the premise of the interior test, no deeper
+    than ``tol`` inside the hull, and its outermost row reads at least
+    ``-tol``.  No, when the cubes of half-side ``s = tol + 2 * _EPS_PLANE``
+    around the 8 corners of the cloud's box lie in the hull's cloud
+    (:func:`_holds_cubes`): a row with unit normal n supports that cloud to
+    within ``_EPS_PLANE`` and each cube holds its corner plus ``s * n``, so
+    the row reads at most ``_EPS_PLANE - s = -(tol + _EPS_PLANE)`` at every
+    corner, and so, being linear, at every point of the box.  Otherwise the
+    hull is built and its planes read."""
+    box = _cloud_box(cloud, own)
+    thr = tol - _DEEP_MARGIN
+    (lo, hi), (c_lo, c_hi) = hull.box.corners, box.corners
+    if any(c_l - l <= thr or h - c_h <= thr for l, h, c_l, c_h in zip(lo, hi, c_lo, c_hi)):
+        return True
+    if _holds_cubes(hull, _corners(box), tol + 2 * _EPS_PLANE):
+        return False
+    return wall_contact_distance(cloud, hull) <= tol
 
 
 class _Side:
     """One cloud against the interior, boundary and exterior of one hull:
     whether some point lies in each, found on first read.  The interior
     flag classifies only the points deep inside the hull's box, and a point
-    beyond that box by more than ``tol`` settles the exterior flag; the
-    rest classifies every point within ``tol`` of the hull's own box.
-    ``own`` is the cloud's own hull, which may keep the cloud's box (see
-    :func:`_cloud_box`) for the interior test."""
+    beyond that box by more than ``tol`` settles the exterior flag.  So
+    does a hull not yet built whose own cloud surrounds each corner of the
+    cloud's box (:func:`_holds_cubes` at ``s = 0``): the box, and the cloud
+    in it, then lies in that cloud's convex hull, at which every plane row
+    reads at most ``_EPS_PLANE``, so for ``tol`` above twice that no point
+    is exterior.  The rest classifies every point within ``tol`` of the
+    hull's own box.  ``own`` is the cloud's own hull, which may keep the
+    cloud's box (see :func:`_cloud_box`)."""
 
     __slots__ = ("cloud", "own", "hull", "tol", "flags")
 
@@ -846,6 +903,9 @@ class _Side:
             elif (region == RegionClass.EXTERIOR
                   and not self.hull.box.contains(self.cloud, self.tol).all()):
                 flags[region] = True
+            elif (region == RegionClass.EXTERIOR and self.tol > 2 * _EPS_PLANE
+                  and _holds_cubes(self.hull, _corners(_cloud_box(self.cloud, self.own)), 0.0)):
+                flags[region] = False
             else:
                 full = _region_flags(self.cloud, self.hull, self.tol)
                 self.flags = [f if f is not None else g for f, g in zip(flags, full)]

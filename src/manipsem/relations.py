@@ -28,6 +28,7 @@ from .geometry import (
     hull_with_fallback,
     relation_matrix,
     touch,
+    touches_wall,
 )
 
 DEFAULT_RELATION = RelationConfig()
@@ -128,12 +129,6 @@ def _above(a: Aabb, b: Aabb, slack: float) -> bool:
     return a_lo >= b_hi - slack and (a_hi + a_lo) / 2.0 > (b_hi + b_lo) / 2.0
 
 
-def wall_contact_distance(inner_cloud: np.ndarray, outer_hull: ConvexHull) -> float:
-    """Nearest approach of contained points to the container's face planes."""
-    d = np.abs(inner_cloud @ outer_hull.face_planes[:, :3].T + outer_hull.face_planes[:, 3])
-    return float(d.min())
-
-
 def pattern_matrix(a: ObjectState, b: ObjectState,
                    geo: GeometryConfig = DEFAULT_GEOMETRY) -> RelMatrix:
     """The intersection matrix the patterns are read from: full clouds
@@ -149,13 +144,13 @@ def _pattern_label(a: ObjectState, b: ObjectState, m: RelMatrix, cfg: RelationCo
         return SsrLabel.Cr
     if m.a_in_b0 and not m.a0_has_b:
         if not m.a_in_bminus:
-            if cfg.distinguish_in_su and wall_contact_distance(a.cloud, b.hull) <= geo.eps_touch:
+            if cfg.distinguish_in_su and touches_wall(a.cloud, a.hull, b.hull, geo.eps_touch):
                 return SsrLabel.In
             return SsrLabel.Wi
         return SsrLabel.Pwi
     if m.a0_has_b and not m.a_in_b0:
         if not m.aminus_has_b:
-            if cfg.distinguish_in_su and wall_contact_distance(b.cloud, a.hull) <= geo.eps_touch:
+            if cfg.distinguish_in_su and touches_wall(b.cloud, b.hull, a.hull, geo.eps_touch):
                 return SsrLabel.Su
             return SsrLabel.Co
         return SsrLabel.Pco

@@ -168,24 +168,31 @@ class Script:
                 direction = -direction
 
     def build_trace(self, trace_id: str, min_frames: int | None = None) -> SceneTrace:
+        """The trace of the recorded frames.  Frames share one ground
+        instance, and without noise an object whose points equal its
+        previous frame's shares that frame's instance, as ``load_trace``
+        shares a record repeated verbatim."""
         if min_frames is not None and len(self.track) < min_frames:
             last = self.track[-1]
             while len(self.track) < min_frames:
                 self.track.append({k: v.copy() for k, v in last.items()})
         frames = []
         dt = 1.0 / 30.0
+        ground = () if self.ground_box is None else (
+            ObjectInstance(self.ground_id, self.ground_label, "ground", None,
+                           (tuple(self.ground_box[0]), tuple(self.ground_box[1]))),)
+        prev: dict[str, ObjectInstance] = {}
         for f_idx, positions in enumerate(self.track):
-            objects = []
-            if self.ground_box is not None:
-                objects.append(ObjectInstance(self.ground_id, self.ground_label,
-                                              "ground", None,
-                                              (tuple(self.ground_box[0]),
-                                               tuple(self.ground_box[1]))))
+            objects = list(ground)
             for oid, body in self.bodies.items():
                 pts = self.clouds[oid] + positions[oid]
                 if self.noise > 0:
                     pts = pts + self.rng.uniform(-self.noise, self.noise, pts.shape)
-                objects.append(ObjectInstance(oid, body.label, body.role, pts, None))
+                elif oid in prev and np.array_equal(pts, prev[oid].points):
+                    objects.append(prev[oid])
+                    continue
+                prev[oid] = ObjectInstance(oid, body.label, body.role, pts, None)
+                objects.append(prev[oid])
             frames.append(Frame(f_idx * dt, tuple(objects)))
         return SceneTrace(tuple(frames), trace_id, 30.0)
 

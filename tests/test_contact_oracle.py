@@ -10,6 +10,15 @@ too: it answers exactly where the cloud's point deepest in the other hull's
 box has, in each octant around it, a point of that hull's cloud at least
 ``tol + 2 * _EPS_PLANE`` away on every axis; it then leaves the hull
 unbuilt, and ``classify_points`` over the hull built up front agrees.
+So are the two containment certificates, on inner clouds set a drawn gap
+inside one face of a box lattice, a noisy lattice or a ground box: the
+exterior flag answers False without a build exactly where the other
+object's cloud surrounds every corner of the cloud's box, and the wall test
+answers without a build exactly where the cloud's box comes within
+``tol - _DEEP_MARGIN`` of a face of the other hull's box (yes) or cubes of
+half-side ``tol + 2 * _EPS_PLANE`` around its corners are surrounded (no);
+``classify_points`` and ``wall_contact_distance`` over the hull built up
+front agree, also one ulp either side of both margins.
 
 Each pair is compared with its oracle at the same coordinates, never with
 the answer for the same relative pose elsewhere: where a point lies
@@ -17,6 +26,9 @@ exactly ``eps_touch`` deep, the answer depends on how the position rounds
 (the strict xfail at the end pins that fault), so the strategies keep
 translated copies of one pose out of every comparison.
 """
+
+import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,16 +38,20 @@ from manipsem.geometry import (
     ConvexHull,
     DEFAULT_GEOMETRY,
     RegionClass,
+    _DEEP_MARGIN,
     _EPS_PLANE,
     _gjk,
     _reaches_interior,
     _surface_band,
     aabb_gap,
+    box_hull,
     classify_points,
     compute_aabb,
     hull_surface_distance,
     relation_matrix,
     touch,
+    touches_wall,
+    wall_contact_distance,
 )
 from manipsem.relations import ObjectState
 from conftest import box_cloud
@@ -248,6 +264,173 @@ def test_built_hulls_give_the_eager_flags(pair):
     assert m.rows() == oracle_rows(a, ha, b, hb, tol)
     assert m.swapped().rows() == oracle_rows(b, hb, a, ha, tol)
     assert touch(a, ha, b, hb, tol) == oracle_touch(a, ha, b, hb, tol)
+
+
+def nested(gap, axis=0, low=False, kind="lattice", tol=TOL, seed=0):
+    """(inner, container, ground, tol): a box lattice set ``gap`` inside one
+    face of a container, which is a box lattice, the same lattice with
+    noise, or a ground box (``ground`` is then its (lo, hi) and
+    ``container`` its corners).  The face lies on the plane ``axis = 0``
+    and the inner box's nearest coordinate is exactly ``-gap`` (``gap``
+    when ``low``), so the gaps are exact; the other faces are far apart."""
+    rng = np.random.default_rng(seed)
+    size = rng.uniform(0.12, 0.3, 3)
+    lo, hi = rng.uniform(-0.5, 0.5, 3) - size / 2, None
+    lo[axis] = -size[axis]
+    hi = lo + size
+    hi[axis] = 0.0
+    inner_size = size * rng.uniform(0.2, 0.5, 3)
+    inner_lo = lo + (size - inner_size) * rng.uniform(0.2, 0.8, 3)
+    inner_lo[axis] = -inner_size[axis]
+    inner_hi = inner_lo + inner_size
+    inner_hi[axis] = 0.0
+    inner = box_cloud(inner_lo, inner_hi, per_edge=int(rng.integers(2, 4)))
+    inner[:, axis] -= gap
+    ground = None
+    if kind == "ground":
+        outer = np.array(list(itertools.product(*zip(lo, hi))))
+        ground = (lo, hi)
+    else:
+        outer = box_cloud(lo, hi, per_edge=int(rng.integers(2, 5)), center=rng.integers(2) > 0)
+        if kind == "noisy":
+            outer += rng.uniform(-2e-3, 2e-3, outer.shape)
+    if low:
+        inner[:, axis] *= -1
+        outer[:, axis] *= -1
+        if ground is not None:
+            lo, hi = lo.copy(), hi.copy()
+            lo[axis], hi[axis] = -hi[axis], -lo[axis]
+            ground = (lo, hi)
+    return inner, outer, ground, tol
+
+
+@st.composite
+def nested_pairs(draw):
+    """``nested`` at a gap near the tolerance, the box-gap margin ``tol -
+    _DEEP_MARGIN`` or the cube half-side ``tol + 2 * _EPS_PLANE``, a few
+    ulps either side, or well inside, flush or past the face."""
+    tol = draw(tols)
+    gap = draw(st.sampled_from([tol - _DEEP_MARGIN, tol + 2 * _EPS_PLANE, tol,
+                                tol / 2, 2 * tol, 0.0, -tol / 2]))
+    return nested(ulps_from(gap, draw(st.integers(-2, 2))), draw(st.integers(0, 2)),
+                  draw(st.booleans()), draw(st.sampled_from(["lattice", "noisy", "ground"])),
+                  tol, draw(seeds))
+
+
+def hull_pair(cloud, ground=None):
+    """(hull built on first read, hull built up front) of ``cloud``, or of
+    the ground box ``ground`` whose corners ``cloud`` holds."""
+    build = (partial(box_hull, *ground) if ground is not None
+             else lambda: ObjectState.from_cloud(cloud).hull)
+    return ConvexHull.deferred(cloud, compute_aabb(cloud), DEFAULT_GEOMETRY, build), build()
+
+
+def corners_held(cloud, pts, s):
+    """The corner certificate by its definition, over Python floats: each
+    corner of ``cloud``'s box has, in each of the 8 octants around it, a
+    point of ``pts`` at least ``s`` from it on every axis (at ``s = 0`` a
+    point level with the corner counts on the high side)."""
+    rows = pts.tolist()
+    for corner in itertools.product(*zip(cloud.min(axis=0).tolist(), cloud.max(axis=0).tolist())):
+        octants = set()
+        for q in rows:
+            rel = [x - c for x, c in zip(q, corner)]
+            if all(r >= s or r <= -s for r in rel):
+                octants.add(tuple(r >= s for r in rel))
+        if len(octants) < 8:
+            return False
+    return True
+
+
+def near_face(cloud, hull, tol):
+    """The box-gap certificate by its definition: on some axis, the
+    cloud's extreme lies within ``tol - _DEEP_MARGIN`` of ``hull.box``'s
+    face, or beyond it."""
+    (lo, hi), thr = hull.box.corners, tol - _DEEP_MARGIN
+    c_lo, c_hi = cloud.min(axis=0).tolist(), cloud.max(axis=0).tolist()
+    return any(cl - l <= thr or h - ch <= thr for l, h, cl, ch in zip(lo, hi, c_lo, c_hi))
+
+
+containments = st.one_of(nested_pairs(), pairs.map(lambda p: (p[0], p[1], None, p[2])))
+
+
+def check_exterior(inner, outer, ground, tol):
+    own, _ = hull_pair(inner)
+    hull, eager = hull_pair(outer, ground)
+    proof = corners_held(inner, outer, 0.0)
+    got = relation_matrix(inner, own, outer, hull, tol).a_in_bminus
+    assert got == regions(inner, eager, tol)[2]
+    assert proof == (not got and not hull.built)
+    return proof
+
+
+def check_wall(inner, outer, ground, tol):
+    """None where the wall test is not reached (some point is exterior),
+    else which certificate answered: "gap", "cubes" or None."""
+    own, _ = hull_pair(inner)
+    hull, eager = hull_pair(outer, ground)
+    if regions(inner, eager, tol)[2]:
+        return "exterior"
+    gap = near_face(inner, hull, tol)
+    cubes = not gap and corners_held(inner, outer, tol + 2 * _EPS_PLANE)
+    got = touches_wall(inner, own, hull, tol)
+    assert got == (wall_contact_distance(inner, eager) <= tol)
+    assert hull.built == (not gap and not cubes)
+    assert got if gap else not got if cubes else True
+    return "gap" if gap else "cubes" if cubes else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(containments)
+def test_exterior_flag_equals_the_eager_oracle(case):
+    """The exterior flag read first, on a hull built on first read, equals
+    ``classify_points`` over every point against the hull built up front;
+    it is False without a build exactly where the corner certificate
+    holds."""
+    check_exterior(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_pairs())
+def test_wall_test_equals_the_eager_oracle(case):
+    """Where no point is exterior, ``touches_wall`` equals
+    ``wall_contact_distance(...) <= tol`` over the hull built up front; it
+    leaves the hull unbuilt exactly where the box gap (yes) or the corner
+    cubes (no) answer."""
+    check_wall(*case)
+
+
+@pytest.mark.parametrize("gap, low, proof", [(0.0, False, True), (0.0, True, False),
+                                             (ulps_from(0.0, -1), False, False),
+                                             (ulps_from(0.0, -1), True, False)])
+def test_exterior_certificate_at_a_flush_face(gap, low, proof):
+    """An inner box flush with the container's high face is surrounded: the
+    face's points, level with its corners, count on the high side.  Flush
+    with the low face, or one ulp past either, it is not, and the built
+    hull reads no point as exterior."""
+    assert check_exterior(*nested(gap, axis=1, low=low)) is proof
+
+
+@pytest.mark.parametrize("kind", ["lattice", "ground"])
+@pytest.mark.parametrize("low", [False, True])
+@pytest.mark.parametrize("k, answer", [(-1, "gap"), (0, "gap"), (1, None)])
+def test_wall_box_gap_margin(k, answer, low, kind):
+    """One ulp inside ``tol - _DEEP_MARGIN`` and at it, the box gap answers
+    yes without a build; one ulp beyond, the hull is built, and its planes
+    give the same yes."""
+    case = nested(ulps_from(TOL - _DEEP_MARGIN, k), axis=2, low=low, kind=kind)
+    assert check_wall(*case) == answer
+
+
+@pytest.mark.parametrize("kind", ["lattice", "ground"])
+@pytest.mark.parametrize("low", [False, True])
+@pytest.mark.parametrize("k, answer", [(-1, None), (0, "cubes"), (1, "cubes")])
+def test_wall_cube_margin(k, answer, low, kind):
+    """At the cube half-side ``tol + 2 * _EPS_PLANE`` and one ulp beyond, the
+    corner cubes answer no without a build; one ulp short, the hull is
+    built, and its planes give the same no."""
+    case = nested(ulps_from(TOL + 2 * _EPS_PLANE, k), axis=0, low=low, kind=kind)
+    assert check_wall(*case) == answer
 
 
 @pytest.mark.xfail(strict=True, reason="touch compares a point's depth with eps_touch in "

@@ -81,7 +81,7 @@ def test_evaluate_trace_matches_fresh_states(name, monkeypatch):
     assert len(builds) < clouds        # states were re-used, not rebuilt per frame
 
 
-WRAPS_PER_SCENE = dict(Ab=0, Ar=0, NoRelation=0, To=0, ArT=0, In=1, Wi=1, Pwi=0, Cr=0)
+WRAPS_PER_SCENE = dict(Ab=0, Ar=0, NoRelation=0, To=0, ArT=0, In=0, Wi=0, Pwi=0, Cr=0)
 
 
 @pytest.mark.parametrize("kind", SCENE_KINDS)
@@ -90,9 +90,12 @@ def test_scenes_out_of_touch_range_wrap_no_hull(kind, monkeypatch):
     Ab, Ar and NoRelation scenes, whose boxes lie further apart, and the To
     and ArT scenes, in surface contact, wrap none; in the Pwi and Cr scenes
     a point deep in the other object's box is proven interior from that
-    object's cloud, so they wrap none either; In and Wi wrap the container,
-    whose planes their exterior flag and wall distance read.  The report is
-    the fresh-state one either way."""
+    object's cloud, so they wrap none either.  In and Wi wrap none too: the
+    container's cloud surrounds the corners of the inner object's box, so
+    no inner point is exterior, and the wall test is settled by the inner
+    box's gap to the container's box (In) or by cubes around its corners
+    that the container's cloud surrounds (Wi).  The report is the
+    fresh-state one either way."""
     cfg = RunConfig()
     builds = counted_builds(monkeypatch)
     for seed in range(3):

@@ -89,15 +89,16 @@ def test_noisy_scenarios_match_fresh_geometry(name):
     assert_matches_fresh(gen.trace.frames, RunConfig().with_overrides(**NOISY_OVERRIDES))
 
 
-def test_clean_round_wraps_one_hull(monkeypatch):
-    """Analyzing the 14 clean seed-1 traces wraps 1 hull: boxes and clouds
-    decide every other contact and containment test, and a point they prove
-    interior needs no wrap."""
+def test_clean_round_wraps_no_hull(monkeypatch):
+    """Analyzing the 14 clean seed-1 traces wraps no hull: boxes and clouds
+    decide every contact and containment test.  A point they prove interior
+    needs no wrap, and neither does a cloud whose box corners the other
+    object's cloud surrounds, as Stir's spoon in its bowl."""
     traces = [generate_synthetic_trace(ScenarioSpec(name, seed=1)).trace for name in SCENARIOS]
     builds = counted_builds(monkeypatch)
     for trace in traces:
         analyze_trace(trace, RunConfig())
-    assert len(builds) == 1
+    assert builds == []
 
 
 def cloud(oid, lo, hi, role="object", per_edge=3):

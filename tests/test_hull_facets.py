@@ -15,8 +15,8 @@ from manipsem.geometry import (
     box_hull,
     classify_points,
     compute_convex_hull,
+    wall_contact_distance,
 )
-from manipsem.relations import wall_contact_distance
 from conftest import box_cloud
 
 

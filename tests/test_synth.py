@@ -1,11 +1,12 @@
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
 from manipsem.config import RunConfig
-from manipsem.events import dumps_trace, extract_atomic_actions
+from manipsem.events import dumps_trace, extract_atomic_actions, load_trace
 from manipsem.relations import ObjectState, SsrLabel, classify_ssr, ssr_dual
 from manipsem.synth import (
     SCENARIOS,
@@ -68,6 +69,42 @@ def test_generator_output_is_pinned():
     # every golden, closure figure and benchmark input comes from these bytes
     assert _generator_digest() == (
         "089349fb61285d85d72a989038d3f2900065430d45aa18cf1b7b9500e68dc197")
+
+
+def shared_frames(trace):
+    """Per object id, the frames whose instance is the previous frame's."""
+    out: dict[str, list[int]] = {}
+    for k in range(1, len(trace.frames)):
+        prev = {o.id: o for o in trace.frames[k - 1].objects}
+        for o in trace.frames[k].objects:
+            if o is prev.get(o.id):
+                out.setdefault(o.id, []).append(k)
+    return out
+
+
+@pytest.mark.parametrize("name", ["Hold", "Screw"])
+def test_static_objects_share_one_instance(name):
+    """A noise-free trace gives a static object, and the ground, one
+    instance in every frame, and a moving object a new one where it moved;
+    a noisy trace shares only the ground.  The loader shares at the same
+    frames."""
+    trace = generate_synthetic_trace(ScenarioSpec(name, seed=1)).trace
+    every = list(range(1, len(trace.frames)))
+    shared = shared_frames(trace)
+    static = "block1" if name == "Hold" else "target1"
+    assert shared["table"] == shared[static] == every
+    assert 0 < len(shared["hand_l"]) < len(every)
+    assert shared_frames(load_trace(io.StringIO(dumps_trace(trace)))) == shared
+
+    noisy = generate_synthetic_trace(ScenarioSpec(name, seed=1, noise=0.01)).trace
+    assert shared_frames(noisy) == {"table": every}
+    assert shared_frames(load_trace(io.StringIO(dumps_trace(noisy)))) == {"table": every}
+
+
+def test_relation_scenes_share_their_instances():
+    for trace, _ in make_corpus(9, 1):
+        every = list(range(1, len(trace.frames)))
+        assert shared_frames(trace) == {"obj_a": every, "obj_b": every}
 
 
 class TestClosure:
